@@ -7,7 +7,7 @@ from .tensor import (
     sum_, mean,
 )
 from .nnops import (
-    conv2d, maxpool2d, nearest_upsample2d, linear, batchnorm,
+    conv2d, blur2d, maxpool2d, nearest_upsample2d, linear, batchnorm,
     spike_gate, elementwise_or, surrogate_slope, soft_gate_value,
 )
 from .module import Module, ModuleList, kaiming_uniform
@@ -22,7 +22,7 @@ __all__ = [
     "add", "sub", "mul", "div", "pow_", "log", "exp", "sigmoid", "clip",
     "matmul", "reshape", "transpose", "swapaxes", "take", "concat", "stack",
     "sum_", "mean",
-    "conv2d", "maxpool2d", "nearest_upsample2d", "linear", "batchnorm",
+    "conv2d", "blur2d", "maxpool2d", "nearest_upsample2d", "linear", "batchnorm",
     "spike_gate", "elementwise_or", "surrogate_slope", "soft_gate_value",
     "Module", "ModuleList", "kaiming_uniform",
     "numeric_gradient", "check_gradients", "check_gradients_sampled",

@@ -1,7 +1,8 @@
 """Network-level ops: convolution, pooling, normalization, spike gates.
 
 Convolution is stride-1 only (spatial reduction happens in the pooling
-stage) and runs as an im2col matrix product. Inputs are NCHW.
+stage) and runs as an im2col matrix product, forward and input-backward
+alike. Inputs are NCHW.
 """
 
 from __future__ import annotations
@@ -52,17 +53,44 @@ def conv2d(x, weight, bias=None, padding: int = 0) -> Tensor:
             gw = np.tensordot(gr, col, axes=([0, 1], [0, 1]))  # (cout, cin*k*k)
             _accumulate(weight, gw.reshape(weight.data.shape))
         if x.requires_grad:
-            dcol = (gr @ wf).reshape(b_, ho, wo, cin, k, k)
-            dxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    dxp[:, :, i:i + ho, j:j + wo] += \
-                        dcol[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            if padding:
-                dxp = dxp[:, :, padding:-padding, padding:-padding]
-            _accumulate(x, dxp)
+            # transposed conv: full correlation of g with the flipped kernel,
+            # cropped by ``padding``; a negative margin crops g instead
+            q = k - 1 - padding
+            gp = np.pad(g, ((0, 0), (0, 0), (q, q), (q, q))) if q >= 0 \
+                else g[:, :, -q:q, -q:q]
+            wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
+                .reshape(cin, cout * k * k)
+            dx = (_im2col(gp, k) @ wt.T).transpose(0, 2, 1).reshape(b_, cin, h, w)
+            _accumulate(x, dx)
 
     return make(out, parents, vjp)
+
+
+def _separable_pass(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    # valid 1-d correlation with ``taps`` along H, then along W
+    k = taps.shape[0]
+    rows = sliding_window_view(x, k, axis=-2) @ taps
+    return sliding_window_view(rows, k, axis=-1) @ taps
+
+
+def blur2d(x, taps) -> Tensor:
+    """Valid 2-d cross-correlation with the separable kernel outer(taps, taps).
+
+    x: (..., H, W), taps: (k,) constant array. Output is (..., H-k+1, W-k+1).
+    Equals ``conv2d`` with that k x k kernel per channel, done as two 1-d
+    passes (2k instead of k*k multiply-adds per output).
+    """
+    x = as_tensor(x)
+    taps = np.asarray(taps, dtype=np.float64)
+    k = taps.shape[0]
+    out = _separable_pass(x.data, taps)
+
+    def vjp(g):
+        # adjoint of a valid correlation: full correlation with reversed taps
+        pad = [(0, 0)] * (g.ndim - 2) + [(k - 1, k - 1)] * 2
+        _accumulate(x, _separable_pass(np.pad(g, pad), taps[::-1]))
+
+    return make(out, (x,), vjp)
 
 
 def maxpool2d(x) -> Tensor:

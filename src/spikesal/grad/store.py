@@ -10,7 +10,9 @@ inputs, so identical state produces identical files.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +21,9 @@ VERSION = 1
 
 
 def save_tensors(path, arrays: dict, meta: dict | None = None):
+    """Write the container atomically: the bytes go to a temporary file
+    beside ``path``, which then replaces it, so a crash or failed write
+    leaves any previous file at ``path`` intact."""
     index = {"tensors": {}, "meta": meta or {}}
     payload = bytearray()
     for name, arr in arrays.items():
@@ -26,11 +31,20 @@ def save_tensors(path, arrays: dict, meta: dict | None = None):
         index["tensors"][name] = {"shape": list(arr.shape), "offset": len(payload)}
         payload += arr.astype("<f8").tobytes()
     blob = json.dumps(index, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HQ", VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(bytes(payload))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<HQ", VERSION, len(blob)))
+            fh.write(blob)
+            fh.write(bytes(payload))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_tensors(path):

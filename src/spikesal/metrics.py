@@ -197,7 +197,6 @@ def _aggregate(samples):
     n = 0
     mae_sum = 0.0
     sm_sum = 0.0
-    tp = np.zeros(N_THRESHOLDS)
     prec = np.zeros(N_THRESHOLDS)
     rec = np.zeros(N_THRESHOLDS)
     for pred, gt in samples:
@@ -208,7 +207,6 @@ def _aggregate(samples):
         t, pp, ap = _pr_counts(pred, gt01)
         prec += np.divide(t, pp, out=np.zeros_like(t), where=pp > 0)
         rec += np.divide(t, ap, out=np.zeros_like(t), where=ap > 0)
-        tp += t
         n += 1
     if n == 0:
         raise ValueError("no samples to evaluate")

@@ -70,29 +70,45 @@ def iou_loss(pred, target) -> Tensor:
     return G.sub(1.0, G.div(inter, union))
 
 
-def _gaussian_window(window: int, sigma: float) -> np.ndarray:
+def _gaussian_taps(window: int, sigma: float) -> np.ndarray:
+    """1-d gaussian normalised to sum 1; the 2-d window is its outer product."""
     ax = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
     g = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
 
 
-def ssim_loss(pred, target, window: int = 11, sigma: float = 1.5) -> Tensor:
-    """1 - mean SSIM over valid (fully inside) gaussian windows."""
+def ssim_target_stats(target, window: int = 11, sigma: float = 1.5):
+    """Windowed mean and variance of the target: (mu_t, var_t).
+
+    They do not depend on the prediction, so a caller scoring several maps
+    against one target computes them once and hands them to
+    :func:`ssim_loss`.
+    """
+    target = G.as_tensor(target)
+    taps = _gaussian_taps(window, sigma)
+    mu_t = G.blur2d(target, taps)
+    var_t = G.sub(G.blur2d(G.mul(target, target), taps), G.mul(mu_t, mu_t))
+    return mu_t, var_t
+
+
+def ssim_loss(pred, target, window: int = 11, sigma: float = 1.5, *,
+              target_stats=None) -> Tensor:
+    """1 - mean SSIM over valid (fully inside) gaussian windows.
+
+    ``target_stats`` is the result of :func:`ssim_target_stats` for the same
+    target, window and sigma; it is computed here when not given.
+    """
     pred, target = G.as_tensor(pred), G.as_tensor(target)
     if pred.shape[-1] < window or pred.shape[-2] < window:
         raise ValueError("input smaller than the ssim window")
     if pred.shape[1] != 1:
         raise ValueError("ssim expects single-channel maps")
-    kern = Tensor(_gaussian_window(window, sigma)[None, None])
+    taps = _gaussian_taps(window, sigma)
+    mu_t, var_t = target_stats or ssim_target_stats(target, window, sigma)
 
-    def blur(x):
-        return G.conv2d(x, kern, padding=0)
-
-    mu_p, mu_t = blur(pred), blur(target)
-    var_p = G.sub(blur(G.mul(pred, pred)), G.mul(mu_p, mu_p))
-    var_t = G.sub(blur(G.mul(target, target)), G.mul(mu_t, mu_t))
-    cov = G.sub(blur(G.mul(pred, target)), G.mul(mu_p, mu_t))
+    mu_p = G.blur2d(pred, taps)
+    var_p = G.sub(G.blur2d(G.mul(pred, pred), taps), G.mul(mu_p, mu_p))
+    cov = G.sub(G.blur2d(G.mul(pred, target), taps), G.mul(mu_p, mu_t))
     num = G.mul(G.add(G.mul(2.0, G.mul(mu_p, mu_t)), _SSIM_C1),
                 G.add(G.mul(2.0, cov), _SSIM_C2))
     den = G.mul(G.add(G.add(G.mul(mu_p, mu_p), G.mul(mu_t, mu_t)), _SSIM_C1),
@@ -100,7 +116,10 @@ def ssim_loss(pred, target, window: int = 11, sigma: float = 1.5) -> Tensor:
     return G.sub(1.0, G.mean(G.div(num, den)))
 
 
-def map_loss(pred, target, cfg: LossConfig | None = None) -> Tensor:
+def map_loss(pred, target, cfg: LossConfig | None = None, *,
+             ssim_stats=None) -> Tensor:
+    """BCE + IoU + SSIM of one map, as enabled in ``cfg``. ``ssim_stats``
+    is passed on to :func:`ssim_loss` as its ``target_stats``."""
     cfg = cfg or LossConfig()
     total = None
     if cfg.use_bce:
@@ -109,7 +128,8 @@ def map_loss(pred, target, cfg: LossConfig | None = None) -> Tensor:
         t = iou_loss(pred, target)
         total = t if total is None else G.add(total, t)
     if cfg.use_ssim:
-        t = ssim_loss(pred, target, cfg.ssim_window, cfg.ssim_sigma)
+        t = ssim_loss(pred, target, cfg.ssim_window, cfg.ssim_sigma,
+                      target_stats=ssim_stats)
         total = t if total is None else G.add(total, t)
     return total
 
@@ -119,9 +139,11 @@ def multi_step_loss(maps, target, cfg: LossConfig | None = None) -> Tensor:
     cfg = cfg or LossConfig(steps=len(maps))
     if len(maps) != cfg.steps:
         raise ValueError(f"expected {cfg.steps} maps, got {len(maps)}")
+    stats = ssim_target_stats(target, cfg.ssim_window, cfg.ssim_sigma) \
+        if cfg.use_ssim else None
     total = None
     for w, m in zip(cfg.weights, maps):
-        t = G.mul(map_loss(m, target, cfg), float(w))
+        t = G.mul(map_loss(m, target, cfg, ssim_stats=stats), float(w))
         total = t if total is None else G.add(total, t)
     return total
 

@@ -187,10 +187,6 @@ def model_from_checkpoint(path, soft: bool = False):
     return model, cfg, meta
 
 
-def _restore_optimizer(opt: AdamW, arrays: dict):
-    opt.load_state_arrays(arrays)
-
-
 # -- evaluation ---------------------------------------------------------------------
 
 
@@ -293,7 +289,7 @@ def train_model(cfg: RunConfig, out_dir, resume=None, log=None) -> list:
         state = {k.split(".", 1)[1]: v for k, v in arrays.items()
                  if k.startswith(("param.", "buf."))}
         model.load_state_dict(state)
-        _restore_optimizer(opt, arrays)
+        opt.load_state_arrays(arrays)
         history = list(meta["history"])
         start_epoch = meta["epoch"] + 1
 

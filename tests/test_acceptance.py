@@ -402,6 +402,7 @@ def big_run(tmp_path_factory):
             "history": history, "train_seconds": time.time() - t0}
 
 
+@pytest.mark.slow
 def test_criterion_07_training_beats_baselines(big_run, announce):
     model, _, _ = model_from_checkpoint(big_run["run_dir"] / "last.salt")
     data = load_samples(big_run["manifest"], window=400)
@@ -422,6 +423,7 @@ def test_criterion_07_training_beats_baselines(big_run, announce):
              f"{big_run['train_seconds']:.0f}s train")
 
 
+@pytest.mark.slow
 def test_criterion_09_energy_advantage(big_run, announce):
     model, _, _ = model_from_checkpoint(big_run["run_dir"] / "last.salt")
     data = load_samples(big_run["manifest"], window=400)
@@ -479,6 +481,7 @@ def ablation_grid(tmp_path_factory):
     return grid
 
 
+@pytest.mark.slow
 def test_criterion_08_ablation_directions(ablation_grid, announce):
     g = ablation_grid
     ok_steps = g["base"][0] <= g["single"][0]

@@ -127,6 +127,58 @@ def test_conv2d_matches_direct_loops():
     assert np.allclose(out, ref, atol=1e-12)
 
 
+def conv2d_input_grad_scatter(x, w, g, padding):
+    """Input gradient of conv2d by the k x k scatter loop it used to run:
+    each kernel tap adds its slice of the im2col gradient into the padded
+    input."""
+    b, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    ho, wo = g.shape[2], g.shape[3]
+    gr = g.transpose(0, 2, 3, 1).reshape(b, ho * wo, cout)
+    dcol = (gr @ w.reshape(cout, cin * k * k)).reshape(b, ho, wo, cin, k, k)
+    dxp = np.zeros((b, cin, h + 2 * padding, wd + 2 * padding))
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i:i + ho, j:j + wo] += \
+                dcol[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    if padding:
+        dxp = dxp[:, :, padding:-padding, padding:-padding]
+    return dxp
+
+
+@pytest.mark.parametrize("k", [1, 3, 11])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_conv2d_input_grad_matches_scatter_loop(k, pad):
+    rng = np.random.default_rng(100 + 10 * k + pad)
+    x = G.Tensor(rng.standard_normal((2, 3, 13, 12)), requires_grad=True)
+    w = rng.standard_normal((4, 3, k, k))
+    out = G.conv2d(x, G.Tensor(w), padding=pad)
+    g = rng.standard_normal(out.shape)
+    out.backward(g)
+    ref = conv2d_input_grad_scatter(x.data, w, g, pad)
+    np.testing.assert_allclose(x.grad, ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref).max())
+
+
+def test_blur2d_matches_conv2d_and_fd():
+    rng = np.random.default_rng(7)
+    # asymmetric taps, so a missing reversal in the backward pass shows
+    taps = rng.uniform(0.1, 1.0, 4)
+    x = G.Tensor(rng.standard_normal((2, 3, 9, 8)), requires_grad=True)
+    kern = np.broadcast_to(np.outer(taps, taps), (1, 1, 4, 4))
+    per_channel = np.stack([
+        G.conv2d(G.Tensor(x.data[:, c:c + 1]), G.Tensor(kern)).data[:, 0]
+        for c in range(3)], axis=1)
+    np.testing.assert_allclose(G.blur2d(x, taps).data, per_channel,
+                               rtol=1e-12, atol=1e-12)
+    r = readout(rng, (2, 3, 6, 5))
+
+    def f():
+        return G.sum_(G.blur2d(x, taps) * r)
+
+    assert G.check_gradients(f, [x], h=H) < TOL
+
+
 def test_maxpool_gradient_and_tie_break():
     rng = np.random.default_rng(7)
     x = G.Tensor(margin_pool_input(rng, (2, 3, 8, 8)), requires_grad=True)
@@ -371,6 +423,39 @@ def test_store_identical_bytes(tmp_path):
     G.save_tensors(p1, arrays, {"k": 1})
     G.save_tensors(p2, {k: v.copy() for k, v in arrays.items()}, {"k": 1})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_store_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    from spikesal.grad import store
+    p = tmp_path / "last.salt"
+    G.save_tensors(p, {"a": np.arange(3.0)}, {"epoch": 0})
+    before = p.read_bytes()
+    real_open = open
+
+    class HalfWrite:
+        """File that writes half of its first chunk, then fails."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(store, "open", HalfWrite, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        G.save_tensors(p, {"a": np.arange(5.0)}, {"epoch": 1})
+    monkeypatch.undo()
+    assert p.read_bytes() == before
+    arrays, meta = G.load_tensors(p)
+    assert meta == {"epoch": 0} and np.array_equal(arrays["a"], np.arange(3.0))
+    assert [f.name for f in tmp_path.iterdir()] == ["last.salt"]
 
 
 def test_store_rejects_garbage(tmp_path):

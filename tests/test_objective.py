@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from spikesal import grad as G
 from spikesal.grad import Tensor, gradcheck
 from spikesal import objective as obj
 
@@ -120,6 +121,79 @@ def test_multi_step_loss_gradient():
         return obj.multi_step_loss(maps, target, cfg)
 
     assert gradcheck.check_gradients(run, maps, h=1e-5) < 1e-4
+
+
+# -- equivalence with the dense-kernel SSIM -------------------------------------
+
+
+def ssim_conv2d_reference(pred, target, window=11, sigma=1.5):
+    """SSIM as it was computed before the separable blur: five dense
+    window x window ``conv2d`` blurs per call, target statistics included."""
+    ax = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
+    g = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
+    k = np.outer(g, g)
+    kern = Tensor((k / k.sum())[None, None])
+
+    def blur(x):
+        return G.conv2d(x, kern, padding=0)
+
+    mu_p, mu_t = blur(pred), blur(target)
+    var_p = G.sub(blur(G.mul(pred, pred)), G.mul(mu_p, mu_p))
+    var_t = G.sub(blur(G.mul(target, target)), G.mul(mu_t, mu_t))
+    cov = G.sub(blur(G.mul(pred, target)), G.mul(mu_p, mu_t))
+    num = G.mul(G.add(G.mul(2.0, G.mul(mu_p, mu_t)), obj._SSIM_C1),
+                G.add(G.mul(2.0, cov), obj._SSIM_C2))
+    den = G.mul(G.add(G.add(G.mul(mu_p, mu_p), G.mul(mu_t, mu_t)),
+                      obj._SSIM_C1),
+                G.add(G.add(var_p, var_t), obj._SSIM_C2))
+    return G.sub(1.0, G.mean(G.div(num, den)))
+
+
+def value_and_grads(run, inputs):
+    for t in inputs:
+        t.grad = None
+    loss = run()
+    loss.backward()
+    return loss.item(), [t.grad.copy() for t in inputs]
+
+
+def assert_close_rel(got, ref, rtol=1e-12):
+    np.testing.assert_allclose(got, ref, rtol=rtol,
+                               atol=rtol * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 16, 16), (2, 1, 13, 21),
+                                   (4, 1, 24, 11)])
+def test_ssim_matches_conv2d_reference(shape):
+    pred, target = rand_pair(shape)
+    p, t = Tensor(pred, requires_grad=True), Tensor(target)
+    v_new, (g_new,) = value_and_grads(lambda: obj.ssim_loss(p, t), [p])
+    v_ref, (g_ref,) = value_and_grads(
+        lambda: ssim_conv2d_reference(p, t), [p])
+    assert v_new == pytest.approx(v_ref, rel=1e-12)
+    assert_close_rel(g_new, g_ref)
+
+
+def test_multi_step_target_stats_match_per_step_recomputation():
+    pred, target = rand_pair((2, 1, 14, 17))
+    maps = [Tensor(np.clip(pred + rng.normal(0, 0.05, pred.shape), 0.01, 0.99),
+                   requires_grad=True) for _ in range(5)]
+    t = Tensor(target)
+    cfg = obj.LossConfig(steps=5)
+
+    def per_step():
+        total = None
+        for w, m in zip(cfg.weights, maps):
+            term = G.mul(obj.map_loss(m, t, cfg), float(w))
+            total = term if total is None else G.add(total, term)
+        return total
+
+    v_new, g_new = value_and_grads(
+        lambda: obj.multi_step_loss(maps, t, cfg), maps)
+    v_ref, g_ref = value_and_grads(per_step, maps)
+    assert v_new == pytest.approx(v_ref, rel=1e-12)
+    for a, b in zip(g_new, g_ref):
+        assert_close_rel(a, b)
 
 
 # -- weighting schedule ---------------------------------------------------------
