@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import grad as G
 from . import metrics
 from . import spikeio as sio
 from .simcam import GeneratorConfig, generate_dataset
@@ -81,22 +82,23 @@ def cmd_infer(args) -> int:
     stream = sio.read_stream(args.stream)
     window = args.window or cfg.window
     n = _stream_windows(stream, window)
+    if stream.height % 16 or stream.width % 16:
+        raise ValueError("stream resolution incompatible with the model")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.eval()
     model.reset_state()
     mode = "single" if args.continuous else "multi"
     written = []
-    for w in range(n):
-        rep = window_repr(stream, w * window, window)[None]
-        if rep.shape[2] % 16 or rep.shape[3] % 16:
-            raise ValueError("stream resolution incompatible with the model")
-        maps = model.forward_full(rep, mode)
-        # rate readout: average the per-step maps (single mode yields one)
-        img = np.mean([m.data[0, 0] for m in maps], axis=0)
-        path = out / f"map_{w:04d}.pgm"
-        sio.write_pgm(path, np.round(img * 255).astype(np.uint8))
-        written.append(path)
+    with G.no_grad():
+        for w in range(n):
+            rep = window_repr(stream, w * window, window)[None]
+            maps = model.forward_full(rep, mode)
+            # rate readout: average the per-step maps (single mode yields one)
+            img = np.mean([m.data[0, 0] for m in maps], axis=0)
+            path = out / f"map_{w:04d}.pgm"
+            sio.write_pgm(path, np.round(img * 255).astype(np.uint8))
+            written.append(path)
     print("\n".join(str(p) for p in written))
     return 0
 

@@ -226,10 +226,10 @@ def spike_gate(x, v_th: float = 1.0, alpha: float = 2.0, soft: bool = False) -> 
         out = soft_gate_value(x.data, v_th, alpha)
     else:
         out = (x.data >= v_th).astype(np.float64)
-    slope = surrogate_slope(x.data, v_th, alpha)
 
     def vjp(g):
-        _accumulate(x, g * slope)
+        # the slope is only needed here, so graph-free forwards never pay for it
+        _accumulate(x, g * surrogate_slope(x.data, v_th, alpha))
 
     return make(out, (x,), vjp)
 

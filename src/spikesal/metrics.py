@@ -48,10 +48,18 @@ def mae(pred: np.ndarray, target: np.ndarray) -> float:
 def _pr_counts(pred: np.ndarray, target: np.ndarray):
     """Per-threshold true-positive / predicted-positive / actual-positive."""
     thresholds = np.linspace(0.0, 1.0, N_THRESHOLDS)
-    binary = pred.ravel()[None, :] >= thresholds[:, None]
-    gt = target.ravel().astype(bool)[None, :]
-    tp = (binary & gt).sum(axis=1).astype(np.float64)
-    pp = binary.sum(axis=1).astype(np.float64)
+    pred = np.asarray(pred, dtype=np.float64).ravel()
+    # NaN compares below every threshold, as it fails every `>=`
+    pred = np.where(np.isnan(pred), -np.inf, pred)
+    gt = np.asarray(target).ravel().astype(bool)
+
+    def at_or_above(values):
+        values = np.sort(values)
+        return (values.size - np.searchsorted(values, thresholds, side="left")
+                ).astype(np.float64)
+
+    tp = at_or_above(pred[gt])
+    pp = at_or_above(pred)
     ap = float(gt.sum())
     return tp, pp, np.full(N_THRESHOLDS, ap)
 
@@ -192,21 +200,28 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _aggregate(samples):
-    """samples: (pred, gt) pairs -> summary dict + averaged F curve."""
+def _score(pred, gt):
+    """Per-map MAE, S-measure, precision row and recall row."""
+    pred = np.asarray(pred, dtype=np.float64).squeeze()
+    gt01 = np.asarray(gt, dtype=np.float64).squeeze()
+    t, pp, ap = _pr_counts(pred, gt01)
+    return (mae(pred, gt01), s_measure(pred, gt01),
+            np.divide(t, pp, out=np.zeros_like(t), where=pp > 0),
+            np.divide(t, ap, out=np.zeros_like(t), where=ap > 0))
+
+
+def _aggregate(scores):
+    """Per-map scores, summed in order -> summary dict + averaged F curve."""
     n = 0
     mae_sum = 0.0
     sm_sum = 0.0
     prec = np.zeros(N_THRESHOLDS)
     rec = np.zeros(N_THRESHOLDS)
-    for pred, gt in samples:
-        pred = np.asarray(pred, dtype=np.float64).squeeze()
-        gt01 = np.asarray(gt, dtype=np.float64).squeeze()
-        mae_sum += mae(pred, gt01)
-        sm_sum += s_measure(pred, gt01)
-        t, pp, ap = _pr_counts(pred, gt01)
-        prec += np.divide(t, pp, out=np.zeros_like(t), where=pp > 0)
-        rec += np.divide(t, ap, out=np.zeros_like(t), where=ap > 0)
+    for m, sm, p, r in scores:
+        mae_sum += m
+        sm_sum += sm
+        prec += p
+        rec += r
         n += 1
     if n == 0:
         raise ValueError("no samples to evaluate")
@@ -222,15 +237,14 @@ def evaluate(samples) -> EvalReport:
     for item in samples:
         if len(item) == 3:
             pred, gt, seq = item
-            groups.setdefault(seq, []).append((pred, gt))
+            score = _score(pred, gt)
+            groups.setdefault(seq, []).append(score)
         else:
             pred, gt = item
-        flat.append((pred, gt))
+            score = _score(pred, gt)
+        flat.append(score)
     summary, curve = _aggregate(flat)
-    per_seq = {}
-    for name, items in groups.items():
-        s, _ = _aggregate(items)
-        per_seq[name] = s
+    per_seq = {name: _aggregate(scores)[0] for name, scores in groups.items()}
     return EvalReport(mae=summary["mae"], f_beta_max=summary["f_beta_max"],
                       mean_f_beta=summary["mean_f_beta"],
                       s_measure=summary["s_measure"],

@@ -166,18 +166,32 @@ def isi_repr(stream: SpikeStream, at_frame: int,
     if not 0 <= at_frame < stream.frames:
         raise ValueError(f"at_frame {at_frame} outside [0, {stream.frames})")
     bits = stream.bits
-    before = bits[:at_frame + 1][::-1]
-    has_prev = before.any(axis=0)
-    prev = at_frame - before.argmax(axis=0)
-    after = bits[at_frame + 1:]
-    if after.shape[0] == 0:
+    f = bits.shape[0]
+    if at_frame + 1 == f:
         return SpikeRepr(np.zeros(bits.shape[1:], dtype=np.float64), full_scale)
-    has_next = after.any(axis=0)
-    nxt = at_frame + 1 + after.argmax(axis=0)
-    both = has_prev & has_next
-    dt = np.where(both, nxt - prev, 1).astype(np.float64)
+    # Frame t is weighted t+1 before the cut and f-t after it, so one max
+    # per side finds the nearest spike on that side; 0 means none.
+    dtype = _frame_index_dtype(f)
+    prev = np.max(bits[:at_frame + 1]
+                  * np.arange(1, at_frame + 2, dtype=dtype)[:, None, None], axis=0)
+    nxt = np.max(bits[at_frame + 1:]
+                 * np.arange(f - at_frame - 1, 0, -1, dtype=dtype)[:, None, None],
+                 axis=0)
+    both = (prev > 0) & (nxt > 0)
+    # gap (f - nxt) - (prev - 1), in int64: f + 1 may not fit the index type
+    gap = f + 1 - nxt.astype(np.int64) - prev
+    dt = np.where(both, gap, 1).astype(np.float64)
     vals = np.where(both, full_scale / dt, 0.0)
     return SpikeRepr(vals, full_scale)
+
+
+def _frame_index_dtype(frames: int):
+    """Smallest signed integer type holding every 1-based frame index."""
+    if frames < 1 << 15:
+        return np.int16
+    if frames < 1 << 31:
+        return np.int32
+    return np.int64
 
 
 def spike_count_repr(stream: SpikeStream, window: int,

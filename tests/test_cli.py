@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spikesal import grad as G
 from spikesal import spikeio as sio
 from spikesal.cli import main
-from spikesal.rst import RSTConfig
-from spikesal.train import RunConfig
+from spikesal.rst import RSTConfig, RSTModel
+from spikesal.train import RunConfig, model_from_checkpoint, window_repr
 
 
 GEN = {"train_sequences": 1, "val_sequences": 1, "labels_per_sequence": 3,
@@ -118,6 +119,47 @@ def test_infer_continuous(workspace, tmp_path):
     assert len(list(out.glob("map_*.pgm"))) == 3
 
 
+def grad_enabled_maps(ckpt, stream_path, continuous):
+    """PGM bytes of each window, computed with the autodiff graph recorded."""
+    model, cfg, _ = model_from_checkpoint(ckpt)
+    stream = sio.read_stream(stream_path)
+    model.eval()
+    model.reset_state()
+    out = []
+    for w in range(stream.frames // cfg.window):
+        rep = window_repr(stream, w * cfg.window, cfg.window)[None]
+        maps = model.forward_full(rep, "single" if continuous else "multi")
+        assert maps[0].requires_grad
+        img = np.round(np.mean([m.data[0, 0] for m in maps], axis=0) * 255)
+        h, w = img.shape
+        out.append(f"P5\n{w} {h}\n255\n".encode() + img.astype(np.uint8).tobytes())
+    return out
+
+
+@pytest.mark.parametrize("continuous", [False, True])
+def test_infer_is_graph_free_and_matches_grad_run(workspace, tmp_path,
+                                                  monkeypatch, continuous):
+    ckpt = workspace / "ckpt" / "last.salt"
+    stream = workspace / "data" / "val_000.spk"
+    want = grad_enabled_maps(ckpt, stream, continuous)
+    seen = []
+    forward_full = RSTModel.forward_full
+
+    def recording(self, *args, **kwargs):
+        seen.append(G.grad_enabled())
+        return forward_full(self, *args, **kwargs)
+
+    monkeypatch.setattr(RSTModel, "forward_full", recording)
+    out = tmp_path / "maps"
+    argv = ["infer", "--ckpt", str(ckpt), "--stream", str(stream),
+            "--out", str(out)]
+    assert main(argv + (["--continuous"] if continuous else [])) == 0
+    assert seen == [False] * len(want)
+    assert G.grad_enabled()
+    got = [p.read_bytes() for p in sorted(out.glob("map_*.pgm"))]
+    assert got == want
+
+
 def test_infer_resolution_mismatch(workspace, tmp_path, capsys):
     bad = sio.SpikeStream(np.zeros((80, 24, 24), dtype=np.uint8))
     sio.write_stream(tmp_path / "bad.spk", bad)
@@ -126,6 +168,7 @@ def test_infer_resolution_mismatch(workspace, tmp_path, capsys):
                "--out", str(tmp_path / "maps")])
     assert rc == 1
     assert "resolution" in capsys.readouterr().err
+    assert not (tmp_path / "maps").exists()
 
 
 def test_infer_short_stream_rejected(workspace, tmp_path, capsys):

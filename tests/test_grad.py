@@ -311,6 +311,27 @@ def test_spike_gate_slope_peak_and_tails():
     assert np.all(tails < 1e-2)
 
 
+def test_spike_gate_skips_slope_without_graph(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("surrogate slope computed for a graph-free forward")
+
+    monkeypatch.setattr(G.nnops, "surrogate_slope", refuse)
+    x = G.Tensor(np.linspace(-1.0, 3.0, 9), requires_grad=True)
+    with G.no_grad():
+        s = G.spike_gate(x, v_th=1.0)
+    assert not s.requires_grad
+    assert np.array_equal(s.data, (x.data >= 1.0).astype(np.float64))
+    G.spike_gate(G.Tensor(x.data), v_th=1.0)      # no input needs a gradient
+
+
+def test_spike_gate_backward_is_slope_times_grad():
+    rng = np.random.default_rng(16)
+    x = G.Tensor(rng.uniform(-2.0, 4.0, (3, 7)), requires_grad=True)
+    r = rng.standard_normal((3, 7))
+    G.sum_(G.spike_gate(x, v_th=0.75, alpha=3.0) * r).backward()
+    assert np.array_equal(x.grad, r * G.surrogate_slope(x.data, 0.75, 3.0))
+
+
 def test_soft_gate_fd():
     rng = np.random.default_rng(15)
     x = G.Tensor(rng.standard_normal(40), requires_grad=True)

@@ -73,6 +73,43 @@ def test_f_measures_match_bruteforce():
         assert got_mean == pytest.approx(exp_mean, abs=1e-12)
 
 
+def pr_counts_oracle(pred, target):
+    """The earlier _pr_counts: a 256 x HW boolean matrix."""
+    thresholds = np.linspace(0.0, 1.0, M.N_THRESHOLDS)
+    binary = pred.ravel()[None, :] >= thresholds[:, None]
+    gt = target.ravel().astype(bool)[None, :]
+    tp = (binary & gt).sum(axis=1).astype(np.float64)
+    pp = binary.sum(axis=1).astype(np.float64)
+    ap = float(gt.sum())
+    return tp, pp, np.full(M.N_THRESHOLDS, ap)
+
+
+def pr_cases():
+    on_grid = np.arange(256, dtype=np.float64).reshape(16, 16) / 255.0
+    with_nan = rand_map((16, 16))
+    with_nan[::3, ::2] = np.nan
+    return [
+        (on_grid, rand_mask((16, 16))),
+        (np.linspace(0.0, 1.0, 256)[rng.permutation(256)].reshape(16, 16),
+         rand_mask((16, 16))),
+        (np.full((16, 16), 0.5), rand_mask((16, 16))),
+        (np.full((8, 8), 1.0), rand_mask((8, 8))),
+        (rand_map((9, 11)), np.zeros((9, 11))),
+        (on_grid, np.zeros((16, 16))),
+        (with_nan, rand_mask((16, 16))),
+        (np.full((4, 4), np.nan), np.ones((4, 4))),
+        (rand_map((128, 128)), rand_mask((128, 128))),
+    ]
+
+
+def test_pr_counts_match_boolean_matrix_exactly():
+    for pred, gt in pr_cases():
+        got = M._pr_counts(pred, gt)
+        want = pr_counts_oracle(pred, gt)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 def test_f_perfect_prediction():
     g = rand_mask()
     f_max, f_mean = M.f_measures(g.copy(), g)
@@ -213,6 +250,49 @@ def test_evaluate_single_pair_matches_pointwise():
     assert rep.f_beta_max == f_max
     assert rep.mean_f_beta == pytest.approx(f_mean, abs=1e-12)
     assert rep.s_measure == M.s_measure(s, g)
+
+
+def evaluate_oracle(samples):
+    """The earlier evaluate: every map scored again for its sequence."""
+    def aggregate(pairs):
+        n, mae_sum, sm_sum = 0, 0.0, 0.0
+        prec, rec = np.zeros(M.N_THRESHOLDS), np.zeros(M.N_THRESHOLDS)
+        for pred, gt in pairs:
+            pred = np.asarray(pred, dtype=np.float64).squeeze()
+            gt01 = np.asarray(gt, dtype=np.float64).squeeze()
+            mae_sum += M.mae(pred, gt01)
+            sm_sum += M.s_measure(pred, gt01)
+            t, pp, ap = pr_counts_oracle(pred, gt01)
+            prec += np.divide(t, pp, out=np.zeros_like(t), where=pp > 0)
+            rec += np.divide(t, ap, out=np.zeros_like(t), where=ap > 0)
+            n += 1
+        curve = M._f_curve(prec / n, rec / n)
+        return {"mae": mae_sum / n, "s_measure": sm_sum / n,
+                "f_beta_max": float(curve.max()),
+                "mean_f_beta": float(curve.mean()), "count": n}, curve
+
+    groups = {}
+    for pred, gt, seq in samples:
+        groups.setdefault(seq, []).append((pred, gt))
+    summary, curve = aggregate([(p, g) for p, g, _ in samples])
+    per_seq = {name: aggregate(items)[0] for name, items in groups.items()}
+    return M.EvalReport(mae=summary["mae"], f_beta_max=summary["f_beta_max"],
+                        mean_f_beta=summary["mean_f_beta"],
+                        s_measure=summary["s_measure"],
+                        threshold_curve=curve.tolist(),
+                        per_sequence=per_seq, count=summary["count"])
+
+
+def test_evaluate_report_bytes_match_rescoring_oracle():
+    samples = []
+    for k in range(7):
+        seq = ("b", "a", "c")[k % 3]
+        pred = rand_map((1, 1, 24, 20)) if k % 2 else np.round(rand_map((24, 20)) * 255) / 255
+        samples.append((pred, rand_mask((24, 20)), seq))
+    samples.append((np.full((24, 20), 0.25), np.zeros((24, 20)), "a"))
+    got, want = M.evaluate(samples), evaluate_oracle(samples)
+    assert got.to_json() == want.to_json()
+    assert got.to_table() == want.to_table()
 
 
 def test_evaluate_empty_rejected():

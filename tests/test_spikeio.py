@@ -180,6 +180,56 @@ def test_isi_monotone_under_added_spikes(seed, at):
     assert np.all(after >= before - 1e-12)
 
 
+def isi_argmax_oracle(stream, at_frame, full_scale=255.0):
+    """The earlier isi_repr: two argmax scans, one over a reversed view."""
+    bits = stream.bits
+    before = bits[:at_frame + 1][::-1]
+    has_prev = before.any(axis=0)
+    prev = at_frame - before.argmax(axis=0)
+    after = bits[at_frame + 1:]
+    if after.shape[0] == 0:
+        return np.zeros(bits.shape[1:], dtype=np.float64)
+    has_next = after.any(axis=0)
+    nxt = at_frame + 1 + after.argmax(axis=0)
+    both = has_prev & has_next
+    dt = np.where(both, nxt - prev, 1).astype(np.float64)
+    return np.where(both, full_scale / dt, 0.0)
+
+
+def assert_isi_matches_argmax(stream, at, full_scale=255.0):
+    got = sio.isi_repr(stream, at, full_scale).values
+    want = isi_argmax_oracle(stream, at, full_scale)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want), at
+
+
+@pytest.mark.parametrize("density", [0.002, 0.05, 0.3])
+def test_isi_bit_identical_to_argmax_scans(density):
+    rng = np.random.default_rng(int(density * 1000))
+    bits = (rng.random((400, 32, 32)) < density).astype(np.uint8)
+    # pixels firing only at the first and the last frame
+    bits[:, 0, :4] = 0
+    bits[0, 0, 0] = bits[-1, 0, 0] = 1
+    bits[0, 0, 1] = 1
+    bits[-1, 0, 2] = 1
+    stream = sio.SpikeStream(bits)
+    for at in (0, 1, 199, 398, 399):
+        assert_isi_matches_argmax(stream, at)
+    assert_isi_matches_argmax(stream, 199, full_scale=1.0)
+
+
+@pytest.mark.parametrize("frames", [32767, 32768, 40000])
+def test_isi_long_stream_across_index_dtype_switch(frames):
+    rng = np.random.default_rng(frames)
+    bits = (rng.random((frames, 2, 2)) < 0.001).astype(np.uint8)
+    bits[:, 0, 0] = 0
+    bits[0, 0, 0] = bits[-1, 0, 0] = 1       # a gap of frames - 1
+    stream = sio.SpikeStream(bits)
+    for at in (0, 1, frames // 2, frames - 2, frames - 1):
+        assert_isi_matches_argmax(stream, at)
+    assert sio.isi_repr(stream, 1).values[0, 0] == 255.0 / (frames - 1)
+
+
 def test_isi_rejects_bad_frame():
     s = sio.SpikeStream(np.zeros((5, 2, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
