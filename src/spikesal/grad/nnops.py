@@ -14,12 +14,16 @@ from .tensor import Tensor, as_tensor, make, _accumulate
 
 
 def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
-    # xp: padded (B, C, Hp, Wp) -> (B, H_out*W_out, C*k*k)
+    # xp: padded (B, C, Hp, Wp) -> contiguous (B, H_out*W_out, C*k*k), one
+    # gather: column (c, i, j) of row (ho, wo) is flat element
+    # c*Hp*Wp + (ho+i)*Wp + (wo+j). The index is rebuilt per call; caching it
+    # per shape costs more memory than it saves time.
     b, c, hp, wp = xp.shape
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (B,C,Ho,Wo,k,k)
-    ho, wo = win.shape[2], win.shape[3]
-    col = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * k * k)
-    return np.ascontiguousarray(col)
+    ho, wo = hp - k + 1, wp - k + 1
+    rows = (np.arange(ho)[:, None] * wp + np.arange(wo)).reshape(-1)
+    taps = (np.arange(c)[:, None, None] * (hp * wp)
+            + np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
+    return np.take(xp.reshape(b, c * hp * wp), rows[:, None] + taps, axis=1)
 
 
 def conv2d(x, weight, bias=None, padding: int = 0) -> Tensor:
@@ -95,17 +99,26 @@ def blur2d(x, taps) -> Tensor:
 
 def maxpool2d(x) -> Tensor:
     """2x2 max pooling, stride 2. Ties route gradient to the first maximum
-    in window scan order (top-left first)."""
+    in window scan order (top-left first). The output is C-ordered whatever
+    the input's layout."""
     x = as_tensor(x)
     b, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ValueError("maxpool2d needs even spatial dims")
-    win = x.data.reshape(b, c, h // 2, 2, w // 2, 2) \
-        .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
-    idx = np.argmax(win, axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    # np.maximum returns its second operand on ties, so each later phase
+    # goes first and an equal later value (-0.0 after +0.0) never wins. Of
+    # two NaNs it returns the first operand: only a window holding NaNs of
+    # different bit patterns reads the later NaN where argmax took the first.
+    xd = x.data
+    out = np.empty((b, c, h // 2, w // 2))
+    np.maximum(xd[:, :, 0::2, 1::2], xd[:, :, 0::2, 0::2], out=out)
+    np.maximum(xd[:, :, 1::2, 0::2], out, out=out)
+    np.maximum(xd[:, :, 1::2, 1::2], out, out=out)
 
     def vjp(g):
+        win = xd.reshape(b, c, h // 2, 2, w // 2, 2) \
+            .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
+        idx = np.argmax(win, axis=-1)
         dwin = np.zeros((b, c, h // 2, w // 2, 4))
         np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
         dx = dwin.reshape(b, c, h // 2, w // 2, 2, 2) \
@@ -119,7 +132,11 @@ def nearest_upsample2d(x, factor: int) -> Tensor:
     """Nearest-neighbour upsampling by an integer factor."""
     x = as_tensor(x)
     b, c, h, w = x.data.shape
-    out = x.data.repeat(factor, axis=2).repeat(factor, axis=3)
+    # repeat along W, then one broadcast copy of whole rows into a C-ordered
+    # output; broadcasting single elements instead copies in runs of one
+    rows = x.data.repeat(factor, axis=3)[:, :, :, None, :]
+    out = np.broadcast_to(rows, (b, c, h, factor, w * factor)) \
+        .reshape(b, c, h * factor, w * factor)
 
     def vjp(g):
         dx = g.reshape(b, c, h, factor, w, factor).sum(axis=(3, 5))
@@ -168,32 +185,35 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
     axes = (0,) + tuple(range(2, x.data.ndim))
     bshape = (1, c) + (1,) * (x.data.ndim - 2)
 
+    m = x.data.size // c
+    mu = x.data.mean(axis=axes) if training else running_mean
+    xhat = x.data - mu.reshape(bshape)
     if training:
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        m = x.data.size // c
+        # the sum np.var takes, over the same centred values
+        var = np.square(xhat).sum(axis=axes) / m
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * (var * m / max(m - 1, 1))
     else:
-        mu, var = running_mean, running_var
+        var = running_var
 
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu.reshape(bshape)) * inv.reshape(bshape)
-    out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+    xhat *= inv.reshape(bshape)
+    out = xhat * gamma.data.reshape(bshape)
+    out += beta.data.reshape(bshape)
 
     def vjp(g):
         if beta.requires_grad:
             _accumulate(beta, g.sum(axis=axes))
+        gx = (g * xhat).sum(axis=axes)
         if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=axes))
+            _accumulate(gamma, gx)
         if x.requires_grad:
             gi = gamma.data.reshape(bshape) * inv.reshape(bshape)
             if training:
-                m = x.data.size // c
                 gmean = g.mean(axis=axes).reshape(bshape)
-                gxhat = (g * xhat).sum(axis=axes).reshape(bshape) / m
+                gxhat = gx.reshape(bshape) / m
                 _accumulate(x, gi * (g - gmean - xhat * gxhat))
             else:
                 _accumulate(x, gi * g)

@@ -3,8 +3,14 @@ bookkeeping (accumulation, graph reuse, serialization)."""
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from spikesal import grad as G
+from spikesal.grad import nnops
+from spikesal.grad.tensor import _accumulate, make
+from spikesal.objective import LossConfig, map_loss, multi_step_loss
+from spikesal.optim import AdamW
+from spikesal.rst import RSTConfig, RSTModel
 
 TOL = 1e-4
 H = 1e-3
@@ -240,6 +246,253 @@ def test_batchnorm_normalizes_and_tracks_running_stats():
     var_u = x.data.var(axis=(0, 2, 3)) * m / (m - 1)
     assert np.allclose(rm, 0.1 * mu, atol=1e-12)
     assert np.allclose(rv, 0.9 + 0.1 * var_u, atol=1e-12)
+
+
+# -- byte identity of the conv, pooling, upsampling and batchnorm kernels -----
+#
+# The kernels below are the earlier implementations, kept as oracles: the
+# current ones move less memory but must give the same bytes, outputs and
+# gradients alike, and keep the output layout, because numpy reductions
+# downstream (batchnorm sums, bias gradients) round in memory order.
+
+
+def im2col_transpose_copy(xp, k):
+    """im2col as a transposed copy of the sliding-window view."""
+    b, c, hp, wp = xp.shape
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (B,C,Ho,Wo,k,k)
+    ho, wo = win.shape[2], win.shape[3]
+    col = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * k * k)
+    return np.ascontiguousarray(col)
+
+
+def maxpool2d_argmax(x):
+    """2x2 max pooling by argmax and take_along_axis in the forward."""
+    x = G.as_tensor(x)
+    b, c, h, w = x.data.shape
+    win = x.data.reshape(b, c, h // 2, 2, w // 2, 2) \
+        .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
+    idx = np.argmax(win, axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+
+    def vjp(g):
+        dwin = np.zeros((b, c, h // 2, w // 2, 4))
+        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+        dx = dwin.reshape(b, c, h // 2, w // 2, 2, 2) \
+            .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+        _accumulate(x, dx)
+
+    return make(out, (x,), vjp)
+
+
+def upsample2d_two_repeats(x, factor):
+    """Nearest upsampling as two repeat passes."""
+    x = G.as_tensor(x)
+    b, c, h, w = x.data.shape
+    out = x.data.repeat(factor, axis=2).repeat(factor, axis=3)
+
+    def vjp(g):
+        _accumulate(x, g.reshape(b, c, h, factor, w, factor).sum(axis=(3, 5)))
+
+    return make(out, (x,), vjp)
+
+
+def batchnorm_four_pass(x, gamma, beta, running_mean, running_var,
+                        training, momentum=0.1, eps=1e-5):
+    """Batchnorm with np.var and four full-size temporaries."""
+    x, gamma, beta = G.as_tensor(x), G.as_tensor(gamma), G.as_tensor(beta)
+    c = x.data.shape[1]
+    axes = (0,) + tuple(range(2, x.data.ndim))
+    bshape = (1, c) + (1,) * (x.data.ndim - 2)
+    if training:
+        mu = x.data.mean(axis=axes)
+        var = x.data.var(axis=axes)
+        m = x.data.size // c
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu
+        running_var *= 1.0 - momentum
+        running_var += momentum * (var * m / max(m - 1, 1))
+    else:
+        mu, var = running_mean, running_var
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu.reshape(bshape)) * inv.reshape(bshape)
+    out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+
+    def vjp(g):
+        if beta.requires_grad:
+            _accumulate(beta, g.sum(axis=axes))
+        if gamma.requires_grad:
+            _accumulate(gamma, (g * xhat).sum(axis=axes))
+        if x.requires_grad:
+            gi = gamma.data.reshape(bshape) * inv.reshape(bshape)
+            if training:
+                m = x.data.size // c
+                gmean = g.mean(axis=axes).reshape(bshape)
+                gxhat = (g * xhat).sum(axis=axes).reshape(bshape) / m
+                _accumulate(x, gi * (g - gmean - xhat * gxhat))
+            else:
+                _accumulate(x, gi * g)
+
+    return make(out, (x, gamma, beta), vjp)
+
+
+def channels_innermost(a):
+    """The same values in the layout conv2d returns: a (B, C, ...) view of
+    a channels-last buffer."""
+    order = (0,) + tuple(range(2, a.ndim)) + (1,)
+    back = (0, a.ndim - 1) + tuple(range(1, a.ndim - 1))
+    return np.ascontiguousarray(a.transpose(order)).transpose(back)
+
+
+def layouts(a):
+    return {"C": np.ascontiguousarray(a), "channels-innermost": channels_innermost(a)}
+
+
+def run_op(op, x, *params, grad_layout=None, **kw):
+    """Forward, then backward of a fixed upstream gradient (in
+    ``grad_layout``, if given); returns the output and every input's
+    gradient. Inputs keep their layout."""
+    ts = [G.Tensor(a, requires_grad=True) for a in (x,) + params]
+    out = op(*ts, **kw)
+    g = np.random.default_rng(0).standard_normal(out.shape)
+    if grad_layout is not None:
+        g = grad_layout(g)
+    out.backward(g)
+    return out, [t.grad for t in ts]
+
+
+def assert_same_bytes(new, old):
+    assert new.shape == old.shape and new.strides == old.strides
+    assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["C", "channels-innermost"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_conv2d_one_gather_im2col_is_byte_identical(monkeypatch, layout, k, pad):
+    rng = np.random.default_rng(200 + 10 * k + pad)
+    x = layouts(rng.standard_normal((3, 4, 7, 10)))[layout]
+    w = rng.standard_normal((5, 4, k, k))
+    bias = rng.standard_normal(5)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    col = nnops._im2col(xp, k)
+    assert col.flags.c_contiguous
+    assert_same_bytes(col, im2col_transpose_copy(xp, k))
+
+    def conv(x, w, b):
+        return G.conv2d(x, w, b, padding=pad)
+
+    new, new_grads = run_op(conv, x, w, bias)
+    monkeypatch.setattr(nnops, "_im2col", im2col_transpose_copy)
+    old, old_grads = run_op(conv, x, w, bias)
+    assert_same_bytes(new.data, old.data)
+    for gn, go in zip(new_grads, old_grads):
+        assert_same_bytes(gn, go)
+
+
+def pool_patterns(values):
+    """Every 2x2 window over ``values``, one window per channel: (1, n^4, 2, 2)."""
+    pats = np.array(np.meshgrid(*[values] * 4, indexing="ij")).reshape(4, -1).T
+    return np.ascontiguousarray(pats.reshape(1, -1, 2, 2))
+
+
+@pytest.mark.parametrize("x", [
+    pytest.param(np.random.default_rng(30).standard_normal((2, 3, 6, 8)), id="normal"),
+    pytest.param(pool_patterns([0.0, 1.0]), id="binary"),
+    pytest.param(pool_patterns([-0.0, 0.0, 1.0]), id="signed-zero"),
+    pytest.param(pool_patterns([np.nan, -np.inf, 0.0, 1.0]), id="nan"),
+])
+@pytest.mark.parametrize("layout", ["C", "channels-innermost"])
+def test_maxpool_strided_max_is_byte_identical(x, layout):
+    x = layouts(x)[layout]
+    new, (gn,) = run_op(G.maxpool2d, x)
+    old, (go,) = run_op(maxpool2d_argmax, x)
+    assert new.data.flags.c_contiguous
+    assert_same_bytes(new.data, old.data)
+    assert_same_bytes(gn, go)
+
+
+@pytest.mark.parametrize("factor", [2, 4])
+@pytest.mark.parametrize("layout", ["C", "channels-innermost"])
+def test_nearest_upsample_is_byte_identical(factor, layout):
+    x = layouts(np.random.default_rng(31).standard_normal((2, 3, 4, 5)))[layout]
+    new, (gn,) = run_op(G.nearest_upsample2d, x, factor=factor)
+    old, (go,) = run_op(upsample2d_two_repeats, x, factor=factor)
+    assert new.data.flags.c_contiguous
+    assert_same_bytes(new.data, old.data)
+    assert_same_bytes(gn, go)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("layout", ["C", "channels-innermost"])
+@pytest.mark.parametrize("grad_layout", ["C", "channels-innermost"])
+@pytest.mark.parametrize("shape", [(4, 3, 5, 6), (2, 5, 7)])
+def test_batchnorm_fewer_passes_is_byte_identical(training, layout, grad_layout, shape):
+    rng = np.random.default_rng(32)
+    x = layouts(rng.standard_normal(shape) * 2.0 + 0.5)[layout]
+    c = shape[1]
+    gamma, beta = rng.uniform(0.5, 1.5, c), rng.standard_normal(c) * 0.2
+    stats = (rng.standard_normal(c) * 0.3, rng.uniform(0.5, 2.0, c))
+    results = []
+    for op in (G.batchnorm, batchnorm_four_pass):
+        rm, rv = stats[0].copy(), stats[1].copy()
+
+        def bn(x, gm, bt):
+            return op(x, gm, bt, rm, rv, training)
+
+        out, grads = run_op(bn, x, gamma, beta,
+                            grad_layout=lambda g: layouts(g)[grad_layout])
+        results.append((out.data, grads, rm, rv))
+    (on, gn, rmn, rvn), (oo, go, rmo, rvo) = results
+    assert_same_bytes(on, oo)
+    for a, b in zip(gn + [rmn, rvn], go + [rmo, rvo]):
+        assert_same_bytes(a, b)
+
+
+def test_training_steps_byte_identical_to_earlier_kernels(monkeypatch):
+    """A few multi-step and single-step AdamW steps of a small model, and a
+    graph-free forward, give the same bytes with the earlier kernels."""
+    rng = np.random.default_rng(40)
+    xs = rng.random((3, 2, 1, 32, 32))
+    ys = (rng.random((3, 2, 1, 32, 32)) > 0.6).astype(float)
+
+    def run():
+        model = RSTModel(RSTConfig(dim=16, heads=2, steps=3, rfa_blocks=2),
+                         np.random.default_rng(41))
+        opt = AdamW(model.named_parameters(), lr=1e-2, weight_decay=0.01)
+        losses = []
+
+        def update(loss):
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            losses.append(loss.data)
+
+        model.train()
+        for x, y in zip(xs, ys):
+            update(multi_step_loss(model.forward_full(x, "multi"), G.Tensor(y),
+                                   LossConfig(steps=3)))
+        model.reset_state()
+        for x, y in zip(xs, ys):
+            update(map_loss(model.forward_full(x[:1], "single")[0],
+                            G.Tensor(y[:1]), LossConfig(steps=1)))
+            model.detach_state()
+        model.eval()
+        with G.no_grad():
+            maps = [m.data for m in model.forward_full(xs[0], "multi")]
+        return model.state_dict(), losses, maps
+
+    new_state, new_losses, new_maps = run()
+    monkeypatch.setattr(nnops, "_im2col", im2col_transpose_copy)
+    monkeypatch.setattr(G, "maxpool2d", maxpool2d_argmax)
+    monkeypatch.setattr(G, "nearest_upsample2d", upsample2d_two_repeats)
+    monkeypatch.setattr(G, "batchnorm", batchnorm_four_pass)
+    old_state, old_losses, old_maps = run()
+    assert new_state.keys() == old_state.keys()
+    for name in new_state:
+        assert new_state[name].tobytes() == old_state[name].tobytes(), name
+    assert [a.tobytes() for a in new_losses] == [a.tobytes() for a in old_losses]
+    for a, b in zip(new_maps, old_maps):
+        assert_same_bytes(a, b)
 
 
 def test_shape_ops():
