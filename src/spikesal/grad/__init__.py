@@ -1,7 +1,7 @@
 """numpy-backed reverse-mode autodiff with the op set the network needs."""
 
 from .tensor import (
-    Tensor, no_grad, grad_enabled, as_tensor,
+    Tensor, no_grad, grad_enabled, relaxed, relaxed_enabled, as_tensor,
     add, sub, mul, div, pow_, log, exp, sigmoid, clip,
     matmul, reshape, transpose, swapaxes, take, concat, stack,
     sum_, mean,
@@ -18,7 +18,8 @@ from .gradcheck import (
 from .store import save_tensors, load_tensors
 
 __all__ = [
-    "Tensor", "no_grad", "grad_enabled", "as_tensor",
+    "Tensor", "no_grad", "grad_enabled", "relaxed", "relaxed_enabled",
+    "as_tensor",
     "add", "sub", "mul", "div", "pow_", "log", "exp", "sigmoid", "clip",
     "matmul", "reshape", "transpose", "swapaxes", "take", "concat", "stack",
     "sum_", "mean",

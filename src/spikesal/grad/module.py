@@ -1,9 +1,10 @@
 """Parameter container with torch-flavoured attribute registration.
 
-Assigning a Tensor with requires_grad=True registers a parameter,
-a Tensor without grad registers a buffer (e.g. batchnorm running stats
-live outside the graph as raw arrays, but spike thresholds could sit
-here), and assigning a Module registers a child. ``state_dict`` walks
+Assigning a Tensor with requires_grad=True registers a parameter and
+assigning a Module registers a child. Buffers (batchnorm running stats)
+are plain ndarrays registered with ``register_array`` and mutated in
+place outside the graph. A grad-free Tensor is rejected, since it would
+be neither and silently drop out of ``state_dict``. ``state_dict`` walks
 the tree in insertion order, which keeps serialization deterministic.
 """
 
@@ -23,19 +24,13 @@ class Module:
 
     def __setattr__(self, name, value):
         if isinstance(value, Tensor):
-            if value.requires_grad:
-                self._params[name] = value
-            else:
-                self._buffers[name] = value
-            object.__setattr__(self, name, value)
-        elif isinstance(value, Module):
+            if not value.requires_grad:
+                raise TypeError(f"{name}: a grad-free Tensor is neither a "
+                                "parameter nor a buffer; use register_array")
+            self._params[name] = value
+        elif isinstance(value, (Module, ModuleList)):
             self._children[name] = value
-            object.__setattr__(self, name, value)
-        elif isinstance(value, ModuleList):
-            self._children[name] = value
-            object.__setattr__(self, name, value)
-        else:
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, name, value)
 
     def named_parameters(self, prefix: str = ""):
         for name, p in self._params.items():
@@ -47,18 +42,14 @@ class Module:
         return [p for _, p in self.named_parameters()]
 
     def named_buffers(self, prefix: str = ""):
-        for name, b in self._buffers.items():
-            yield prefix + name, b
-        for name, arr in getattr(self, "_raw_buffers", {}).items():
+        for name, arr in self._buffers.items():
             yield prefix + name, arr
         for name, child in self._children.items():
             yield from child.named_buffers(prefix + name + ".")
 
     def register_array(self, name: str, arr: np.ndarray):
         """Register a plain ndarray buffer (mutated in place, outside the graph)."""
-        if not hasattr(self, "_raw_buffers"):
-            object.__setattr__(self, "_raw_buffers", {})
-        self._raw_buffers[name] = arr
+        self._buffers[name] = arr
         object.__setattr__(self, name, arr)
 
     def train(self, mode: bool = True):
@@ -75,26 +66,18 @@ class Module:
             p.grad = None
 
     def state_dict(self) -> dict:
-        out = {}
-        for name, p in self.named_parameters():
-            out[name] = p.data
-        for name, b in self.named_buffers():
-            out[name] = b.data if isinstance(b, Tensor) else b
+        out = {name: p.data for name, p in self.named_parameters()}
+        out.update(self.named_buffers())
         return out
 
     def load_state_dict(self, state: dict):
-        own = {}
-        for name, p in self.named_parameters():
-            own[name] = p
-        for name, b in self.named_buffers():
-            own[name] = b
+        own = self.state_dict()
         missing = set(own) - set(state)
         extra = set(state) - set(own)
         if missing or extra:
             raise ValueError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for name, target in own.items():
+        for name, dst in own.items():
             src = np.asarray(state[name], dtype=np.float64)
-            dst = target.data if isinstance(target, Tensor) else target
             if dst.shape != src.shape:
                 raise ValueError(f"shape mismatch for {name}: {dst.shape} vs {src.shape}")
             dst[...] = src

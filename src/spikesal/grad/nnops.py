@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import Tensor, as_tensor, make, _accumulate
+from .tensor import Tensor, as_tensor, make, relaxed_enabled, _accumulate
 
 
 def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
@@ -232,17 +232,17 @@ def soft_gate_value(x: np.ndarray, v_th: float, alpha: float) -> np.ndarray:
     return np.arctan(np.pi * alpha * (x - v_th) / 2.0) / np.pi + 0.5
 
 
-def spike_gate(x, v_th: float = 1.0, alpha: float = 2.0, soft: bool = False) -> Tensor:
+def spike_gate(x, v_th: float = 1.0, alpha: float = 2.0) -> Tensor:
     """Threshold firing nonlinearity.
 
     Forward emits 1.0 where x >= v_th (exact equality fires), else 0.0.
-    Backward uses the arctangent surrogate slope in both variants; with
-    ``soft=True`` the forward is replaced by the surrogate's smooth
+    Backward uses the arctangent surrogate slope in both variants; under
+    :class:`relaxed` the forward is replaced by the surrogate's smooth
     antiderivative so analytic and numeric gradients coincide, which is
     what the finite-difference harness runs against.
     """
     x = as_tensor(x)
-    if soft:
+    if relaxed_enabled():
         out = soft_gate_value(x.data, v_th, alpha)
     else:
         out = (x.data >= v_th).astype(np.float64)
@@ -254,14 +254,14 @@ def spike_gate(x, v_th: float = 1.0, alpha: float = 2.0, soft: bool = False) -> 
     return make(out, (x,), vjp)
 
 
-def elementwise_or(a, b, soft: bool = False) -> Tensor:
+def elementwise_or(a, b) -> Tensor:
     """Binary OR as max(a, b) with straight-through gradient to both inputs.
 
-    ``soft=True`` switches to the probabilistic relaxation a + b - a*b,
+    Under :class:`relaxed` it is the probabilistic relaxation a + b - a*b,
     which agrees with OR on {0,1} and is differentiable everywhere.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if soft:
+    if relaxed_enabled():
         out = a.data + b.data - a.data * b.data
 
         def vjp(g):

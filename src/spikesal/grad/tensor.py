@@ -8,7 +8,8 @@ of every tensor created with ``requires_grad=True``.
 Gradients accumulate additively, so a tensor consumed by several ops
 receives the sum of all downstream contributions regardless of traversal
 order. Storage is float64 throughout; inference may run under
-:class:`no_grad` where no graph is recorded.
+:class:`no_grad` where no graph is recorded; :class:`relaxed` swaps the
+spiking forward for its smooth twin.
 """
 
 from __future__ import annotations
@@ -35,6 +36,30 @@ class no_grad:
 
 def grad_enabled() -> bool:
     return _GRAD_ENABLED
+
+
+_RELAXED = False
+
+
+class relaxed:
+    """Context manager that selects the smooth spiking forward: smooth
+    ``spike_gate`` and ``elementwise_or``, and ``lif_step`` keeps its
+    reset gate's gradient, so finite differences can check it."""
+
+    def __enter__(self):
+        global _RELAXED
+        self._prev = _RELAXED
+        _RELAXED = True
+        return self
+
+    def __exit__(self, *exc):
+        global _RELAXED
+        _RELAXED = self._prev
+        return False
+
+
+def relaxed_enabled() -> bool:
+    return _RELAXED
 
 
 class Tensor:

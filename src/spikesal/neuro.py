@@ -10,6 +10,9 @@ The spike factor in the reset is detached, so gradient reaches earlier
 steps only through the membrane carry H, never through the reset switch.
 After any step every membrane element sits strictly below v_th whenever
 v_reset < v_th: fired elements rest at v_reset, silent ones kept H < v_th.
+
+Synaptic layers report their own input activity to an active
+:class:`trace_activity`, so energy accounting needs no hand-placed calls.
 """
 
 from __future__ import annotations
@@ -34,10 +37,58 @@ class LIFParams:
             raise ValueError("tau must be positive")
 
 
-def lif_step(v, x, p: LIFParams, soft: bool = False):
+# -- activity tracing ----------------------------------------------------------
+
+_ACTIVE_TRACE = None
+
+
+class trace_activity:
+    """Collects per-layer synaptic activity and module-boundary tensors
+    during forwards run inside the context. Used by the energy estimator
+    and the binarity checks."""
+
+    def __init__(self):
+        self.layers = []       # dicts: name, spikes_in, numel_in, fanout, analog
+        self.tensors = []      # (name, ndarray)
+
+    def __enter__(self):
+        global _ACTIVE_TRACE
+        self._prev = _ACTIVE_TRACE
+        _ACTIVE_TRACE = self
+        return self
+
+    def __exit__(self, *exc):
+        global _ACTIVE_TRACE
+        _ACTIVE_TRACE = self._prev
+        return False
+
+
+def _emit_layer(name: str, x: np.ndarray, fanout: int):
+    tr = _ACTIVE_TRACE
+    if tr is None:
+        return
+    binary = np.isin(x, (0.0, 1.0)).all()
+    counts = not binary and x.min() >= 0 and np.array_equal(x, np.round(x))
+    # aggregated spike counts: every accumulated unit is one synaptic op
+    spikes = float(x.sum()) if counts else float(np.count_nonzero(x))
+    analog = not (binary or counts)
+    tr.layers.append({"name": name, "spikes_in": spikes,
+                      "numel_in": int(x.size), "fanout": int(fanout),
+                      "analog": analog})
+
+
+def _emit_tensor(name: str, x: np.ndarray):
+    if _ACTIVE_TRACE is not None:
+        _ACTIVE_TRACE.tensors.append((name, np.array(x, copy=True)))
+
+
+# -- neurons -------------------------------------------------------------------
+
+
+def lif_step(v, x, p: LIFParams):
     """One membrane update. ``v`` may be None for a fresh (v_reset) state.
 
-    Returns (v_next, spikes). With ``soft=True`` the firing gate is the
+    Returns (v_next, spikes). Under ``G.relaxed()`` the firing gate is the
     smooth surrogate and the reset keeps its gradient path, which makes
     the whole step differentiable for finite-difference checks.
     """
@@ -46,8 +97,8 @@ def lif_step(v, x, p: LIFParams, soft: bool = False):
         h = G.add(G.div(x, p.tau), p.v_reset)
     else:
         h = G.add(v, G.div(G.sub(x, G.sub(v, p.v_reset)), p.tau))
-    s = G.spike_gate(h, v_th=p.v_th, alpha=p.alpha, soft=soft)
-    gate = s if soft else s.detach()
+    s = G.spike_gate(h, v_th=p.v_th, alpha=p.alpha)
+    gate = s if G.relaxed_enabled() else s.detach()
     v_next = G.add(G.mul(h, G.sub(1.0, gate)), G.mul(gate, p.v_reset))
     return v_next, s
 
@@ -60,10 +111,9 @@ class LIFNeuron(G.Module):
     up in state_dict.
     """
 
-    def __init__(self, params: LIFParams | None = None, soft: bool = False):
+    def __init__(self, params: LIFParams | None = None):
         super().__init__()
         self.params = params or LIFParams()
-        self.soft = soft
         object.__setattr__(self, "state", None)
 
     def reset_state(self):
@@ -74,7 +124,7 @@ class LIFNeuron(G.Module):
             object.__setattr__(self, "state", self.state.detach())
 
     def step(self, x) -> Tensor:
-        v, s = lif_step(self.state, x, self.params, soft=self.soft)
+        v, s = lif_step(self.state, x, self.params)
         object.__setattr__(self, "state", v)
         return s
 
@@ -91,11 +141,14 @@ class CBSBlock(G.Module):
     * stateless: every step fires from a fresh v_reset membrane, so all
       steps are independent and stay batched; used wherever steps are
       processed in parallel.
+
+    Each forward reports its input to an active trace under ``name``,
+    with C_out * kernel^2 synapses per input element.
     """
 
     def __init__(self, rng, in_ch: int, out_ch: int, lif: LIFParams,
                  pool: bool = True, stateful: bool = False,
-                 kernel: int = 3, soft: bool = False):
+                 kernel: int = 3, name: str = ""):
         super().__init__()
         self.weight = G.kaiming_uniform(rng, (out_ch, in_ch, kernel, kernel),
                                         fan_in=in_ch * kernel * kernel)
@@ -107,8 +160,8 @@ class CBSBlock(G.Module):
         self.stateful = stateful
         self.kernel = kernel
         self.padding = (kernel - 1) // 2
-        self.lif = LIFNeuron(lif, soft=soft)
-        self.soft = soft
+        self.lif = LIFNeuron(lif)
+        self.name = name
 
     def reset_state(self):
         self.lif.reset_state()
@@ -117,6 +170,7 @@ class CBSBlock(G.Module):
         self.lif.detach_state()
 
     def forward(self, x, steps: int = 1) -> Tensor:
+        _emit_layer(self.name, x.data, self.weight.shape[0] * self.kernel ** 2)
         y = G.conv2d(x, self.weight, padding=self.padding)
         y = G.batchnorm(y, self.gamma, self.beta,
                         self.running_mean, self.running_var,
@@ -131,5 +185,5 @@ class CBSBlock(G.Module):
         elif self.stateful:
             s = self.lif.step(y)
         else:
-            _, s = lif_step(None, y, self.lif.params, soft=self.soft)
+            _, s = lif_step(None, y, self.lif.params)
         return G.maxpool2d(s) if self.pool else s

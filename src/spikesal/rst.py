@@ -30,7 +30,8 @@ import numpy as np
 
 from . import grad as G
 from .grad import Tensor
-from .neuro import LIFParams, CBSBlock, lif_step
+from .neuro import LIFParams, CBSBlock, lif_step, _emit_layer, _emit_tensor
+from .neuro import trace_activity  # re-exported as rst.trace_activity
 
 RECURRENT_MODES = ("vanilla", "forward", "reverse")
 RESIDUAL_OPS = ("or", "add", "concat")
@@ -105,63 +106,11 @@ class RSTConfig:
             return cls.from_json_dict(json.load(fh))
 
 
-# -- activity tracing ----------------------------------------------------------
-
-_ACTIVE_TRACE = None
-
-
-class trace_activity:
-    """Collects per-layer synaptic activity and module-boundary tensors
-    during forwards run inside the context. Used by the energy estimator
-    and the binarity checks."""
-
-    def __init__(self):
-        self.layers = []       # dicts: name, spikes_in, numel_in, fanout, analog
-        self.tensors = []      # (name, ndarray)
-
-    def __enter__(self):
-        global _ACTIVE_TRACE
-        self._prev = _ACTIVE_TRACE
-        _ACTIVE_TRACE = self
-        return self
-
-    def __exit__(self, *exc):
-        global _ACTIVE_TRACE
-        _ACTIVE_TRACE = self._prev
-        return False
-
-
-def _emit_layer(name: str, x: np.ndarray, fanout: int):
-    tr = _ACTIVE_TRACE
-    if tr is None:
-        return
-    binary = np.isin(x, (0.0, 1.0)).all()
-    integral = binary or (x.min() >= 0 and np.array_equal(x, np.round(x)))
-    if binary:
-        spikes = float(np.count_nonzero(x))
-        analog = False
-    elif integral:
-        # aggregated spike counts: every accumulated unit is one synaptic op
-        spikes = float(x.sum())
-        analog = False
-    else:
-        spikes = float(np.count_nonzero(x))
-        analog = True
-    tr.layers.append({"name": name, "spikes_in": spikes,
-                      "numel_in": int(x.size), "fanout": int(fanout),
-                      "analog": analog})
-
-
-def _emit_tensor(name: str, x: np.ndarray):
-    if _ACTIVE_TRACE is not None:
-        _ACTIVE_TRACE.tensors.append((name, np.array(x, copy=True)))
-
-
 # -- attention core --------------------------------------------------------------
 
 
 def spiking_attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-                      lif: LIFParams | None = None, soft: bool = False,
+                      lif: LIFParams | None = None,
                       trace_name: str = "") -> Tensor:
     """SN(Q K^T V * scale) over head-split binary tokens (B, n, N, d).
 
@@ -175,7 +124,7 @@ def spiking_attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     _emit_layer(trace_name + "av", att.data, v.shape[-1])
     att = G.matmul(att, v)
     att = G.mul(att, scale)
-    _, s = lif_step(None, att, lif, soft=soft)
+    _, s = lif_step(None, att, lif)
     return s
 
 
@@ -197,59 +146,63 @@ class _TokenNorm(G.Module):
 
 
 class _SpikeProjection(G.Module):
-    """Linear -> BN -> fresh-membrane spike over tokens."""
+    """Linear -> BN -> fresh-membrane spike over tokens; traced under
+    ``name`` with d_out synapses per input element."""
 
-    def __init__(self, rng, d_in: int, d_out: int, lif: LIFParams, soft: bool):
+    def __init__(self, rng, d_in: int, d_out: int, lif: LIFParams, name: str):
         super().__init__()
         self.weight = G.kaiming_uniform(rng, (d_out, d_in), fan_in=d_in)
         self.norm = _TokenNorm(d_out)
         self.lif = lif
-        self.soft = soft
+        self.name = name
 
-    def forward(self, x: Tensor, trace_name: str = "") -> Tensor:
-        _emit_layer(trace_name, x.data, self.weight.shape[0])
+    def forward(self, x: Tensor) -> Tensor:
+        _emit_layer(self.name, x.data, self.weight.shape[0])
         y = G.linear(x, self.weight)
         y = self.norm.forward(y)
-        _, s = lif_step(None, y, self.lif, soft=self.soft)
+        _, s = lif_step(None, y, self.lif)
         return s
 
 
-class TokenFuse(G.Module):
-    """Residual combiner for token features; 'concat' restores width
-    through a spiking projection so downstream shapes stay fixed."""
+class Fuse(G.Module):
+    """Residual combiner. 'or' and 'add' merge elementwise; 'concat' joins
+    along ``axis`` and restores width through the spiking projection
+    ``make_proj()`` builds, so downstream shapes stay fixed."""
 
-    def __init__(self, rng, dim: int, op: str, lif: LIFParams, soft: bool):
+    def __init__(self, op: str, axis: int, make_proj):
         super().__init__()
         self.op = op
-        self.soft = soft
+        self.axis = axis
         if op == "concat":
-            self.proj = _SpikeProjection(rng, 2 * dim, dim, lif, soft)
+            self.proj = make_proj()
 
-    def forward(self, a: Tensor, b: Tensor, trace_name: str = "") -> Tensor:
+    def forward(self, a: Tensor, b: Tensor) -> Tensor:
         if self.op == "or":
-            return G.elementwise_or(a, b, soft=self.soft)
+            return G.elementwise_or(a, b)
         if self.op == "add":
             return G.add(a, b)
-        cat = G.concat([a, b], axis=-1)
-        return self.proj.forward(cat, trace_name=trace_name + ".proj")
+        return self.proj.forward(G.concat([a, b], axis=self.axis))
 
 
 class RFABlock(G.Module):
-    """One recurrent aggregation block, shared across all steps."""
+    """One recurrent aggregation block, shared across all steps; its
+    layers are traced as ``name.q``, ``name.att.qk``, ``name.mlp1``, ..."""
 
-    def __init__(self, rng, cfg: RSTConfig, soft: bool = False):
+    def __init__(self, rng, cfg: RSTConfig, name: str = "rfa"):
         super().__init__()
         d, lif = cfg.dim, cfg.lif()
         self.cfg = cfg
-        self.soft = soft
-        self.q_proj = _SpikeProjection(rng, d, d, lif, soft)
-        self.k_proj = _SpikeProjection(rng, d, d, lif, soft)
-        self.v_proj = _SpikeProjection(rng, d, d, lif, soft)
-        self.out_proj = _SpikeProjection(rng, d, d, lif, soft)
-        self.fuse_att = TokenFuse(rng, d, cfg.residual_op, lif, soft)
-        self.fuse_mlp = TokenFuse(rng, d, cfg.residual_op, lif, soft)
-        self.mlp1 = CBSBlock(rng, d, d, lif, pool=False, soft=soft)
-        self.mlp2 = CBSBlock(rng, d, d, lif, pool=False, soft=soft)
+        self.name = name
+        self.q_proj = _SpikeProjection(rng, d, d, lif, name + ".q")
+        self.k_proj = _SpikeProjection(rng, d, d, lif, name + ".k")
+        self.v_proj = _SpikeProjection(rng, d, d, lif, name + ".v")
+        self.out_proj = _SpikeProjection(rng, d, d, lif, name + ".proj")
+        self.fuse_att = Fuse(cfg.residual_op, -1, lambda: _SpikeProjection(
+            rng, 2 * d, d, lif, name + ".fuse_att.proj"))
+        self.fuse_mlp = Fuse(cfg.residual_op, -1, lambda: _SpikeProjection(
+            rng, 2 * d, d, lif, name + ".fuse_mlp.proj"))
+        self.mlp1 = CBSBlock(rng, d, d, lif, pool=False, name=name + ".mlp1")
+        self.mlp2 = CBSBlock(rng, d, d, lif, pool=False, name=name + ".mlp2")
 
     def _shift_steps(self, e: Tensor, steps: int, batch: int) -> Tensor:
         if steps == 1 or self.cfg.recurrent_mode == "vanilla":
@@ -262,46 +215,43 @@ class RFABlock(G.Module):
             kv = G.concat([e4[0:1], e4[:steps - 1]], axis=0)
         return G.reshape(kv, (steps * batch, n, d))
 
-    def forward(self, e: Tensor, steps: int, batch: int, hw, name="rfa") -> Tensor:
+    def forward(self, e: Tensor, steps: int, batch: int, hw) -> Tensor:
         cfg = self.cfg
         n_tok, d = e.shape[1], e.shape[2]
         heads, dh = cfg.heads, d // cfg.heads
         kv_src = self._shift_steps(e, steps, batch)
-        q = self.q_proj.forward(e, trace_name=name + ".q")
-        k = self.k_proj.forward(kv_src, trace_name=name + ".k")
-        v = self.v_proj.forward(kv_src, trace_name=name + ".v")
+        q = self.q_proj.forward(e)
+        k = self.k_proj.forward(kv_src)
+        v = self.v_proj.forward(kv_src)
 
         def split(x):
             return G.transpose(G.reshape(x, (x.shape[0], n_tok, heads, dh)),
                                (0, 2, 1, 3))
 
         att = spiking_attention(split(q), split(k), split(v), cfg.scale,
-                                cfg.lif(), soft=self.soft,
-                                trace_name=name + ".att.")
+                                cfg.lif(), trace_name=self.name + ".att.")
         att = G.reshape(G.transpose(att, (0, 2, 1, 3)), (e.shape[0], n_tok, d))
-        aq = self.out_proj.forward(att, trace_name=name + ".proj")
-        z = self.fuse_att.forward(e, aq, trace_name=name + ".fuse_att")
+        aq = self.out_proj.forward(att)
+        z = self.fuse_att.forward(e, aq)
 
         h, w = hw
         zmap = G.reshape(G.transpose(z, (0, 2, 1)), (z.shape[0], d, h, w))
-        _emit_layer(name + ".mlp1", zmap.data, 9 * d)
         m = self.mlp1.forward(zmap)
-        _emit_layer(name + ".mlp2", m.data, 9 * d)
         m = self.mlp2.forward(m)
         m = G.transpose(G.reshape(m, (m.shape[0], d, n_tok)), (0, 2, 1))
-        return self.fuse_mlp.forward(e, m, trace_name=name + ".fuse_mlp")
+        return self.fuse_mlp.forward(e, m)
 
 
 class Encoder(G.Module):
     """Four stateful conv-BN-spike stages; channels 1 -> D/8 ... -> D."""
 
-    def __init__(self, rng, cfg: RSTConfig, soft: bool = False):
+    def __init__(self, rng, cfg: RSTConfig):
         super().__init__()
         d, lif = cfg.dim, cfg.lif()
         chans = [1, d // 8, d // 4, d // 2, d]
         self.blocks = G.ModuleList([
             CBSBlock(rng, chans[i], chans[i + 1], lif, pool=True,
-                     stateful=True, soft=soft)
+                     stateful=True, name=f"encoder.conv{i + 1}")
             for i in range(4)])
 
     def reset_state(self):
@@ -315,94 +265,72 @@ class Encoder(G.Module):
     def forward(self, x: Tensor, steps: int):
         feats = []
         for i, blk in enumerate(self.blocks):
-            _emit_layer(f"encoder.conv{i + 1}", x.data,
-                        9 * blk.weight.shape[0])
             x = blk.forward(x, steps=steps)
             _emit_tensor(f"encoder.f{i + 1}", x.data)
             feats.append(x)
         return feats
 
 
-class SpatialFuse(G.Module):
-    """Residual combiner for (B, C, H, W) features."""
-
-    def __init__(self, rng, ch: int, op: str, lif: LIFParams, soft: bool):
-        super().__init__()
-        self.op = op
-        self.soft = soft
-        if op == "concat":
-            self.proj = CBSBlock(rng, 2 * ch, ch, lif, pool=False,
-                                 kernel=1, soft=soft)
-
-    def forward(self, a: Tensor, b: Tensor, trace_name: str = "") -> Tensor:
-        if self.op == "or":
-            return G.elementwise_or(a, b, soft=self.soft)
-        if self.op == "add":
-            return G.add(a, b)
-        cat = G.concat([a, b], axis=1)
-        _emit_layer(trace_name + ".proj", cat.data, self.proj.weight.shape[0])
-        return self.proj.forward(cat)
-
-
 class Refine(G.Module):
     """Two upsample-project-fuse stages against the pyramid, then a
     projection back to D channels at quarter resolution."""
 
-    def __init__(self, rng, cfg: RSTConfig, soft: bool = False):
+    def __init__(self, rng, cfg: RSTConfig):
         super().__init__()
         d, lif = cfg.dim, cfg.lif()
-        self.up1 = CBSBlock(rng, d, d // 2, lif, pool=False, soft=soft)
-        self.fuse1 = SpatialFuse(rng, d // 2, cfg.residual_op, lif, soft)
-        self.up2 = CBSBlock(rng, d // 2, d // 4, lif, pool=False, soft=soft)
-        self.fuse2 = SpatialFuse(rng, d // 4, cfg.residual_op, lif, soft)
-        self.out = CBSBlock(rng, d // 4, d, lif, pool=False, soft=soft)
+
+        def fuse(ch, name):
+            return Fuse(cfg.residual_op, 1, lambda: CBSBlock(
+                rng, 2 * ch, ch, lif, pool=False, kernel=1, name=name))
+
+        self.up1 = CBSBlock(rng, d, d // 2, lif, pool=False, name="refine.up1")
+        self.fuse1 = fuse(d // 2, "refine.fuse1.proj")
+        self.up2 = CBSBlock(rng, d // 2, d // 4, lif, pool=False,
+                            name="refine.up2")
+        self.fuse2 = fuse(d // 4, "refine.fuse2.proj")
+        self.out = CBSBlock(rng, d // 4, d, lif, pool=False, name="refine.out")
 
     def forward(self, f_agg: Tensor, f3: Tensor, f2: Tensor) -> Tensor:
-        x = G.nearest_upsample2d(f_agg, 2)
-        _emit_layer("refine.up1", x.data, 9 * self.up1.weight.shape[0])
-        x = self.up1.forward(x)
-        x = self.fuse1.forward(x, f3, trace_name="refine.fuse1")
+        x = self.up1.forward(G.nearest_upsample2d(f_agg, 2))
+        x = self.fuse1.forward(x, f3)
         _emit_tensor("refine.s1", x.data)
-        x = G.nearest_upsample2d(x, 2)
-        _emit_layer("refine.up2", x.data, 9 * self.up2.weight.shape[0])
-        x = self.up2.forward(x)
-        x = self.fuse2.forward(x, f2, trace_name="refine.fuse2")
+        x = self.up2.forward(G.nearest_upsample2d(x, 2))
+        x = self.fuse2.forward(x, f2)
         _emit_tensor("refine.s2", x.data)
-        _emit_layer("refine.out", x.data, 9 * self.out.weight.shape[0])
         x = self.out.forward(x)
         _emit_tensor("refine.out", x.data)
         return x
 
 
 class Head(G.Module):
-    """1x1 conv + sigmoid + nearest x4 back to input resolution."""
+    """1x1 conv + sigmoid + nearest x4 back to input resolution; traced
+    as ``head.conv`` with C_out = 1 synapse per input element."""
 
     def __init__(self, rng, cfg: RSTConfig):
         super().__init__()
         self.weight = G.kaiming_uniform(rng, (1, cfg.dim, 1, 1), fan_in=cfg.dim)
         self.bias = Tensor(np.zeros(1), requires_grad=True)
+        self.name = "head.conv"
 
     def forward(self, x: Tensor) -> Tensor:
-        _emit_layer("head.conv", x.data, 1)
+        _emit_layer(self.name, x.data, self.weight.shape[0])
         y = G.conv2d(x, self.weight, self.bias, padding=0)
         y = G.sigmoid(y)
         return G.nearest_upsample2d(y, 4)
 
 
 class RSTModel(G.Module):
-    """Full network. ``soft=True`` builds the smooth-relaxation twin
+    """Full network. Run under ``G.relaxed()`` it is its own smooth twin
     (continuous gates, differentiable OR, undetached resets) whose
     analytic gradient is finite-difference checkable end to end."""
 
-    def __init__(self, cfg: RSTConfig, rng: np.random.Generator,
-                 soft: bool = False):
+    def __init__(self, cfg: RSTConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        self.soft = soft
-        self.encoder = Encoder(rng, cfg, soft)
-        self.rfa = G.ModuleList([RFABlock(rng, cfg, soft)
-                                 for _ in range(cfg.rfa_blocks)])
-        self.refine = Refine(rng, cfg, soft)
+        self.encoder = Encoder(rng, cfg)
+        self.rfa = G.ModuleList([RFABlock(rng, cfg, f"rfa{i}")
+                                 for i in range(cfg.rfa_blocks)])
+        self.refine = Refine(rng, cfg)
         self.head = Head(rng, cfg)
 
     def reset_state(self):
@@ -425,7 +353,7 @@ class RSTModel(G.Module):
                         (0, 2, 1))
         _emit_tensor("tokens.in", e.data)
         for i, blk in enumerate(self.rfa):
-            e = blk.forward(e, steps, b, (h, w), name=f"rfa{i}")
+            e = blk.forward(e, steps, b, (h, w))
             _emit_tensor(f"tokens.out{i}", e.data)
         f_agg = G.reshape(G.transpose(e, (0, 2, 1)),
                           (e.shape[0], self.cfg.dim, h, w))

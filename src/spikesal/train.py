@@ -150,13 +150,14 @@ def _stack(samples):
 # -- checkpoints -------------------------------------------------------------------
 
 
+# model entries of a checkpoint: parameters, then buffers, under these prefixes
+_PARAM, _BUF = "param.", "buf."
+
+
 def save_checkpoint(path, model: RSTModel, opt: AdamW, cfg: RunConfig,
                     epoch: int, history: list):
-    arrays = {}
-    for name, p in model.named_parameters():
-        arrays["param." + name] = p.data
-    for name, b in model.named_buffers():
-        arrays["buf." + name] = b.data if isinstance(b, G.Tensor) else b
+    arrays = {_PARAM + name: p.data for name, p in model.named_parameters()}
+    arrays.update((_BUF + name, b) for name, b in model.named_buffers())
     arrays.update(opt.state_arrays())
     meta = {"kind": "checkpoint", "epoch": epoch,
             "config": cfg.to_json_dict(), "config_hash": cfg.config_hash(),
@@ -170,20 +171,20 @@ def load_checkpoint(path):
     return load_tensors(path)
 
 
-def model_from_checkpoint(path, soft: bool = False):
+def _load_model_arrays(model: RSTModel, arrays: dict):
+    """Load the model entries of checkpoint ``arrays`` into ``model``."""
+    model.load_state_dict({k.split(".", 1)[1]: v for k, v in arrays.items()
+                           if k.startswith((_PARAM, _BUF))})
+
+
+def model_from_checkpoint(path):
     """Rebuild the model (and its RunConfig) from a checkpoint file."""
     arrays, meta = load_checkpoint(path)
     if meta.get("kind") != "checkpoint":
         raise ValueError("not a training checkpoint")
     cfg = RunConfig.from_json_dict(meta["config"])
-    model = RSTModel(cfg.model, np.random.default_rng(0), soft=soft)
-    state = {}
-    for key, arr in arrays.items():
-        if key.startswith("param."):
-            state[key[len("param."):]] = arr
-        elif key.startswith("buf."):
-            state[key[len("buf."):]] = arr
-    model.load_state_dict(state)
+    model = RSTModel(cfg.model, np.random.default_rng(0))
+    _load_model_arrays(model, arrays)
     return model, cfg, meta
 
 
@@ -286,9 +287,7 @@ def train_model(cfg: RunConfig, out_dir, resume=None, log=None) -> list:
         arrays, meta = load_checkpoint(resume)
         if meta.get("config_hash") != cfg.config_hash():
             raise ValueError("checkpoint was produced by a different config")
-        state = {k.split(".", 1)[1]: v for k, v in arrays.items()
-                 if k.startswith(("param.", "buf."))}
-        model.load_state_dict(state)
+        _load_model_arrays(model, arrays)
         opt.load_state_arrays(arrays)
         history = list(meta["history"])
         start_epoch = meta["epoch"] + 1

@@ -174,6 +174,14 @@ def _margin_pool_input(rng, shape, margin=0.2):
         .reshape(shape)
 
 
+def _relaxed(fn):
+    """``fn`` evaluated in the smooth relaxation of the spiking forward."""
+    def f():
+        with G.relaxed():
+            return fn()
+    return f
+
+
 def _op_cases(rng):
     """(name, f, tensors, h) covering every differentiable primitive."""
     cases = []
@@ -266,15 +274,15 @@ def _op_cases(rng):
     xs_ = Tensor(rng.standard_normal(40), requires_grad=True)
     rs_ = _readout(rng, (40,))
     cases.append(("soft spike gate",
-                  lambda: G.sum_(G.spike_gate(xs_, v_th=0.5, alpha=2.0,
-                                              soft=True) * rs_),
+                  _relaxed(lambda: G.sum_(G.spike_gate(xs_, v_th=0.5,
+                                                       alpha=2.0) * rs_)),
                   [xs_], 1e-3))
 
     oa = Tensor(rng.uniform(0.1, 0.9, 30), requires_grad=True)
     ob = Tensor(rng.uniform(0.1, 0.9, 30), requires_grad=True)
     ro = _readout(rng, (30,))
     cases.append(("soft elementwise or",
-                  lambda: G.sum_(G.elementwise_or(oa, ob, soft=True) * ro),
+                  _relaxed(lambda: G.sum_(G.elementwise_or(oa, ob) * ro)),
                   [oa, ob], 1e-3))
 
     # losses: interior predictions keep bce's clamp inactive
@@ -299,7 +307,7 @@ def test_criterion_04_gradients(announce):
     # whole-model check in the surrogate-relaxed (soft) forward: the
     # smallest legal input, two steps, every parameter tensor probed
     cfg = RSTConfig(dim=8, heads=2, steps=2, rfa_blocks=1)
-    model = RSTModel(cfg, np.random.default_rng(7), soft=True)
+    model = RSTModel(cfg, np.random.default_rng(7))
     model.train()
     x = np.random.default_rng(8).random((1, 1, 16, 16))
     target = Tensor((np.random.default_rng(9).random((1, 1, 16, 16)) < 0.4)
@@ -310,9 +318,12 @@ def test_criterion_04_gradients(announce):
         return multi_step_loss(model.forward_full(x, "multi"), target, lcfg)
 
     params = list(dict(model.named_parameters()).values())
-    sampled = G.check_gradients_sampled(fm, params, np.random.default_rng(10),
-                                        per_tensor=4, h=1e-4, floor=1e-6)
-    direct = G.directional_check(fm, params, np.random.default_rng(12), h=1e-4)
+    with G.relaxed():
+        sampled = G.check_gradients_sampled(fm, params,
+                                            np.random.default_rng(10),
+                                            per_tensor=4, h=1e-4, floor=1e-6)
+        direct = G.directional_check(fm, params, np.random.default_rng(12),
+                                     h=1e-4)
     dt = time.time() - t0
     announce(4, "finite differences confirm every op, loss, and the full model",
              worst_op < 1e-4 and sampled < 1e-3 and direct < 1e-3 and dt < 300,

@@ -591,7 +591,8 @@ def test_soft_gate_fd():
     r = readout(rng, (40,))
 
     def f():
-        return G.sum_(G.spike_gate(x, v_th=0.5, alpha=2.0, soft=True) * r)
+        with G.relaxed():
+            return G.sum_(G.spike_gate(x, v_th=0.5, alpha=2.0) * r)
 
     assert G.check_gradients(f, [x], h=H) < TOL
 
@@ -612,7 +613,8 @@ def test_soft_or_matches_hard_on_binary_and_fd():
     a_bits = rng.integers(0, 2, 50).astype(float)
     b_bits = rng.integers(0, 2, 50).astype(float)
     hard = G.elementwise_or(G.Tensor(a_bits), G.Tensor(b_bits)).data
-    soft = G.elementwise_or(G.Tensor(a_bits), G.Tensor(b_bits), soft=True).data
+    with G.relaxed():
+        soft = G.elementwise_or(G.Tensor(a_bits), G.Tensor(b_bits)).data
     assert np.array_equal(hard, soft)
 
     a = G.Tensor(rng.uniform(0.1, 0.9, 30), requires_grad=True)
@@ -620,7 +622,8 @@ def test_soft_or_matches_hard_on_binary_and_fd():
     r = readout(rng, (30,))
 
     def f():
-        return G.sum_(G.elementwise_or(a, b, soft=True) * r)
+        with G.relaxed():
+            return G.sum_(G.elementwise_or(a, b) * r)
 
     assert G.check_gradients(f, [a, b], h=H) < TOL
 
@@ -654,6 +657,28 @@ def test_no_grad_builds_no_graph():
     with G.no_grad():
         y = G.sigmoid(t * 2.0)
     assert y._vjp is None and not y.requires_grad
+
+
+def test_relaxed_mode_restores_and_nests_with_no_grad():
+    x = G.Tensor([0.4, 1.0, 1.6], requires_grad=True)
+    assert not G.relaxed_enabled()
+    with G.relaxed():
+        assert G.relaxed_enabled()
+        with G.no_grad():
+            assert G.relaxed_enabled() and not G.grad_enabled()
+            with G.relaxed():
+                assert G.relaxed_enabled()
+            assert G.relaxed_enabled()          # inner exit keeps the outer mode
+            y = G.spike_gate(x)
+        assert G.grad_enabled() and y._vjp is None
+        np.testing.assert_array_equal(y.data, G.soft_gate_value(x.data, 1.0, 2.0))
+    assert not G.relaxed_enabled()
+    np.testing.assert_array_equal(G.spike_gate(x).data, [0.0, 1.0, 1.0])
+
+    with pytest.raises(RuntimeError):
+        with G.no_grad(), G.relaxed():
+            raise RuntimeError("boom")
+    assert not G.relaxed_enabled() and G.grad_enabled()
 
 
 def test_detach_blocks_gradient():
@@ -767,6 +792,12 @@ def test_module_registration_and_state_dict():
     bad.pop("head.w")
     with pytest.raises(ValueError):
         net2.load_state_dict(bad)
+
+    # a grad-free Tensor would be neither parameter nor buffer and
+    # silently miss the state dict, so registration refuses it
+    with pytest.raises(TypeError, match="register_array"):
+        net2.head.stat = G.Tensor(np.zeros(4))
+    assert "head.stat" not in net2.state_dict()
 
 
 def test_kaiming_bounds():

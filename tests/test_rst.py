@@ -16,8 +16,8 @@ def tiny_cfg(**over):
     return RSTConfig(**base)
 
 
-def build(cfg=None, seed=0, soft=False):
-    return RSTModel(cfg or tiny_cfg(), np.random.default_rng(seed), soft=soft)
+def build(cfg=None, seed=0):
+    return RSTModel(cfg or tiny_cfg(), np.random.default_rng(seed))
 
 
 # -- config ----------------------------------------------------------------
@@ -211,10 +211,10 @@ def test_block_feeds_shifted_steps_to_attention(monkeypatch, mode):
     captured = {}
     real = rst.spiking_attention
 
-    def spy(q, k, v, scale, lif=None, soft=False, trace_name=""):
+    def spy(q, k, v, scale, lif=None, trace_name=""):
         captured["k"] = k.data.copy()
         captured["v"] = v.data.copy()
-        return real(q, k, v, scale, lif, soft, trace_name)
+        return real(q, k, v, scale, lif, trace_name)
 
     monkeypatch.setattr(rst, "spiking_attention", spy)
     e = (np.random.default_rng(10).random((3, 2, 9, 16)) < 0.5).astype(float)
@@ -329,3 +329,74 @@ def test_trace_layer_records():
     first = next(r for r in tr.layers if r["name"] == "encoder.conv1")
     assert first["analog"]          # real-valued input representation
     assert all(not r["analog"] for r in tr.layers if r["name"] != "encoder.conv1")
+
+
+# D=16, heads 2 (d_h 8), 1 RFA block, 2 steps x batch 1 on 32x32: the
+# encoder reaches 2x2, so attention runs over N=4 tokens. Fanouts are
+# C_out * k^2 per conv, d_out per token projection, N for Q K^T and d_h
+# for (Q K^T) V; numel_in is the layer input's element count.
+_TRACE_OR = [
+    ("encoder.conv1", 2 * 9, 2 * 1 * 32 * 32),
+    ("encoder.conv2", 4 * 9, 2 * 2 * 16 * 16),
+    ("encoder.conv3", 8 * 9, 2 * 4 * 8 * 8),
+    ("encoder.conv4", 16 * 9, 2 * 8 * 4 * 4),
+    ("rfa0.q", 16, 2 * 4 * 16),
+    ("rfa0.k", 16, 2 * 4 * 16),
+    ("rfa0.v", 16, 2 * 4 * 16),
+    ("rfa0.att.qk", 4, 2 * 2 * 4 * 8),
+    ("rfa0.att.av", 8, 2 * 2 * 4 * 4),
+    ("rfa0.proj", 16, 2 * 4 * 16),
+    ("rfa0.mlp1", 16 * 9, 2 * 16 * 2 * 2),
+    ("rfa0.mlp2", 16 * 9, 2 * 16 * 2 * 2),
+    ("refine.up1", 8 * 9, 2 * 16 * 4 * 4),
+    ("refine.up2", 4 * 9, 2 * 8 * 8 * 8),
+    ("refine.out", 16 * 9, 2 * 4 * 8 * 8),
+    ("head.conv", 1, 2 * 16 * 8 * 8),
+]
+# 'concat' adds one spiking projection after each fusion: back to d_out=16
+# over doubled tokens, or a 1x1 conv back to C_out over doubled channels
+_CONCAT_PROJ = {
+    "rfa0.proj": ("rfa0.fuse_att.proj", 16, 2 * 4 * 32),
+    "rfa0.mlp2": ("rfa0.fuse_mlp.proj", 16, 2 * 4 * 32),
+    "refine.up1": ("refine.fuse1.proj", 8 * 1, 2 * 16 * 4 * 4),
+    "refine.up2": ("refine.fuse2.proj", 4 * 1, 2 * 8 * 8 * 8),
+}
+
+
+@pytest.mark.parametrize("op", ["or", "add", "concat"])
+def test_trace_layer_sequence_pinned(op):
+    want = []
+    for rec in _TRACE_OR:
+        want.append(rec)
+        if op == "concat" and rec[0] in _CONCAT_PROJ:
+            want.append(_CONCAT_PROJ[rec[0]])
+    model = build(tiny_cfg(steps=2, rfa_blocks=1, residual_op=op), seed=3)
+    x = np.random.default_rng(19).random((1, 1, 32, 32))
+    with trace_activity() as tr:
+        model.forward_full(x, mode="multi")
+    got = [(r["name"], r["fanout"], r["numel_in"]) for r in tr.layers]
+    assert got == want
+
+
+def test_relaxed_forward_of_one_model():
+    # the same model, weights and input: exactly binary boundaries in the
+    # spiking forward, smooth gates under G.relaxed(), binary again after
+    model = build(tiny_cfg(steps=2, rfa_blocks=1), seed=4)
+    x = np.random.default_rng(20).random((1, 1, 32, 32))
+
+    def boundaries():
+        with trace_activity() as tr:
+            model.forward_full(x, mode="multi")
+        return tr.tensors
+
+    hard = boundaries()
+    for name, arr in hard:
+        assert np.isin(arr, (0.0, 1.0)).all(), name
+    with G.relaxed():
+        soft = boundaries()
+    assert [n for n, _ in soft] == [n for n, _ in hard]
+    for name, arr in soft:
+        assert not np.isin(arr, (0.0, 1.0)).all(), name
+        assert (arr > 0).all() and (arr < 1).all(), name
+    for (name, a), (_, b) in zip(hard, boundaries()):
+        np.testing.assert_array_equal(a, b, err_msg=name)
