@@ -108,7 +108,6 @@ def cmd_energy(args) -> int:
     stream = sio.read_stream(args.stream)
     window = args.window or cfg.window
     _stream_windows(stream, window)
-    model.eval()
     rep = window_repr(stream, 0, window)[None]
     report = metrics.estimate_energy(model, rep, mode="multi")
     print(report.to_table())

@@ -8,7 +8,7 @@ from .tensor import (
 )
 from .nnops import (
     conv2d, blur2d, maxpool2d, nearest_upsample2d, linear, batchnorm,
-    spike_gate, elementwise_or, surrogate_slope, soft_gate_value,
+    spike_gate, lif_scan, elementwise_or, surrogate_slope, soft_gate_value,
 )
 from .module import Module, ModuleList, kaiming_uniform
 from .gradcheck import (
@@ -24,8 +24,8 @@ __all__ = [
     "matmul", "reshape", "transpose", "swapaxes", "take", "concat", "stack",
     "sum_", "mean",
     "conv2d", "blur2d", "maxpool2d", "nearest_upsample2d", "linear", "batchnorm",
-    "spike_gate", "elementwise_or", "surrogate_slope", "soft_gate_value",
-    "Module", "ModuleList", "kaiming_uniform",
+    "spike_gate", "lif_scan", "elementwise_or", "surrogate_slope",
+    "soft_gate_value", "Module", "ModuleList", "kaiming_uniform",
     "numeric_gradient", "check_gradients", "check_gradients_sampled",
     "directional_check", "relative_error",
     "save_tensors", "load_tensors",

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import Tensor, as_tensor, make, relaxed_enabled, _accumulate
+from .tensor import (Tensor, as_tensor, grad_enabled, make, relaxed_enabled,
+                     _accumulate)
 
 
 def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
@@ -223,8 +224,14 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
 
 def surrogate_slope(x: np.ndarray, v_th: float, alpha: float) -> np.ndarray:
     """Arctangent-family surrogate derivative alpha / (2*(1 + (pi*alpha*(x-v_th)/2)^2))."""
-    u = np.pi * alpha * (x - v_th) / 2.0
-    return alpha / (2.0 * (1.0 + u * u))
+    # pi*alpha*(x-v_th)/2, then alpha/(2*(1+u*u)), in one buffer
+    u = x - v_th
+    u *= np.pi * alpha
+    u /= 2.0
+    u *= u
+    u += 1.0
+    u *= 2.0
+    return np.divide(alpha, u, out=u)
 
 
 def soft_gate_value(x: np.ndarray, v_th: float, alpha: float) -> np.ndarray:
@@ -252,6 +259,104 @@ def spike_gate(x, v_th: float = 1.0, alpha: float = 2.0) -> Tensor:
         _accumulate(x, g * surrogate_slope(x.data, v_th, alpha))
 
     return make(out, (x,), vjp)
+
+
+def lif_scan(x, steps: int, tau: float, v_th: float, v_reset: float,
+             alpha: float, v=None):
+    """Leaky integrate-and-fire over the ``steps`` slices of a folded
+    (steps*B, ...) input, as one graph node. Returns (v_next, spikes).
+
+    ``v`` is the (B, ...) membrane carried in, or None for a fresh v_reset
+    membrane. Step t charges, fires and resets with the hard gate
+
+        H = V + (X_t - (V - v_reset)) / tau     (X_t / tau + v_reset if fresh)
+        S_t = 1 where H >= v_th else 0
+        V = H * (1 - S_t) + S_t * v_reset
+
+    and the backward is the reverse scan, with the reset switch detached:
+
+        gH = gS_t * slope(H) [+ gV * (1 - S_t)],  gX_t = gH / tau,
+        gV = gH - gH / tau
+
+    Values and memory layouts equal those the same hard steps give when
+    written as separate elementwise graph ops on per-step slices of the
+    input, joined by ``concat``.
+    """
+    x = as_tensor(x)
+    v = None if v is None else as_tensor(v)
+    xd = x.data
+    n = xd.shape[0]
+    if steps < 1 or n % steps:
+        raise ValueError("folded batch not divisible by steps")
+    b = n // steps
+    vd = None if v is None else v.data
+    record = grad_enabled() and (x.requires_grad
+                                 or (v is not None and v.requires_grad))
+    hs, spikes = [], []
+    for t in range(steps):
+        xt = xd[t * b:(t + 1) * b]
+        if vd is None:
+            h = xt / tau
+            h += v_reset
+        else:
+            h = xt - (vd - v_reset)
+            h /= tau
+            h = vd + h
+        st = (h >= v_th).astype(np.float64)
+        keep = 1.0 - st
+        keep *= h
+        vd = st * v_reset
+        vd += keep
+        spikes.append(st)
+        if record:
+            hs.append(h)
+    s = spikes[0] if steps == 1 else np.concatenate(spikes)
+    if not record:
+        return Tensor(vd), Tensor(s)
+    carry = [None]              # gradient that reaches the returned membrane
+
+    def vjp(g):
+        gv = carry[0]
+        want_v = v is not None and v.requires_grad
+        # several steps: every row is written, and the result gets the
+        # input's layout, as summing one zero-padded gradient per step gave
+        gx = np.empty_like(xd) if steps > 1 else None
+        for t in reversed(range(steps)):
+            rows = slice(t * b, (t + 1) * b)
+            gh = surrogate_slope(hs[t], v_th, alpha)
+            if t == 0 and (steps == 1 or want_v):
+                gh = g[rows] * gh       # the layout the separate ops gave
+            else:
+                gh *= g[rows]
+            if gv is not None:
+                keep = 1.0 - spikes[t]
+                keep *= gv
+                gh += keep
+            if steps == 1:
+                gx = gh / tau
+            else:
+                np.divide(gh, tau, out=gx[rows])
+            gv = None
+            if t or want_v:
+                gv = np.subtract(gh, gx[rows], out=gh)
+        if x.requires_grad:
+            if steps > 1:
+                gx += 0.0       # -0.0 -> +0.0, as adding the zero padding did
+            if x.grad is None:
+                x.grad = gx             # a fresh array: no copy needed
+            else:
+                x.grad += gx
+        if want_v:
+            _accumulate(v, gv)
+
+    s_out = make(s, (x,) if v is None else (x, v), vjp)
+
+    def vjp_v(g):
+        carry[0] = g
+        if s_out.grad is None:  # the scan must run for a membrane-only gradient
+            s_out.grad = np.zeros_like(s)
+
+    return make(vd, (s_out,), vjp_v), s_out
 
 
 def elementwise_or(a, b) -> Tensor:

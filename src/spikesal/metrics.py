@@ -305,7 +305,12 @@ def energy_from_trace(layers) -> EnergyReport:
 
 
 def estimate_energy(model, repr_batch: np.ndarray, mode: str = "multi") -> EnergyReport:
-    """Trace one inference and price its synaptic operations."""
+    """Trace one eval-mode inference and price its synaptic operations.
+    The model's train/eval mode is restored afterwards."""
+    was_training = model.training
+    model.eval()
     with trace_activity() as tr, G.no_grad():
         model.forward_full(repr_batch, mode=mode)
+    if was_training:
+        model.train()
     return energy_from_trace(tr.layers)

@@ -7,7 +7,10 @@ visible in a plain ``pytest -v`` run.
 """
 
 import json
+import multiprocessing as mp
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -449,6 +452,32 @@ def test_criterion_09_energy_advantage(big_run, announce):
 # -- 8: ablation directions ----------------------------------------------------
 
 
+ABLATIONS = {
+    "base": dict(),
+    "single": dict(mode="single"),
+    "vanilla_mode": dict(recurrent="vanilla"),
+    "vanilla_loss": dict(loss_mode="vanilla"),
+    "add": dict(residual="add"),
+    "concat": dict(residual="concat"),
+}
+
+
+def ablation_run(manifest, out, seed, mode="multi", loss_mode="multi",
+                 recurrent="reverse", residual="or"):
+    """One criterion-8 training run and its val (MAE, mF). Module level so
+    that a spawned worker process can run it."""
+    mcfg = RSTConfig(dim=32, heads=4, steps=5, rfa_blocks=2, v_th=0.5,
+                     recurrent_mode=recurrent, residual_op=residual)
+    rcfg = RunConfig(manifest=str(manifest), model=mcfg,
+                     lr_start=5e-3, lr_end=5e-4, epochs=40, batch_size=2,
+                     window=400, seed=seed, mode=mode, loss_mode=loss_mode)
+    train_model(rcfg, out, log=None)
+    model, _, _ = model_from_checkpoint(out / "last.salt")
+    rep = evaluate_model(model, load_samples(manifest, window=400)["val"],
+                         mode=mode)
+    return rep.mae, rep.mean_f_beta
+
+
 @pytest.fixture(scope="module")
 def ablation_grid(tmp_path_factory):
     """Six configurations x three seeds on a reduced 32x32 set.
@@ -457,37 +486,33 @@ def ablation_grid(tmp_path_factory):
     default 1.0 the spiking-attention threshold sits above any count a
     4-token sequence can produce, so every routing variant degenerates
     to the same silent model and the comparisons measure noise.
+
+    The 18 runs are independent and deterministic, so they are spread
+    over up to two worker processes with one BLAS thread each. Threaded
+    BLAS in two workers would only fight over the cores, and a pinned
+    thread count makes the runs' bits independent of the host's cores.
     """
     root = tmp_path_factory.mktemp("accept_ablate")
     gcfg = sc.GeneratorConfig(train_sequences=4, val_sequences=3,
                               labels_per_sequence=5, height=32, width=32,
                               seed=208)
     manifest = sc.generate_dataset(gcfg, root / "data")
-    val = load_samples(manifest, window=400)["val"]
-
-    def run(tag, seed, mode="multi", loss_mode="multi",
-            recurrent="reverse", residual="or"):
-        mcfg = RSTConfig(dim=32, heads=4, steps=5, rfa_blocks=2, v_th=0.5,
-                         recurrent_mode=recurrent, residual_op=residual)
-        rcfg = RunConfig(manifest=str(manifest), model=mcfg,
-                         lr_start=5e-3, lr_end=5e-4, epochs=40, batch_size=2,
-                         window=400, seed=seed, mode=mode, loss_mode=loss_mode)
-        out = root / f"{tag}_s{seed}"
-        train_model(rcfg, out, log=None)
-        model, _, _ = model_from_checkpoint(out / "last.salt")
-        rep = evaluate_model(model, val, mode=mode)
-        return rep.mae, rep.mean_f_beta
-
+    jobs = [(tag, seed) for tag in ABLATIONS for seed in (0, 1, 2)]
+    workers = min(2, os.cpu_count() or 1)
+    with pytest.MonkeyPatch.context() as env:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env.setenv(var, "1")   # read by each worker as it starts
+        with ProcessPoolExecutor(workers,
+                                 mp_context=mp.get_context("spawn")) as ex:
+            futures = {job: ex.submit(ablation_run, manifest,
+                                      root / f"{job[0]}_s{job[1]}", job[1],
+                                      **ABLATIONS[job[0]])
+                       for job in jobs}
+            scores = {job: f.result() for job, f in futures.items()}
     grid = {}
-    for tag, kw in {
-        "base": dict(),
-        "single": dict(mode="single"),
-        "vanilla_mode": dict(recurrent="vanilla"),
-        "vanilla_loss": dict(loss_mode="vanilla"),
-        "add": dict(residual="add"),
-        "concat": dict(residual="concat"),
-    }.items():
-        maes, fs = zip(*(run(tag, seed, **kw) for seed in (0, 1, 2)))
+    for tag in ABLATIONS:
+        maes, fs = zip(*(scores[(tag, seed)] for seed in (0, 1, 2)))
         grid[tag] = (float(np.mean(maes)), float(np.mean(fs)))
     return grid
 

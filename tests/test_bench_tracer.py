@@ -45,7 +45,7 @@ def test_tracer_instruments_a_training_step_and_restores():
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
     for span in ("rst.encoder.fwd", "rst.rfa.fwd", "rst.attention.fwd",
-                 "neuro.cbs.fwd", "grad.conv2d.fwd", "grad.conv2d.bwd",
-                 "grad.backward"):
+                 "neuro.cbs.fwd", "neuro.lif_step", "grad.conv2d.fwd",
+                 "grad.conv2d.bwd", "grad.backward"):
         assert tr.incl_s[span] > 0.0, span
     assert tr.counts["grad.conv2d.calls"] > 0

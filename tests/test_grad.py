@@ -564,6 +564,18 @@ def test_spike_gate_slope_peak_and_tails():
     assert np.all(tails < 1e-2)
 
 
+def test_surrogate_slope_equals_its_formula_byte_for_byte():
+    # the in-place evaluation must round like the written-out expression
+    rng = np.random.default_rng(17)
+    x = (rng.standard_normal((6, 5, 4)) * 3.0).transpose(2, 0, 1)
+    for alpha, v_th in ((1.0, 1.0), (2.0, 0.5), (0.3, 0.37)):
+        u = np.pi * alpha * (x - v_th) / 2.0
+        want = alpha / (2.0 * (1.0 + u * u))
+        got = G.surrogate_slope(x, v_th, alpha)
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
 def test_spike_gate_skips_slope_without_graph(monkeypatch):
     def refuse(*_args):
         raise AssertionError("surrogate slope computed for a graph-free forward")

@@ -352,3 +352,19 @@ def test_estimate_energy_deterministic():
     r1 = M.estimate_energy(model, x)
     r2 = M.estimate_energy(model, x)
     assert r1.ac_ops == r2.ac_ops and r1.ratio == r2.ratio
+
+
+def test_estimate_energy_prices_eval_mode_and_restores_it():
+    model = RSTModel(RSTConfig(dim=16, heads=2, steps=2, rfa_blocks=1),
+                     np.random.default_rng(0))
+    x = (np.random.default_rng(3).random((1, 1, 32, 32)) < 0.3).astype(float)
+    stats = {k: v.copy() for k, v in model.named_buffers()}
+    model.train()
+    in_train = M.estimate_energy(model, x)
+    assert model.training
+    for name, buf in model.named_buffers():
+        assert buf.tobytes() == stats[name].tobytes(), name
+    model.eval()
+    in_eval = M.estimate_energy(model, x)
+    assert not model.training
+    assert in_train.to_json() == in_eval.to_json()

@@ -1,11 +1,14 @@
-"""LIF dynamics against a straight-line oracle, and CBS block behaviour."""
+"""LIF dynamics against a straight-line oracle, the fused scan against the
+composed graph ops it replaces, and CBS block behaviour."""
 
 import numpy as np
 import pytest
 
 from spikesal import grad as G
-from spikesal import neuro
+from spikesal import neuro, rst
 from spikesal.neuro import LIFParams, LIFNeuron, CBSBlock, lif_step
+from spikesal.objective import LossConfig, map_loss, multi_step_loss
+from spikesal.optim import AdamW
 
 
 def lif_oracle(xs, tau, v_th, v_reset):
@@ -112,6 +115,162 @@ def test_soft_mode_full_step_is_differentiable():
         return total + G.sum_(v * r)
 
     assert G.check_gradients(f, xs, h=1e-4) < 1e-4
+
+
+# -- fused scan against the composed ops ------------------------------------------
+
+
+def composed_lif_step(v, x, p, steps=1):
+    """The hard LIF step as separate graph ops on per-step slices of the
+    folded input: the reference ``G.lif_scan`` must equal byte for byte."""
+    x = G.as_tensor(x)
+    if steps > 1:
+        b = x.shape[0] // steps
+        spikes = []
+        for t in range(steps):
+            v, s = composed_lif_step(v, x[t * b:(t + 1) * b], p)
+            spikes.append(s)
+        return v, G.concat(spikes, axis=0)
+    if v is None:
+        h = G.add(G.div(x, p.tau), p.v_reset)
+    else:
+        h = G.add(v, G.div(G.sub(x, G.sub(v, p.v_reset)), p.tau))
+    s = G.spike_gate(h, v_th=p.v_th, alpha=p.alpha)
+    gate = s.detach()
+    v_next = G.add(G.mul(h, G.sub(1.0, gate)), G.mul(gate, p.v_reset))
+    return v_next, s
+
+
+def channels_innermost(a):
+    """Same values as ``a`` (N, C, H, W), stored with C varying fastest."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def assert_same_array(got, want, what):
+    assert got.strides == want.strides, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def scan_case(seed, steps, layout, batch=2):
+    """Input, carried membrane and readouts. A fifth of the input sits
+    where a fresh or just-reset membrane lands exactly on v_th. tau = 3
+    makes gh - gh/tau and gh*(1 - 1/tau) round apart; readouts hold some
+    -0.0, whose sign the composed ops turn to +0.0 on several steps."""
+    p = LIFParams(tau=3.0, v_th=1.0, v_reset=0.5)
+    rng = np.random.default_rng(seed)
+    shape = (steps * batch, 3, 4, 6)
+    x = rng.standard_normal(shape) * 2.0
+    x[rng.random(shape) < 0.2] = (p.v_th - p.v_reset) * p.tau
+    v0 = rng.uniform(-0.5, 0.99, (batch,) + shape[1:])
+    if layout == "channels-innermost":
+        x, v0 = channels_innermost(x), channels_innermost(v0)
+    rs, rv = rng.standard_normal(shape), rng.standard_normal(v0.shape)
+    rs[rng.random(shape) < 0.1] = -0.0
+    rv[rng.random(v0.shape) < 0.1] = -0.0
+    return p, x, v0, rs, rv
+
+
+def run_scan(step, p, x, v0, rs, rv, steps):
+    xt = G.Tensor(x, requires_grad=True)
+    vt = None if v0 is None else G.Tensor(v0, requires_grad=True)
+    v, s = step(vt, xt, p, steps)
+    loss = G.sum_(s * G.Tensor(rs)) + G.sum_(v * G.Tensor(rv))
+    loss.backward()
+    out = {"spikes": s.data, "membrane": v.data, "x.grad": xt.grad}
+    if vt is not None:
+        out["v.grad"] = vt.grad
+    return out
+
+
+@pytest.mark.parametrize("layout", ["C", "channels-innermost"])
+@pytest.mark.parametrize("steps", [1, 3, 5])
+@pytest.mark.parametrize("stateful", [False, True])
+def test_fused_scan_equals_composed_ops(stateful, steps, layout):
+    p, x, v0, rs, rv = scan_case(steps * 10 + stateful, steps, layout)
+    v0 = v0 if stateful else None
+    want = run_scan(composed_lif_step, p, x, v0, rs, rv, steps)
+    got = run_scan(lif_step, p, x, v0, rs, rv, steps)
+    assert np.isin(got["spikes"], (0.0, 1.0)).all()
+    assert got.keys() == want.keys()
+    for key in want:
+        assert_same_array(got[key], want[key], key)
+
+
+@pytest.mark.parametrize("layout", ["C", "channels-innermost"])
+@pytest.mark.parametrize("carry_grad", [False, True])
+def test_fused_scan_carries_state_across_calls(carry_grad, layout):
+    steps = 3
+    p, x1, _, r1, _ = scan_case(1, steps, layout)
+    _, x2, _, r2, rv = scan_case(2, steps, layout)
+    results = []
+    for step in (composed_lif_step, lif_step):
+        a = G.Tensor(x1, requires_grad=True)
+        b = G.Tensor(x2, requires_grad=True)
+        v, s1 = step(None, a, p, steps)
+        v, s2 = step(v if carry_grad else v.detach(), b, p, steps)
+        loss = (G.sum_(s1 * G.Tensor(r1)) + G.sum_(s2 * G.Tensor(r2))
+                + G.sum_(v * G.Tensor(rv)))
+        loss.backward()
+        results.append({"s1": s1.data, "s2": s2.data, "membrane": v.data,
+                        "x1.grad": a.grad, "x2.grad": b.grad})
+    want, got = results
+    for key in want:
+        assert_same_array(got[key], want[key], key)
+
+
+def test_fused_scan_graph_free_without_grad(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("surrogate slope computed for a graph-free scan")
+
+    p, x, v0, _, _ = scan_case(3, 3, "C")
+    with monkeypatch.context() as m, G.no_grad():
+        m.setattr(G.nnops, "surrogate_slope", refuse)
+        v, s = lif_step(G.Tensor(v0), G.Tensor(x, requires_grad=True), p, 3)
+    assert not s.requires_grad and not v.requires_grad
+    want_v, want_s = composed_lif_step(G.Tensor(v0), G.Tensor(x), p, 3)
+    assert_same_array(s.data, want_s.data, "spikes")
+    assert_same_array(v.data, want_v.data, "membrane")
+
+
+def test_fused_scan_rejects_ragged_fold():
+    with pytest.raises(ValueError):
+        lif_step(None, G.Tensor(np.zeros((5, 2))), LIFParams(), steps=2)
+    with G.relaxed(), pytest.raises(ValueError):
+        lif_step(None, G.Tensor(np.zeros((5, 2))), LIFParams(), steps=2)
+
+
+def train_small_model(mode):
+    """Three AdamW steps of a small model; returns every parameter and
+    running statistic."""
+    cfg = rst.RSTConfig(dim=16, heads=2, steps=3, rfa_blocks=1)
+    model = rst.RSTModel(cfg, np.random.default_rng(0))
+    opt = AdamW(model.named_parameters(), lr=1e-2)
+    rng = np.random.default_rng(1)
+    target = G.Tensor((rng.random((2, 1, 32, 32)) < 0.4).astype(float))
+    model.reset_state()
+    for _ in range(3):
+        x = rng.random((2, 1, 32, 32)) * 3.0
+        maps = model.forward_full(x, mode)
+        if mode == "multi":
+            loss = multi_step_loss(maps, target, LossConfig(steps=cfg.steps))
+        else:
+            loss = map_loss(maps[0], target, LossConfig(steps=1))
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        model.detach_state()
+    return {k: np.array(a, copy=True) for k, a in model.state_dict().items()}
+
+
+@pytest.mark.parametrize("mode", ["multi", "single"])
+def test_training_with_fused_scan_equals_composed_ops(mode, monkeypatch):
+    fused = train_small_model(mode)
+    monkeypatch.setattr(neuro, "lif_step", composed_lif_step)
+    monkeypatch.setattr(rst, "lif_step", composed_lif_step)
+    composed = train_small_model(mode)
+    assert fused.keys() == composed.keys()
+    for key in composed:
+        assert fused[key].tobytes() == composed[key].tobytes(), key
 
 
 def test_lifparams_validation():
