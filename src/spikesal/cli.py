@@ -86,7 +86,6 @@ def cmd_infer(args) -> int:
         raise ValueError("stream resolution incompatible with the model")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model.eval()
     model.reset_state()
     mode = "single" if args.continuous else "multi"
     written = []

@@ -281,6 +281,11 @@ def lif_scan(x, steps: int, tau: float, v_th: float, v_reset: float,
     Values and memory layouts equal those the same hard steps give when
     written as separate elementwise graph ops on per-step slices of the
     input, joined by ``concat``.
+
+    Under :class:`relaxed` the gate is the smooth ``soft_gate_value(H)`` and
+    the reset keeps its gradient, so the spike gradient gains a reset term:
+
+        gH = (gS_t + gV * (v_reset - H)) * slope(H) + gV * (1 - S_t)
     """
     x = as_tensor(x)
     v = None if v is None else as_tensor(v)
@@ -292,6 +297,7 @@ def lif_scan(x, steps: int, tau: float, v_th: float, v_reset: float,
     vd = None if v is None else v.data
     record = grad_enabled() and (x.requires_grad
                                  or (v is not None and v.requires_grad))
+    soft = relaxed_enabled()
     hs, spikes = [], []
     for t in range(steps):
         xt = xd[t * b:(t + 1) * b]
@@ -302,7 +308,10 @@ def lif_scan(x, steps: int, tau: float, v_th: float, v_reset: float,
             h = xt - (vd - v_reset)
             h /= tau
             h = vd + h
-        st = (h >= v_th).astype(np.float64)
+        if soft:
+            st = soft_gate_value(h, v_th, alpha)
+        else:
+            st = (h >= v_th).astype(np.float64)
         keep = 1.0 - st
         keep *= h
         vd = st * v_reset
@@ -323,11 +332,14 @@ def lif_scan(x, steps: int, tau: float, v_th: float, v_reset: float,
         gx = np.empty_like(xd) if steps > 1 else None
         for t in reversed(range(steps)):
             rows = slice(t * b, (t + 1) * b)
+            gs = g[rows]
+            if soft and gv is not None:     # the relaxed reset's gate term
+                gs = gs + gv * (v_reset - hs[t])
             gh = surrogate_slope(hs[t], v_th, alpha)
             if t == 0 and (steps == 1 or want_v):
-                gh = g[rows] * gh       # the layout the separate ops gave
+                gh = gs * gh            # the layout the separate ops gave
             else:
-                gh *= g[rows]
+                gh *= gs
             if gv is not None:
                 keep = 1.0 - spikes[t]
                 keep *= gv

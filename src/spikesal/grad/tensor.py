@@ -43,8 +43,9 @@ _RELAXED = False
 
 class relaxed:
     """Context manager that selects the smooth spiking forward: smooth
-    ``spike_gate`` and ``elementwise_or``, and ``lif_step`` keeps its
-    reset gate's gradient, so finite differences can check it."""
+    ``spike_gate`` and ``elementwise_or``, and ``lif_scan`` fires through
+    the smooth gate and keeps its reset gate's gradient, so finite
+    differences can check it."""
 
     def __enter__(self):
         global _RELAXED

@@ -11,11 +11,11 @@ steps only through the membrane carry H, never through the reset switch.
 After any step every membrane element sits strictly below v_th whenever
 v_reset < v_th: fired elements rest at v_reset, silent ones kept H < v_th.
 
-:func:`lif_step` runs the steps of a folded (steps*batch, ...) input. By
-default that is the fused ``G.lif_scan``: one graph node whose backward
-is the reverse-time scan. Under ``G.relaxed()`` the steps run as separate
-graph ops with the smooth gate and an undetached reset, the path the
-finite-difference checks differentiate.
+:func:`lif_step` runs the steps of a folded (steps*batch, ...) input as
+the fused ``G.lif_scan``: one graph node whose backward is the
+reverse-time scan. Under ``G.relaxed()`` the same scan fires through the
+smooth surrogate gate and keeps the reset's gradient; that is the form
+the finite-difference checks differentiate.
 
 Synaptic layers report their own input activity to an active
 :class:`trace_activity`, so energy accounting needs no hand-placed calls.
@@ -93,32 +93,14 @@ def _emit_tensor(name: str, x: np.ndarray):
 
 def lif_step(v, x, p: LIFParams, steps: int = 1):
     """LIF membrane updates over the ``steps`` slices of the folded
-    (steps*batch, ...) input. ``v`` is the (batch, ...) membrane carried in,
-    or None for a fresh (v_reset) state.
+    (steps*batch, ...) input, as one ``G.lif_scan`` node. ``v`` is the
+    (batch, ...) membrane carried in, or None for a fresh (v_reset) state.
 
-    Returns (v_next, spikes). Outside ``G.relaxed()`` this is the fused
-    ``G.lif_scan``. Under it the steps run as separate graph ops with the
-    smooth surrogate gate and a reset that keeps its gradient path, which
+    Returns (v_next, spikes). Under ``G.relaxed()`` the scan fires through
+    the smooth surrogate gate and its reset keeps a gradient path, which
     makes the whole scan differentiable for finite-difference checks.
     """
-    x = G.as_tensor(x)
-    if not G.relaxed_enabled():
-        return G.lif_scan(x, steps, p.tau, p.v_th, p.v_reset, p.alpha, v)
-    n = x.shape[0]
-    if n % steps:
-        raise ValueError("folded batch not divisible by steps")
-    b = n // steps
-    spikes = []
-    for t in range(steps):
-        xt = x[t * b:(t + 1) * b] if steps > 1 else x
-        if v is None:
-            h = G.add(G.div(xt, p.tau), p.v_reset)
-        else:
-            h = G.add(v, G.div(G.sub(xt, G.sub(v, p.v_reset)), p.tau))
-        s = G.spike_gate(h, v_th=p.v_th, alpha=p.alpha)
-        v = G.add(G.mul(h, G.sub(1.0, s)), G.mul(s, p.v_reset))
-        spikes.append(s)
-    return v, spikes[0] if steps == 1 else G.concat(spikes, axis=0)
+    return G.lif_scan(x, steps, p.tau, p.v_th, p.v_reset, p.alpha, v)
 
 
 class LIFNeuron(G.Module):

@@ -1,6 +1,6 @@
 """Saliency training losses and the per-step weighting schedule.
 
-Per-map loss is BCE + soft-IoU + SSIM (each toggleable). Multi-step
+Per-map loss is BCE + soft-IoU + SSIM. Multi-step
 training weights the per-step losses with a decreasing schedule
 (T-i+1)/sum, putting more mass on early steps; the vanilla alternative
 scores the unweighted mean of the step maps.
@@ -31,25 +31,10 @@ def step_weights(steps: int) -> np.ndarray:
 @dataclass
 class LossConfig:
     steps: int = 5
-    use_bce: bool = True
-    use_iou: bool = True
-    use_ssim: bool = True
-    ssim_window: int = 11
-    ssim_sigma: float = 1.5
-    weights: np.ndarray = field(default=None, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.use_bce or self.use_iou or self.use_ssim):
-            raise ValueError("at least one loss component must be enabled")
-        if self.weights is None:
-            self.weights = step_weights(self.steps)
-        else:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != (self.steps,):
-                raise ValueError("weights length must equal steps")
-            if (w <= 0).any():
-                raise ValueError("weights must be positive")
-            self.weights = w / w.sum()
+        self.weights = step_weights(self.steps)
 
 
 def bce(pred, target) -> Tensor:
@@ -116,22 +101,11 @@ def ssim_loss(pred, target, window: int = 11, sigma: float = 1.5, *,
     return G.sub(1.0, G.mean(G.div(num, den)))
 
 
-def map_loss(pred, target, cfg: LossConfig | None = None, *,
-             ssim_stats=None) -> Tensor:
-    """BCE + IoU + SSIM of one map, as enabled in ``cfg``. ``ssim_stats``
-    is passed on to :func:`ssim_loss` as its ``target_stats``."""
-    cfg = cfg or LossConfig()
-    total = None
-    if cfg.use_bce:
-        total = bce(pred, target)
-    if cfg.use_iou:
-        t = iou_loss(pred, target)
-        total = t if total is None else G.add(total, t)
-    if cfg.use_ssim:
-        t = ssim_loss(pred, target, cfg.ssim_window, cfg.ssim_sigma,
-                      target_stats=ssim_stats)
-        total = t if total is None else G.add(total, t)
-    return total
+def map_loss(pred, target, *, ssim_stats=None) -> Tensor:
+    """BCE + IoU + SSIM of one map. ``ssim_stats`` is passed on to
+    :func:`ssim_loss` as its ``target_stats``."""
+    return G.add(G.add(bce(pred, target), iou_loss(pred, target)),
+                 ssim_loss(pred, target, target_stats=ssim_stats))
 
 
 def multi_step_loss(maps, target, cfg: LossConfig | None = None) -> Tensor:
@@ -139,17 +113,15 @@ def multi_step_loss(maps, target, cfg: LossConfig | None = None) -> Tensor:
     cfg = cfg or LossConfig(steps=len(maps))
     if len(maps) != cfg.steps:
         raise ValueError(f"expected {cfg.steps} maps, got {len(maps)}")
-    stats = ssim_target_stats(target, cfg.ssim_window, cfg.ssim_sigma) \
-        if cfg.use_ssim else None
+    stats = ssim_target_stats(target)
     total = None
     for w, m in zip(cfg.weights, maps):
-        t = G.mul(map_loss(m, target, cfg, ssim_stats=stats), float(w))
+        t = G.mul(map_loss(m, target, ssim_stats=stats), float(w))
         total = t if total is None else G.add(total, t)
     return total
 
 
-def vanilla_loss(maps, target, cfg: LossConfig | None = None) -> Tensor:
+def vanilla_loss(maps, target) -> Tensor:
     """Unweighted loss on the mean of the step maps."""
-    cfg = cfg or LossConfig(steps=len(maps))
     mean_map = G.mean(G.stack(list(maps), axis=0), axis=0)
-    return map_loss(mean_map, target, cfg)
+    return map_loss(mean_map, target)

@@ -43,7 +43,6 @@ class RunConfig:
     seed: int = 0
     mode: str = "multi"
     loss_mode: str = "multi"
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.lr_end > self.lr_start:
@@ -63,8 +62,7 @@ class RunConfig:
                               "batch_size": self.batch_size,
                               "weight_decay": self.weight_decay},
                 "window": self.window, "seed": self.seed, "mode": self.mode,
-                "loss_mode": self.loss_mode,
-                "deterministic": self.deterministic}
+                "loss_mode": self.loss_mode}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RunConfig":
@@ -74,8 +72,8 @@ class RunConfig:
         if kind != "adamw":
             raise ValueError(f"unsupported optimizer kind {kind!r}")
         model = RSTConfig.from_json_dict(doc.pop("model", {}))
-        known = {"manifest", "window", "seed", "mode", "loss_mode",
-                 "deterministic"}
+        doc.pop("deterministic", None)  # a retired no-op key of older configs
+        known = {"manifest", "window", "seed", "mode", "loss_mode"}
         extra = set(doc) - known
         if extra:
             raise ValueError(f"unknown run config keys: {sorted(extra)}")
@@ -167,10 +165,6 @@ def save_checkpoint(path, model: RSTModel, opt: AdamW, cfg: RunConfig,
     save_tensors(path, arrays, meta)
 
 
-def load_checkpoint(path):
-    return load_tensors(path)
-
-
 def _load_model_arrays(model: RSTModel, arrays: dict):
     """Load the model entries of checkpoint ``arrays`` into ``model``."""
     model.load_state_dict({k.split(".", 1)[1]: v for k, v in arrays.items()
@@ -178,13 +172,15 @@ def _load_model_arrays(model: RSTModel, arrays: dict):
 
 
 def model_from_checkpoint(path):
-    """Rebuild the model (and its RunConfig) from a checkpoint file."""
-    arrays, meta = load_checkpoint(path)
+    """Rebuild the model, in eval mode, and its RunConfig from a
+    checkpoint file."""
+    arrays, meta = load_tensors(path)
     if meta.get("kind") != "checkpoint":
         raise ValueError("not a training checkpoint")
     cfg = RunConfig.from_json_dict(meta["config"])
     model = RSTModel(cfg.model, np.random.default_rng(0))
     _load_model_arrays(model, arrays)
+    model.eval()
     return model, cfg, meta
 
 
@@ -239,7 +235,7 @@ def _epoch_multi(model, opt, samples, cfg, rng) -> float:
         if cfg.loss_mode == "multi":
             loss = multi_step_loss(maps, G.Tensor(y), loss_cfg)
         else:
-            loss = vanilla_loss(maps, G.Tensor(y), loss_cfg)
+            loss = vanilla_loss(maps, G.Tensor(y))
         opt.zero_grad()
         loss.backward()
         opt.step()
@@ -251,7 +247,6 @@ def _epoch_single(model, opt, samples, cfg, rng) -> float:
     # sequences stay chronological; only their order shuffles. Loss and
     # update happen per window, membrane state carried and then detached
     # so the graph never spans windows.
-    loss_cfg = LossConfig(steps=1)
     groups = list(_group_by_sequence(samples).values())
     losses = []
     for gi in rng.permutation(len(groups)):
@@ -260,7 +255,7 @@ def _epoch_single(model, opt, samples, cfg, rng) -> float:
         for s in chron:
             x, y = _stack([s])
             maps = model.forward_full(x, "single")
-            loss = map_loss(maps[0], G.Tensor(y), loss_cfg)
+            loss = map_loss(maps[0], G.Tensor(y))
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -284,7 +279,7 @@ def train_model(cfg: RunConfig, out_dir, resume=None, log=None) -> list:
     history: list = []
     start_epoch = 0
     if resume is not None:
-        arrays, meta = load_checkpoint(resume)
+        arrays, meta = load_tensors(resume)
         if meta.get("config_hash") != cfg.config_hash():
             raise ValueError("checkpoint was produced by a different config")
         _load_model_arrays(model, arrays)

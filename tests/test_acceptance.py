@@ -384,7 +384,7 @@ def test_criterion_06_loss_weighting(announce):
     cfg = LossConfig(steps=5)
     multi = float(multi_step_loss([Tensor(m.copy()) for _ in range(5)],
                                   target, cfg).data)
-    single = float(map_loss(Tensor(m.copy()), target, cfg).data)
+    single = float(map_loss(Tensor(m.copy()), target).data)
     # identical maps: the weighted sum is a convex combination of equal
     # values, so only float summation rounding (a few ulps) remains
     gap = abs(multi - single)

@@ -123,7 +123,6 @@ def grad_enabled_maps(ckpt, stream_path, continuous):
     """PGM bytes of each window, computed with the autodiff graph recorded."""
     model, cfg, _ = model_from_checkpoint(ckpt)
     stream = sio.read_stream(stream_path)
-    model.eval()
     model.reset_state()
     out = []
     for w in range(stream.frames // cfg.window):

@@ -474,7 +474,7 @@ def test_training_steps_byte_identical_to_earlier_kernels(monkeypatch):
         model.reset_state()
         for x, y in zip(xs, ys):
             update(map_loss(model.forward_full(x[:1], "single")[0],
-                            G.Tensor(y[:1]), LossConfig(steps=1)))
+                            G.Tensor(y[:1])))
             model.detach_state()
         model.eval()
         with G.no_grad():

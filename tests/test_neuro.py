@@ -239,6 +239,83 @@ def test_fused_scan_rejects_ragged_fold():
         lif_step(None, G.Tensor(np.zeros((5, 2))), LIFParams(), steps=2)
 
 
+# -- relaxed scan against the composed ops ----------------------------------------
+
+
+def composed_relaxed_lif_step(v, x, p, steps=1):
+    """The relaxed LIF step as separate graph ops on per-step slices of the
+    folded input: smooth gate, a reset that keeps its gate's gradient, and
+    ``concat``. The reference for ``G.lif_scan`` under ``G.relaxed()``."""
+    x = G.as_tensor(x)
+    b = x.shape[0] // steps
+    spikes = []
+    for t in range(steps):
+        xt = x[t * b:(t + 1) * b] if steps > 1 else x
+        if v is None:
+            h = G.add(G.div(xt, p.tau), p.v_reset)
+        else:
+            h = G.add(v, G.div(G.sub(xt, G.sub(v, p.v_reset)), p.tau))
+        s = G.spike_gate(h, v_th=p.v_th, alpha=p.alpha)
+        v = G.add(G.mul(h, G.sub(1.0, s)), G.mul(s, p.v_reset))
+        spikes.append(s)
+    return v, spikes[0] if steps == 1 else G.concat(spikes, axis=0)
+
+
+def assert_close_grad(got, want, what, rel=1e-13):
+    assert got.shape == want.shape, what
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want)), what
+
+
+def relaxed_run(step, p, x1, x2, v0, r1, r2, rv, steps, spike_grad=True):
+    """One or two chained relaxed calls (``x2`` None for one), then a loss
+    over the spikes (unless ``spike_grad`` is False) and the membrane."""
+    xs = [G.Tensor(x, requires_grad=True) for x in (x1, x2) if x is not None]
+    vt = None if v0 is None else G.Tensor(v0, requires_grad=True)
+    out, loss, v = {}, None, vt
+    with G.relaxed():
+        for i, (xt, r) in enumerate(zip(xs, (r1, r2))):
+            v, s = step(v, xt, p, steps)
+            out[f"s{i}"] = s.data
+            if spike_grad:
+                t = G.sum_(s * G.Tensor(r))
+                loss = t if loss is None else loss + t
+        t = G.sum_(v * G.Tensor(rv))
+        loss = t if loss is None else loss + t
+    loss.backward()
+    out["membrane"] = v.data
+    grads = {f"x{i}.grad": xt.grad for i, xt in enumerate(xs)}
+    if vt is not None:
+        grads["v.grad"] = vt.grad
+    return out, grads
+
+
+@pytest.mark.parametrize("stateful, steps, carried, spike_grad", [
+    pytest.param(st, t, False, True, id=f"{'stateful' if st else 'fresh'}-T{t}")
+    for st in (False, True) for t in (1, 3, 5)
+] + [
+    pytest.param(False, 3, True, True, id="carried-fresh-T3"),
+    pytest.param(True, 1, True, True, id="carried-stateful-T1"),
+    pytest.param(False, 3, False, False, id="membrane-only-fresh-T3"),
+    pytest.param(True, 5, False, False, id="membrane-only-stateful-T5"),
+])
+def test_relaxed_scan_matches_composed_ops(stateful, steps, carried,
+                                           spike_grad):
+    p, x1, v0, r1, rv = scan_case(steps * 10 + stateful + 100, steps, "C")
+    _, x2, _, r2, _ = scan_case(steps + 200, steps, "C")
+    x2 = x2 if carried else None
+    v0 = v0 if stateful else None
+    want, want_g = relaxed_run(composed_relaxed_lif_step, p, x1, x2, v0,
+                               r1, r2, rv, steps, spike_grad)
+    got, got_g = relaxed_run(lif_step, p, x1, x2, v0, r1, r2, rv, steps,
+                             spike_grad)
+    assert ((got["s0"] > 0.0) & (got["s0"] < 1.0)).all()
+    assert got.keys() == want.keys() and got_g.keys() == want_g.keys()
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes(), key
+    for key in want_g:
+        assert_close_grad(got_g[key], want_g[key], key)
+
+
 def train_small_model(mode):
     """Three AdamW steps of a small model; returns every parameter and
     running statistic."""
@@ -254,7 +331,7 @@ def train_small_model(mode):
         if mode == "multi":
             loss = multi_step_loss(maps, target, LossConfig(steps=cfg.steps))
         else:
-            loss = map_loss(maps[0], target, LossConfig(steps=1))
+            loss = map_loss(maps[0], target)
         opt.zero_grad()
         loss.backward()
         opt.step()

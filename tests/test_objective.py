@@ -184,7 +184,7 @@ def test_multi_step_target_stats_match_per_step_recomputation():
     def per_step():
         total = None
         for w, m in zip(cfg.weights, maps):
-            term = G.mul(obj.map_loss(m, t, cfg), float(w))
+            term = G.mul(obj.map_loss(m, t), float(w))
             total = term if total is None else G.add(total, term)
         return total
 
@@ -249,27 +249,44 @@ def test_length_mismatch_rejected():
 # -- config ---------------------------------------------------------------------
 
 
+def test_map_loss_is_bce_plus_iou_plus_ssim():
+    pred, target = rand_pair((2, 1, 16, 16))
+    p = Tensor(pred, requires_grad=True)
+    q = Tensor(pred.copy(), requires_grad=True)
+    t = Tensor(target)
+    got = obj.map_loss(p, t)
+    want = G.add(G.add(obj.bce(q, t), obj.iou_loss(q, t)), obj.ssim_loss(q, t))
+    got.backward()
+    want.backward()
+    assert got.data.tobytes() == want.data.tobytes()
+    assert p.grad.tobytes() == q.grad.tobytes()
+
+
 def test_component_toggles():
+    # Every component is always on: the per-component switches are gone,
+    # and the full loss exceeds its BCE term alone.
+    for key in ("use_bce", "use_iou", "use_ssim", "ssim_window", "ssim_sigma"):
+        with pytest.raises(TypeError):
+            obj.LossConfig(**{key: False})
     pred, target = rand_pair((1, 1, 16, 16))
     p, t = Tensor(pred), Tensor(target)
-    full = obj.map_loss(p, t, obj.LossConfig()).item()
-    only_bce = obj.map_loss(p, t, obj.LossConfig(use_iou=False, use_ssim=False)).item()
+    only_bce = obj.bce(p, t).item()
     assert only_bce == pytest.approx(bce_oracle(pred, target), abs=1e-12)
-    assert full > only_bce
+    assert obj.map_loss(p, t).item() > only_bce
 
 
 def test_all_toggles_off_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         obj.LossConfig(use_bce=False, use_iou=False, use_ssim=False)
 
 
 def test_custom_weights_normalized():
-    cfg = obj.LossConfig(steps=3, weights=[2.0, 1.0, 1.0])
-    np.testing.assert_allclose(cfg.weights, [0.5, 0.25, 0.25])
-    with pytest.raises(ValueError):
-        obj.LossConfig(steps=3, weights=[1.0, -1.0, 1.0])
-    with pytest.raises(ValueError):
-        obj.LossConfig(steps=3, weights=[1.0, 1.0])
+    # The weights are always the normalized schedule; custom ones are refused.
+    cfg = obj.LossConfig(steps=3)
+    assert cfg.weights.tobytes() == obj.step_weights(3).tobytes()
+    assert cfg.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(TypeError):
+        obj.LossConfig(steps=3, weights=[2.0, 1.0, 1.0])
 
 
 def test_vanilla_loss_on_mean_map():

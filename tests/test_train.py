@@ -103,6 +103,16 @@ def test_run_config_roundtrip(tmp_path):
     assert T.RunConfig.load(p) == cfg
 
 
+def test_run_config_ignores_retired_deterministic_key():
+    cfg = T.RunConfig(manifest="m", model=toy_model_cfg(), seed=3)
+    doc = cfg.to_json_dict()
+    assert "deterministic" not in doc
+    doc["deterministic"] = True
+    loaded = T.RunConfig.from_json_dict(doc)
+    assert loaded == cfg
+    assert loaded.config_hash() == cfg.config_hash()
+
+
 def test_run_config_hash_changes_with_fields():
     a = T.RunConfig(manifest="m", model=toy_model_cfg())
     b = T.RunConfig(manifest="m", model=toy_model_cfg(), seed=1)
@@ -175,6 +185,11 @@ def test_checkpoint_reload_reproduces_eval(tmp_path, dataset):
     cfg = run_cfg(dataset, epochs=1)
     T.train_model(cfg, tmp_path / "run")
     model, cfg2, meta = T.model_from_checkpoint(tmp_path / "run" / "last.salt")
+    assert not model.training
+    # eval mode all the way down: a forward leaves the batchnorm statistics
+    before = {k: v.copy() for k, v in model.named_buffers()}
+    model.forward_full(np.full((1, 1, 32, 32), 0.5), "multi")
+    assert all(np.array_equal(v, before[k]) for k, v in model.named_buffers())
     assert cfg2 == cfg
     assert meta["epoch"] == 0
     data = T.load_samples(dataset, cfg.window)
