@@ -8,7 +8,8 @@ from .tensor import (
 )
 from .nnops import (
     conv2d, blur2d, maxpool2d, nearest_upsample2d, linear, batchnorm,
-    spike_gate, lif_scan, elementwise_or, surrogate_slope, soft_gate_value,
+    spike_gate, lif_scan, lif_fire, elementwise_or, surrogate_slope,
+    soft_gate_value,
 )
 from .module import Module, ModuleList, kaiming_uniform
 from .gradcheck import (
@@ -24,7 +25,7 @@ __all__ = [
     "matmul", "reshape", "transpose", "swapaxes", "take", "concat", "stack",
     "sum_", "mean",
     "conv2d", "blur2d", "maxpool2d", "nearest_upsample2d", "linear", "batchnorm",
-    "spike_gate", "lif_scan", "elementwise_or", "surrogate_slope",
+    "spike_gate", "lif_scan", "lif_fire", "elementwise_or", "surrogate_slope",
     "soft_gate_value", "Module", "ModuleList", "kaiming_uniform",
     "numeric_gradient", "check_gradients", "check_gradients_sampled",
     "directional_check", "relative_error",

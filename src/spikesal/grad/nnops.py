@@ -2,7 +2,9 @@
 
 Convolution is stride-1 only (spatial reduction happens in the pooling
 stage) and runs as an im2col matrix product, forward and input-backward
-alike. Inputs are NCHW.
+alike, with the weights on the left so that its outputs are C-ordered.
+Inputs are NCHW; the per-channel ops that follow run fastest on C-ordered
+planes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import (Tensor, as_tensor, grad_enabled, make, relaxed_enabled,
                      _accumulate)
+
+
+def _give(t: Tensor, g: np.ndarray):
+    # ``_accumulate`` for a gradient array the caller has just allocated and
+    # keeps no reference to: the first one becomes ``t.grad`` uncopied
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
 
 
 def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
@@ -43,19 +54,22 @@ def conv2d(x, weight, bias=None, padding: int = 0) -> Tensor:
     col = _im2col(xp, k)
     wf = weight.data.reshape(cout, cin * k * k)
     ho, wo = xp.shape[2] - k + 1, xp.shape[3] - k + 1
-    out = (col @ wf.T).transpose(0, 2, 1).reshape(b_, cout, ho, wo)
+    # weights on the left: BLAS writes each image's (C_out, H*W) block, so
+    # the output is C-ordered NCHW with no transpose copy
+    out = np.matmul(wf, col.transpose(0, 2, 1)).reshape(b_, cout, ho, wo)
     parents = (x, weight)
     if bias is not None:
         bias = as_tensor(bias)
-        out = out + bias.data.reshape(1, cout, 1, 1)
+        out += bias.data.reshape(1, cout, 1, 1)
         parents = (x, weight, bias)
 
     def vjp(g):
-        gr = g.transpose(0, 2, 3, 1).reshape(b_, ho * wo, cout)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            gw = np.tensordot(gr, col, axes=([0, 1], [0, 1]))  # (cout, cin*k*k)
+            # one copy to (C_out, B*H*W), then one GEMM against all images
+            gm = g.transpose(1, 0, 2, 3).reshape(cout, b_ * ho * wo)
+            gw = gm @ col.reshape(b_ * ho * wo, cin * k * k)
             _accumulate(weight, gw.reshape(weight.data.shape))
         if x.requires_grad:
             # transposed conv: full correlation of g with the flipped kernel,
@@ -65,8 +79,9 @@ def conv2d(x, weight, bias=None, padding: int = 0) -> Tensor:
                 else g[:, :, -q:q, -q:q]
             wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
                 .reshape(cin, cout * k * k)
-            dx = (_im2col(gp, k) @ wt.T).transpose(0, 2, 1).reshape(b_, cin, h, w)
-            _accumulate(x, dx)
+            gcol = _im2col(gp, k)
+            dx = np.matmul(wt, gcol.transpose(0, 2, 1)).reshape(b_, cin, h, w)
+            _give(x, dx)
 
     return make(out, parents, vjp)
 
@@ -93,7 +108,7 @@ def blur2d(x, taps) -> Tensor:
     def vjp(g):
         # adjoint of a valid correlation: full correlation with reversed taps
         pad = [(0, 0)] * (g.ndim - 2) + [(k - 1, k - 1)] * 2
-        _accumulate(x, _separable_pass(np.pad(g, pad), taps[::-1]))
+        _give(x, _separable_pass(np.pad(g, pad), taps[::-1]))
 
     return make(out, (x,), vjp)
 
@@ -117,14 +132,25 @@ def maxpool2d(x) -> Tensor:
     np.maximum(xd[:, :, 1::2, 1::2], out, out=out)
 
     def vjp(g):
-        win = xd.reshape(b, c, h // 2, 2, w // 2, 2) \
-            .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
-        idx = np.argmax(win, axis=-1)
-        dwin = np.zeros((b, c, h // 2, w // 2, 4))
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-        dx = dwin.reshape(b, c, h // 2, w // 2, 2, 2) \
-            .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
-        _accumulate(x, dx)
+        # the first phase in scan order that holds the maximum (or a NaN,
+        # which is what made the maximum NaN) takes g, as argmax picks it;
+        # the last phase takes the windows still free. Each phase is written
+        # once, as the bits of g times its 0/1 mask: g where it won, +0.0
+        # elsewhere, exactly (inf, NaN and -0.0 included)
+        dx = np.empty((b, c, h, w))
+        bits, gbits = dx.view(np.int64), g.view(np.int64)
+        free = np.ones(out.shape, dtype=bool)
+        nan = np.isnan(out).any()
+        for i, j in ((0, 0), (0, 1), (1, 0)):
+            xp = xd[:, :, i::2, j::2]
+            hit = xp == out
+            if nan:
+                hit |= xp != xp
+            hit &= free
+            np.multiply(gbits, hit, out=bits[:, :, i::2, j::2])
+            free ^= hit
+        np.multiply(gbits, free, out=bits[:, :, 1::2, 1::2])
+        _give(x, dx)
 
     return make(out, (x,), vjp)
 
@@ -140,8 +166,17 @@ def nearest_upsample2d(x, factor: int) -> Tensor:
         .reshape(b, c, h * factor, w * factor)
 
     def vjp(g):
-        dx = g.reshape(b, c, h, factor, w, factor).sum(axis=(3, 5))
-        _accumulate(x, dx)
+        # the factor**2 strided phases, each row of phases summed in j order
+        # and the rows added in i order onto +0.0: the order the reduction
+        # over a (.., factor, .., factor) view of a C-ordered g adds them
+        # in, so only the sign bit of a NaN can differ
+        dx = np.zeros(x.data.shape)
+        for i in range(factor):
+            row = g[:, :, i::factor, 0::factor]
+            for j in range(1, factor):
+                row = row + g[:, :, i::factor, j::factor]
+            dx += row
+        _give(x, dx)
 
     return make(out, (x,), vjp)
 
@@ -167,7 +202,7 @@ def linear(x, weight, bias=None) -> Tensor:
         if weight.requires_grad:
             _accumulate(weight, g2.T @ x2)
         if x.requires_grad:
-            _accumulate(x, (g2 @ weight.data).reshape(*lead, n_in))
+            _give(x, (g2 @ weight.data).reshape(*lead, n_in))
 
     return make(out, parents, vjp)
 
@@ -215,9 +250,9 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
             if training:
                 gmean = g.mean(axis=axes).reshape(bshape)
                 gxhat = gx.reshape(bshape) / m
-                _accumulate(x, gi * (g - gmean - xhat * gxhat))
+                _give(x, gi * (g - gmean - xhat * gxhat))
             else:
-                _accumulate(x, gi * g)
+                _give(x, gi * g)
 
     return make(out, (x, gamma, beta), vjp)
 
@@ -256,7 +291,7 @@ def spike_gate(x, v_th: float = 1.0, alpha: float = 2.0) -> Tensor:
 
     def vjp(g):
         # the slope is only needed here, so graph-free forwards never pay for it
-        _accumulate(x, g * surrogate_slope(x.data, v_th, alpha))
+        _give(x, g * surrogate_slope(x.data, v_th, alpha))
 
     return make(out, (x,), vjp)
 
@@ -287,6 +322,19 @@ def lif_scan(x, steps: int, tau: float, v_th: float, v_reset: float,
 
         gH = (gS_t + gV * (v_reset - H)) * slope(H) + gV * (1 - S_t)
     """
+    return _scan(x, steps, tau, v_th, v_reset, alpha, v, membrane=True)
+
+
+def lif_fire(x, tau: float, v_th: float, v_reset: float, alpha: float) -> Tensor:
+    """The spikes of ``lif_scan(x, 1, tau, v_th, v_reset, alpha)``: one step
+    of every element from a fresh v_reset membrane. The membrane that call
+    would also return is never computed."""
+    return _scan(x, 1, tau, v_th, v_reset, alpha, None, membrane=False)[1]
+
+
+def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool):
+    # ``membrane``: compute and return the final membrane, else return None
+    # in its place and skip the last step's reset
     x = as_tensor(x)
     v = None if v is None else as_tensor(v)
     xd = x.data
@@ -312,16 +360,17 @@ def lif_scan(x, steps: int, tau: float, v_th: float, v_reset: float,
             st = soft_gate_value(h, v_th, alpha)
         else:
             st = (h >= v_th).astype(np.float64)
-        keep = 1.0 - st
-        keep *= h
-        vd = st * v_reset
-        vd += keep
+        if membrane or t < steps - 1:
+            keep = 1.0 - st
+            keep *= h
+            vd = st * v_reset
+            vd += keep
         spikes.append(st)
         if record:
             hs.append(h)
     s = spikes[0] if steps == 1 else np.concatenate(spikes)
     if not record:
-        return Tensor(vd), Tensor(s)
+        return (Tensor(vd) if membrane else None), Tensor(s)
     carry = [None]              # gradient that reaches the returned membrane
 
     def vjp(g):
@@ -354,14 +403,13 @@ def lif_scan(x, steps: int, tau: float, v_th: float, v_reset: float,
         if x.requires_grad:
             if steps > 1:
                 gx += 0.0       # -0.0 -> +0.0, as adding the zero padding did
-            if x.grad is None:
-                x.grad = gx             # a fresh array: no copy needed
-            else:
-                x.grad += gx
+            _give(x, gx)
         if want_v:
             _accumulate(v, gv)
 
     s_out = make(s, (x,) if v is None else (x, v), vjp)
+    if not membrane:
+        return None, s_out
 
     def vjp_v(g):
         carry[0] = g

@@ -13,9 +13,10 @@ v_reset < v_th: fired elements rest at v_reset, silent ones kept H < v_th.
 
 :func:`lif_step` runs the steps of a folded (steps*batch, ...) input as
 the fused ``G.lif_scan``: one graph node whose backward is the
-reverse-time scan. Under ``G.relaxed()`` the same scan fires through the
-smooth surrogate gate and keeps the reset's gradient; that is the form
-the finite-difference checks differentiate.
+reverse-time scan. :func:`lif_fire` is its stateless form: one step from
+a fresh membrane that returns only the spikes. Under ``G.relaxed()`` the
+same scan fires through the smooth surrogate gate and keeps the reset's
+gradient; that is the form the finite-difference checks differentiate.
 
 Synaptic layers report their own input activity to an active
 :class:`trace_activity`, so energy accounting needs no hand-placed calls.
@@ -103,6 +104,13 @@ def lif_step(v, x, p: LIFParams, steps: int = 1):
     return G.lif_scan(x, steps, p.tau, p.v_th, p.v_reset, p.alpha, v)
 
 
+def lif_fire(x, p: LIFParams) -> Tensor:
+    """Spikes of one LIF step of every element from a fresh (v_reset)
+    membrane: the spikes of ``lif_step(None, x, p)``, without computing
+    the membrane that call also returns."""
+    return G.lif_fire(x, p.tau, p.v_th, p.v_reset, p.alpha)
+
+
 class LIFNeuron(G.Module):
     """Stateful wrapper: carries the membrane across consecutive step calls.
 
@@ -178,5 +186,5 @@ class CBSBlock(G.Module):
         if self.stateful:
             s = self.lif.step(y, steps)
         else:
-            _, s = lif_step(None, y, self.lif.params)
+            s = lif_fire(y, self.lif.params)
         return G.maxpool2d(s) if self.pool else s

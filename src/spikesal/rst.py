@@ -30,8 +30,10 @@ import numpy as np
 
 from . import grad as G
 from .grad import Tensor
-from .neuro import LIFParams, CBSBlock, lif_step, _emit_layer, _emit_tensor
-from .neuro import trace_activity  # re-exported as rst.trace_activity
+from .neuro import LIFParams, CBSBlock, lif_fire, _emit_layer, _emit_tensor
+# re-exported: rst.trace_activity for callers, rst.lif_step for the
+# benchmark tracer, which patches it here
+from .neuro import trace_activity, lif_step
 
 RECURRENT_MODES = ("vanilla", "forward", "reverse")
 RESIDUAL_OPS = ("or", "add", "concat")
@@ -124,8 +126,7 @@ def spiking_attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     _emit_layer(trace_name + "av", att.data, v.shape[-1])
     att = G.matmul(att, v)
     att = G.mul(att, scale)
-    _, s = lif_step(None, att, lif)
-    return s
+    return lif_fire(att, lif)
 
 
 class _TokenNorm(G.Module):
@@ -160,8 +161,7 @@ class _SpikeProjection(G.Module):
         _emit_layer(self.name, x.data, self.weight.shape[0])
         y = G.linear(x, self.weight)
         y = self.norm.forward(y)
-        _, s = lif_step(None, y, self.lif)
-        return s
+        return lif_fire(y, self.lif)
 
 
 class Fuse(G.Module):

@@ -44,19 +44,42 @@ class DimensionOverflowError(SpikeIOError):
     pass
 
 
+class NonBinaryStreamError(SpikeIOError, ValueError):
+    """Spike stream bits other than 0 and 1."""
+
+
 @dataclass
 class SpikeStream:
-    """Binary spike frames, shape (frames, height, width), values {0,1}."""
+    """Binary spike frames, shape (frames, height, width), values {0,1}.
+
+    The values are checked once, on construction. Slices share checked
+    bits, and ``read_stream`` unpacks bits that can only be 0 or 1, so
+    neither checks again. Write only 0 or 1 into ``bits``.
+    """
 
     bits: np.ndarray
     rate_hz: int = 20000
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits)
-        if self.bits.ndim != 3:
+        bits = np.asarray(self.bits)
+        if bits.ndim != 3:
             raise ValueError("spike stream must be (frames, height, width)")
-        if self.bits.dtype != np.uint8:
-            self.bits = self.bits.astype(np.uint8)
+        if bits.dtype != np.uint8:
+            # a cast alone would turn 0.5 into 0 or 257 into 1
+            if bits.dtype != np.bool_ and not np.isin(bits, (0, 1)).all():
+                raise NonBinaryStreamError("spike stream values must be 0/1")
+            bits = bits.astype(np.uint8)
+        elif bits.max(initial=0) > 1:
+            raise NonBinaryStreamError("spike stream values must be 0/1")
+        self.bits = bits
+
+    @classmethod
+    def _of_binary(cls, bits: np.ndarray, rate_hz: int) -> "SpikeStream":
+        # ``bits``: a (frames, height, width) uint8 array known to hold
+        # only 0 and 1, so __post_init__ is skipped
+        stream = cls.__new__(cls)
+        stream.bits, stream.rate_hz = bits, rate_hz
+        return stream
 
     @property
     def frames(self) -> int:
@@ -73,7 +96,7 @@ class SpikeStream:
     def slice(self, start: int, stop: int) -> "SpikeStream":
         if not (0 <= start < stop <= self.frames):
             raise ValueError(f"bad frame range [{start}, {stop})")
-        return SpikeStream(self.bits[start:stop], self.rate_hz)
+        return SpikeStream._of_binary(self.bits[start:stop], self.rate_hz)
 
 
 @dataclass
@@ -93,8 +116,6 @@ def write_stream(path, stream: SpikeStream):
     f, h, w = stream.frames, stream.height, stream.width
     if w >= 1 << 32 or h >= 1 << 32 or f >= 1 << 64 or f * h * w > MAX_TOTAL_BITS:
         raise DimensionOverflowError(f"stream dims {f}x{h}x{w} overflow the format")
-    if not np.isin(stream.bits, (0, 1)).all():
-        raise ValueError("stream bits must be 0/1")
     flat = stream.bits.reshape(f, h * w)
     packed = np.packbits(flat, axis=1, bitorder="little")
     with open(path, "wb") as fh:
@@ -126,7 +147,7 @@ def read_stream(path) -> SpikeStream:
     packed = np.frombuffer(raw, dtype=np.uint8, offset=HEADER.size)
     packed = packed.reshape(f, frame_bytes)
     bits = np.unpackbits(packed, axis=1, count=h * w, bitorder="little")
-    return SpikeStream(bits.reshape(f, h, w), rate_hz=rate)
+    return SpikeStream._of_binary(bits.reshape(f, h, w), rate)
 
 
 # -- light intensity statistics ------------------------------------------------

@@ -1,16 +1,20 @@
 """Finite-difference verification of every differentiable op, plus engine
 bookkeeping (accumulation, graph reuse, serialization)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from spikesal import grad as G
+from spikesal import neuro, rst
 from spikesal.grad import nnops
 from spikesal.grad.tensor import _accumulate, make
 from spikesal.objective import LossConfig, map_loss, multi_step_loss
 from spikesal.optim import AdamW
 from spikesal.rst import RSTConfig, RSTModel
+from spikesal.train import model_from_checkpoint
 
 TOL = 1e-4
 H = 1e-3
@@ -422,6 +426,24 @@ def test_nearest_upsample_is_byte_identical(factor, layout):
     assert_same_bytes(gn, go)
 
 
+@pytest.mark.parametrize("factor", [2, 3])
+def test_nearest_upsample_backward_keeps_zero_signs_and_infinities(factor):
+    """Upstream gradients of signed zeros, +-1 and +inf give the bytes the
+    reduction gives (no NaN arises: a NaN's sign bit is the one thing the
+    two may differ in); a window of -0.0 sums to +0.0."""
+    shape = (2, 3, 4 * factor, 5 * factor)
+    g = np.random.default_rng(33).choice([-0.0, 0.0, 1.0, -1.0, np.inf,
+                                          2.0 ** -60], size=shape)
+    g[0, 0, :factor, :factor] = -0.0
+    grads = []
+    for op in (G.nearest_upsample2d, upsample2d_two_repeats):
+        x = G.Tensor(np.zeros((2, 3, 4, 5)), requires_grad=True)
+        op(x, factor=factor).backward(g)
+        grads.append(x.grad)
+    assert grads[0][0, 0, 0, 0] == 0.0 and not np.signbit(grads[0][0, 0, 0, 0])
+    assert_same_bytes(*grads)
+
+
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("layout", ["C", "channels-innermost"])
 @pytest.mark.parametrize("grad_layout", ["C", "channels-innermost"])
@@ -493,6 +515,154 @@ def test_training_steps_byte_identical_to_earlier_kernels(monkeypatch):
     assert [a.tobytes() for a in new_losses] == [a.tobytes() for a in old_losses]
     for a, b in zip(new_maps, old_maps):
         assert_same_bytes(a, b)
+
+
+# -- conv2d GEMM orientation ---------------------------------------------------
+#
+# conv2d multiplies weights on the left, W @ col^T, so BLAS writes C-ordered
+# (B, C, H, W) output; the earlier form, col @ W^T and a transposed view, is
+# kept below as the oracle. The two matrix products add the same terms but
+# BLAS may split the sums differently, so values agree to rounding, not to
+# the byte: up to 6.4e-16 of the largest magnitude over 40 random shapes
+# with 1 BLAS thread (OpenBLAS 0.3.31, Haswell kernels).
+
+CONV_TOL = 1e-13     # relative to the largest magnitude of each array
+TRAIN_TOL = 1e-10    # per parameter / statistic after 3 AdamW steps
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "stream_model.salt"
+
+
+def conv2d_rows_first(x, weight, bias=None, padding=0):
+    """conv2d as im2col rows times the transposed weights, returned as a
+    channels-innermost view; the gradients transpose g back to rows."""
+    x, weight = G.as_tensor(x), G.as_tensor(weight)
+    b_, cin, h, w = x.data.shape
+    cout, _, k, _ = weight.data.shape
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
+        if padding else x.data
+    col = nnops._im2col(xp, k)
+    wf = weight.data.reshape(cout, cin * k * k)
+    ho, wo = xp.shape[2] - k + 1, xp.shape[3] - k + 1
+    out = (col @ wf.T).transpose(0, 2, 1).reshape(b_, cout, ho, wo)
+    parents = (x, weight)
+    if bias is not None:
+        bias = G.as_tensor(bias)
+        out = out + bias.data.reshape(1, cout, 1, 1)
+        parents = (x, weight, bias)
+
+    def vjp(g):
+        gr = g.transpose(0, 2, 3, 1).reshape(b_, ho * wo, cout)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        if weight.requires_grad:
+            gw = np.tensordot(gr, col, axes=([0, 1], [0, 1]))
+            _accumulate(weight, gw.reshape(weight.data.shape))
+        if x.requires_grad:
+            q = k - 1 - padding
+            gp = np.pad(g, ((0, 0), (0, 0), (q, q), (q, q))) if q >= 0 \
+                else g[:, :, -q:q, -q:q]
+            wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
+                .reshape(cin, cout * k * k)
+            dx = (nnops._im2col(gp, k) @ wt.T).transpose(0, 2, 1)
+            _accumulate(x, dx.reshape(b_, cin, h, w))
+
+    return make(out, parents, vjp)
+
+
+def assert_within(new, old, tol, what=""):
+    assert new.shape == old.shape, what
+    assert np.max(np.abs(new - old), initial=0.0) \
+        <= tol * np.max(np.abs(old), initial=0.0), what
+
+
+@pytest.mark.parametrize("layout", ["C", "channels-innermost"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_conv2d_weights_first_matches_earlier_orientation(layout, k, pad,
+                                                          with_bias):
+    rng = np.random.default_rng(300 + 10 * k + 2 * pad + with_bias)
+    x = layouts(rng.standard_normal((3, 24, 9, 14)))[layout]
+    params = [rng.standard_normal((20, 24, k, k))]
+    if with_bias:
+        params.append(rng.standard_normal(20))
+
+    def conv(op):
+        return lambda x, *p: op(x, *p, padding=pad)
+
+    new, new_grads = run_op(conv(G.conv2d), x, *params)
+    old, old_grads = run_op(conv(conv2d_rows_first), x, *params)
+    assert new.data.flags.c_contiguous and new_grads[0].flags.c_contiguous
+    assert not old.data.flags.c_contiguous
+    names = ["output", "x.grad", "weight.grad", "bias.grad"]
+    for name, a, b in zip(names, [new.data] + new_grads, [old.data] + old_grads):
+        assert_within(a, b, CONV_TOL, name)
+
+
+def train_small(mode):
+    """Three AdamW steps of a small model from a fixed seed; returns every
+    parameter and running statistic, and the losses."""
+    model = RSTModel(RSTConfig(dim=16, heads=2, steps=3, rfa_blocks=1),
+                     np.random.default_rng(0))
+    opt = AdamW(model.named_parameters(), lr=1e-2)
+    rng = np.random.default_rng(1)
+    target = G.Tensor((rng.random((2, 1, 32, 32)) < 0.4).astype(float))
+    model.reset_state()
+    losses = []
+    for _ in range(3):
+        maps = model.forward_full(rng.random((2, 1, 32, 32)) * 3.0, mode)
+        loss = multi_step_loss(maps, target, LossConfig(steps=3)) \
+            if mode == "multi" else map_loss(maps[0], target)
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        model.detach_state()
+        losses.append(float(loss.data))
+    return model.state_dict(), losses
+
+
+@pytest.mark.parametrize("mode", ["multi", "single"])
+def test_training_steps_match_earlier_conv_orientation(mode, monkeypatch):
+    """The last bits move (1e-13 relative after 3 steps here), but no spike
+    flips: a flip would move the parameters by far more than TRAIN_TOL."""
+    new_state, new_losses = train_small(mode)
+    monkeypatch.setattr(G, "conv2d", conv2d_rows_first)
+    old_state, old_losses = train_small(mode)
+    assert new_state.keys() == old_state.keys()
+    for name in new_state:
+        assert_within(new_state[name], old_state[name], TRAIN_TOL, name)
+    np.testing.assert_allclose(new_losses, old_losses, rtol=TRAIN_TOL)
+
+
+def test_eval_forward_flips_no_spike_with_earlier_conv_orientation(monkeypatch):
+    """A trained model (the benchmark's committed 128x128 fixture, whose
+    layers fire at 0.03-1.0) in eval mode on a 64x64 input: every layer
+    sees the same spikes, 0 flipped in each of the 24 traced layers, and
+    the maps agree within CONV_TOL (they are byte-equal with 1 BLAS
+    thread on the host above)."""
+    model = model_from_checkpoint(FIXTURE)[0]
+    x = np.random.default_rng(6).random((2, 1, 64, 64))
+
+    def forward():
+        seen = {}
+
+        def record(name, a, _fanout):
+            seen[name] = np.array(a, copy=True)
+        with monkeypatch.context() as m, G.no_grad():
+            m.setattr(neuro, "_emit_layer", record)
+            m.setattr(rst, "_emit_layer", record)
+            maps = model.forward_full(x, "multi")
+        return seen, [t.data for t in maps]
+
+    new_layers, new_maps = forward()
+    monkeypatch.setattr(G, "conv2d", conv2d_rows_first)
+    old_layers, old_maps = forward()
+    assert new_layers.keys() == old_layers.keys() and len(new_layers) == 24
+    flips = {name: int(np.count_nonzero(new_layers[name] != old_layers[name]))
+             for name in new_layers}
+    assert flips == dict.fromkeys(flips, 0)
+    assert sum(a.sum() for a in new_layers.values()) > 0
+    for a, b in zip(new_maps, old_maps):
+        assert_within(a, b, CONV_TOL)
 
 
 def test_shape_ops():

@@ -6,7 +6,7 @@ import pytest
 
 from spikesal import grad as G
 from spikesal import neuro, rst
-from spikesal.neuro import LIFParams, LIFNeuron, CBSBlock, lif_step
+from spikesal.neuro import LIFParams, LIFNeuron, CBSBlock, lif_fire, lif_step
 from spikesal.objective import LossConfig, map_loss, multi_step_loss
 from spikesal.optim import AdamW
 
@@ -232,6 +232,50 @@ def test_fused_scan_graph_free_without_grad(monkeypatch):
     assert_same_array(v.data, want_v.data, "membrane")
 
 
+def composed_lif_fire(x, p):
+    return composed_lif_step(None, x, p)[1]
+
+
+@pytest.mark.parametrize("layout", ["C", "channels-innermost"])
+def test_lif_fire_equals_composed_fresh_step(layout, monkeypatch):
+    """The spikes-only fresh step gives the composed ops' spikes and input
+    gradient byte for byte (layout included), and graph-free it computes
+    no slope."""
+    p, x, _, rs, _ = scan_case(7, 1, layout)
+    results = []
+    for fire in (composed_lif_fire, lif_fire):
+        xt = G.Tensor(x, requires_grad=True)
+        s = fire(xt, p)
+        G.sum_(s * G.Tensor(rs)).backward()
+        results.append((s.data, xt.grad))
+    (want_s, want_g), (got_s, got_g) = results
+    assert_same_array(got_s, want_s, "spikes")
+    assert_same_array(got_g, want_g, "x.grad")
+
+    def refuse(*_args):
+        raise AssertionError("graph-free fresh step computed a slope")
+    with monkeypatch.context() as m, G.no_grad():
+        m.setattr(G.nnops, "surrogate_slope", refuse)
+        s = lif_fire(G.Tensor(x, requires_grad=True), p)
+    assert not s.requires_grad
+    assert_same_array(s.data, want_s, "graph-free spikes")
+
+
+def test_lif_fire_relaxed_equals_relaxed_scan():
+    p, x, _, rs, _ = scan_case(8, 1, "C")
+    results = []
+    for fire in (lambda xt: lif_step(None, xt, p)[1], lambda xt: lif_fire(xt, p)):
+        xt = G.Tensor(x, requires_grad=True)
+        with G.relaxed():
+            s = fire(xt)
+        G.sum_(s * G.Tensor(rs)).backward()
+        results.append((s.data, xt.grad))
+    (want_s, want_g), (got_s, got_g) = results
+    assert ((got_s > 0.0) & (got_s < 1.0)).all()
+    assert_same_array(got_s, want_s, "spikes")
+    assert_same_array(got_g, want_g, "x.grad")
+
+
 def test_fused_scan_rejects_ragged_fold():
     with pytest.raises(ValueError):
         lif_step(None, G.Tensor(np.zeros((5, 2))), LIFParams(), steps=2)
@@ -344,6 +388,8 @@ def test_training_with_fused_scan_equals_composed_ops(mode, monkeypatch):
     fused = train_small_model(mode)
     monkeypatch.setattr(neuro, "lif_step", composed_lif_step)
     monkeypatch.setattr(rst, "lif_step", composed_lif_step)
+    monkeypatch.setattr(neuro, "lif_fire", composed_lif_fire)
+    monkeypatch.setattr(rst, "lif_fire", composed_lif_fire)
     composed = train_small_model(mode)
     assert fused.keys() == composed.keys()
     for key in composed:

@@ -273,6 +273,36 @@ def test_count_uses_trailing_window():
 # -- slicing -----------------------------------------------------------------------
 
 
+def test_stream_refuses_non_binary_values():
+    bits = np.array([0, 0, 0, 2, 0, 1, 0, 0, 1, 0], dtype=np.uint8)
+    with pytest.raises(sio.NonBinaryStreamError):
+        sio.SpikeStream(bits.reshape(10, 1, 1))
+    # values a uint8 cast would quietly map to 0 or 1
+    for bad in (np.full((2, 1, 1), 0.5), np.full((2, 1, 1), 257),
+                np.full((2, 1, 1), -1)):
+        with pytest.raises(sio.NonBinaryStreamError):
+            sio.SpikeStream(bad)
+    assert issubclass(sio.NonBinaryStreamError, ValueError)
+    ok = sio.SpikeStream(np.array([[[True]], [[False]]]))
+    assert ok.bits.dtype == np.uint8 and ok.bits.ravel().tolist() == [1, 0]
+    assert sio.SpikeStream(np.zeros((0, 2, 2), dtype=np.uint8)).frames == 0
+
+
+def test_slices_and_decoded_streams_skip_the_check(tmp_path, monkeypatch):
+    s = random_stream(np.random.default_rng(9), 12, 3, 4, rate=40000)
+    sio.write_stream(tmp_path / "s.spk", s)
+
+    def refuse(self):
+        raise AssertionError("binary bits checked again")
+    monkeypatch.setattr(sio.SpikeStream, "__post_init__", refuse)
+    part = s.slice(2, 7)
+    assert part.rate_hz == s.rate_hz and np.shares_memory(part.bits, s.bits)
+    assert np.array_equal(part.bits, s.bits[2:7])
+    back = sio.read_stream(tmp_path / "s.spk")
+    assert back.rate_hz == 40000 and back.bits.dtype == np.uint8
+    assert np.array_equal(back.bits, s.bits)
+
+
 def test_slice_stream():
     rng = np.random.default_rng(7)
     s = random_stream(rng, 20, 4, 4)
