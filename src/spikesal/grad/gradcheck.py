@@ -7,24 +7,9 @@ import numpy as np
 from .tensor import Tensor
 
 
-def numeric_gradient(f, t: Tensor, h: float = 1e-3) -> np.ndarray:
-    """Central-difference gradient of scalar f() w.r.t. every element of t."""
-    g = np.zeros_like(t.data)
-    flat, gflat = t.data.ravel(), g.ravel()
-    for i in range(flat.size):
-        old = flat[i]
-        flat[i] = old + h
-        fp = float(f().data)
-        flat[i] = old - h
-        fm = float(f().data)
-        flat[i] = old
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return g
-
-
 def numeric_gradient_at(f, t: Tensor, indices, h: float = 1e-3) -> np.ndarray:
-    """Central differences at a subset of flat indices only."""
-    flat = t.data.ravel()
+    """Central differences of scalar f() at flat C-order indices of t."""
+    flat = t.data.flat     # writes through whatever t's memory layout
     vals = np.zeros(len(indices))
     for j, i in enumerate(indices):
         old = flat[i]
@@ -35,6 +20,11 @@ def numeric_gradient_at(f, t: Tensor, indices, h: float = 1e-3) -> np.ndarray:
         flat[i] = old
         vals[j] = (fp - fm) / (2.0 * h)
     return vals
+
+
+def numeric_gradient(f, t: Tensor, h: float = 1e-3) -> np.ndarray:
+    """Central-difference gradient of scalar f() w.r.t. every element of t."""
+    return numeric_gradient_at(f, t, range(t.data.size), h).reshape(t.shape)
 
 
 def relative_error(a: np.ndarray, n: np.ndarray, floor: float = 1e-7) -> float:

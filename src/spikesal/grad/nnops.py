@@ -73,10 +73,10 @@ def conv2d(x, weight, bias=None, padding: int = 0) -> Tensor:
             _accumulate(weight, gw.reshape(weight.data.shape))
         if x.requires_grad:
             # transposed conv: full correlation of g with the flipped kernel,
-            # cropped by ``padding``; a negative margin crops g instead
+            # cropped by ``padding``; a margin of 0 or less crops g instead
             q = k - 1 - padding
-            gp = np.pad(g, ((0, 0), (0, 0), (q, q), (q, q))) if q >= 0 \
-                else g[:, :, -q:q, -q:q]
+            gp = np.pad(g, ((0, 0), (0, 0), (q, q), (q, q))) if q > 0 \
+                else g[:, :, -q:g.shape[2] + q, -q:g.shape[3] + q]
             wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
                 .reshape(cin, cout * k * k)
             gcol = _im2col(gp, k)

@@ -10,6 +10,7 @@ inputs, so identical state produces identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -47,8 +48,38 @@ def save_tensors(path, arrays: dict, meta: dict | None = None):
         raise
 
 
+def _is_count(v) -> bool:
+    # JSON integers only: a float, a string or a bool is not a size
+    return type(v) is int and v >= 0
+
+
+def _layout(path, index, size: int):
+    """(offset, count, name, shape) of every entry of a parsed index, after
+    checking that shapes and offsets are non-negative integers and that the
+    entries, in offset order, tile the ``size``-byte payload exactly."""
+    tensors = index.get("tensors") if isinstance(index, dict) else None
+    if not isinstance(tensors, dict) or not isinstance(index.get("meta", {}), dict):
+        raise ValueError(f"{path}: malformed index")
+    entries, end = [], 0
+    for name, e in tensors.items():
+        shape = e.get("shape") if isinstance(e, dict) else None
+        if not (isinstance(shape, list) and all(map(_is_count, shape))
+                and _is_count(e.get("offset"))):
+            raise ValueError(f"{path}: malformed index entry {name}")
+        entries.append((e["offset"], math.prod(shape), name, tuple(shape)))
+    for off, count, name, _ in sorted(entries, key=lambda e: e[:2]):
+        if off != end:
+            raise ValueError(f"{path}: payload {'gap' if off > end else 'overlap'}"
+                             f" at {name}")
+        end = off + 8 * count
+    if end != size:
+        raise ValueError(f"{path}: index covers {end} of {size} payload bytes")
+    return entries
+
+
 def load_tensors(path):
-    """Returns (dict name -> float64 ndarray, meta dict)."""
+    """Returns (dict name -> float64 ndarray, meta dict). Raises ValueError
+    for any file that is not a well-formed container."""
     with open(path, "rb") as fh:
         head = fh.read(14)
         if len(head) < 14 or head[:4] != MAGIC:
@@ -56,18 +87,11 @@ def load_tensors(path):
         version, blob_len = struct.unpack("<HQ", head[4:14])
         if version != VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
-        blob = fh.read(blob_len)
-        if len(blob) != blob_len:
+        if blob_len > os.fstat(fh.fileno()).st_size - 14:
             raise ValueError(f"{path}: truncated index")
-        index = json.loads(blob.decode("utf-8"))
+        index = json.loads(fh.read(blob_len).decode("utf-8"))
         payload = fh.read()
-    out = {}
-    for name, entry in index["tensors"].items():
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        off = entry["offset"]
-        if off + 8 * count > len(payload):
-            raise ValueError(f"{path}: truncated payload at {name}")
-        out[name] = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=off).reshape(shape).copy()
+    out = {name: np.frombuffer(payload, dtype="<f8", count=count, offset=off)
+           .reshape(shape).copy()
+           for off, count, name, shape in _layout(path, index, len(payload))}
     return out, index.get("meta", {})

@@ -5,15 +5,17 @@ Pipeline, all-binary between modules:
 * encoder: the input representation is repeated for every step and pushed
   through four conv-BN-spike blocks with persistent membranes, halving
   resolution each block; channels grow to the model dim D.
-* aggregation: the deepest feature map, flattened to tokens, passes a
-  stack of recurrent spiking attention blocks. Queries come from the
-  current step; keys and values from an adjacent step selected by the
-  recurrent mode (reverse: next step, forward: previous, vanilla: same).
-  The final step has no neighbour and attends to itself. All steps share
-  one set of block weights, so parameter count is step-count free.
-* refinement: aggregated tokens, reshaped to a map, are upsampled twice
-  and fused with the two mid-resolution pyramid features, then projected
-  back to D channels at quarter resolution.
+* aggregation: the deepest feature map passes a stack of recurrent
+  spiking attention blocks and stays a (T*B, D, h, w) map: its h*w
+  positions are the tokens, projected by 1x1 conv-BN-spike layers.
+  Queries come from the current step; keys and values from an adjacent
+  step selected by the recurrent mode (reverse: next step, forward:
+  previous, vanilla: same). The final step has no neighbour and attends
+  to itself. All steps share one set of block weights, so parameter
+  count is step-count free.
+* refinement: the aggregated map is upsampled twice and fused with the
+  two mid-resolution pyramid features, then projected back to D channels
+  at quarter resolution.
 * head: 1x1 conv + sigmoid + nearest x4 upsample to a per-pixel map.
 
 Residual fusion is element-OR by default, keeping every inter-module
@@ -130,7 +132,8 @@ def spiking_attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 
 
 class _TokenNorm(G.Module):
-    """Batchnorm over the feature axis of (B, N, D) token tensors."""
+    """The batchnorm parameters and running statistics of one token
+    projection, checkpointed as ``<proj>.norm.*``."""
 
     def __init__(self, dim: int):
         super().__init__()
@@ -139,16 +142,11 @@ class _TokenNorm(G.Module):
         self.register_array("running_mean", np.zeros(dim))
         self.register_array("running_var", np.ones(dim))
 
-    def forward(self, x: Tensor) -> Tensor:
-        y = G.transpose(x, (0, 2, 1))
-        y = G.batchnorm(y, self.gamma, self.beta, self.running_mean,
-                        self.running_var, training=self.training)
-        return G.transpose(y, (0, 2, 1))
-
 
 class _SpikeProjection(G.Module):
-    """Linear -> BN -> fresh-membrane spike over tokens; traced under
-    ``name`` with d_out synapses per input element."""
+    """1x1 conv -> BN -> fresh-membrane spike over a (B, d_in, h, w) token
+    map; traced under ``name`` with d_out synapses per input element. The
+    weight is stored as the (d_out, d_in) matrix."""
 
     def __init__(self, rng, d_in: int, d_out: int, lif: LIFParams, name: str):
         super().__init__()
@@ -159,20 +157,21 @@ class _SpikeProjection(G.Module):
 
     def forward(self, x: Tensor) -> Tensor:
         _emit_layer(self.name, x.data, self.weight.shape[0])
-        y = G.linear(x, self.weight)
-        y = self.norm.forward(y)
+        y = G.conv2d(x, G.reshape(self.weight, self.weight.shape + (1, 1)))
+        bn = self.norm
+        y = G.batchnorm(y, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                        training=self.training)
         return lif_fire(y, self.lif)
 
 
 class Fuse(G.Module):
     """Residual combiner. 'or' and 'add' merge elementwise; 'concat' joins
-    along ``axis`` and restores width through the spiking projection
+    the channel axes and restores width through the spiking projection
     ``make_proj()`` builds, so downstream shapes stay fixed."""
 
-    def __init__(self, op: str, axis: int, make_proj):
+    def __init__(self, op: str, make_proj):
         super().__init__()
         self.op = op
-        self.axis = axis
         if op == "concat":
             self.proj = make_proj()
 
@@ -181,7 +180,7 @@ class Fuse(G.Module):
             return G.elementwise_or(a, b)
         if self.op == "add":
             return G.add(a, b)
-        return self.proj.forward(G.concat([a, b], axis=self.axis))
+        return self.proj.forward(G.concat([a, b], axis=1))
 
 
 class RFABlock(G.Module):
@@ -197,9 +196,9 @@ class RFABlock(G.Module):
         self.k_proj = _SpikeProjection(rng, d, d, lif, name + ".k")
         self.v_proj = _SpikeProjection(rng, d, d, lif, name + ".v")
         self.out_proj = _SpikeProjection(rng, d, d, lif, name + ".proj")
-        self.fuse_att = Fuse(cfg.residual_op, -1, lambda: _SpikeProjection(
+        self.fuse_att = Fuse(cfg.residual_op, lambda: _SpikeProjection(
             rng, 2 * d, d, lif, name + ".fuse_att.proj"))
-        self.fuse_mlp = Fuse(cfg.residual_op, -1, lambda: _SpikeProjection(
+        self.fuse_mlp = Fuse(cfg.residual_op, lambda: _SpikeProjection(
             rng, 2 * d, d, lif, name + ".fuse_mlp.proj"))
         self.mlp1 = CBSBlock(rng, d, d, lif, pool=False, name=name + ".mlp1")
         self.mlp2 = CBSBlock(rng, d, d, lif, pool=False, name=name + ".mlp2")
@@ -207,38 +206,30 @@ class RFABlock(G.Module):
     def _shift_steps(self, e: Tensor, steps: int, batch: int) -> Tensor:
         if steps == 1 or self.cfg.recurrent_mode == "vanilla":
             return e
-        n, d = e.shape[1], e.shape[2]
-        e4 = G.reshape(e, (steps, batch, n, d))
+        e5 = G.reshape(e, (steps, batch) + e.shape[1:])
         if self.cfg.recurrent_mode == "reverse":
-            kv = G.concat([e4[1:], e4[steps - 1:steps]], axis=0)
+            kv = G.concat([e5[1:], e5[steps - 1:steps]], axis=0)
         else:  # forward
-            kv = G.concat([e4[0:1], e4[:steps - 1]], axis=0)
-        return G.reshape(kv, (steps * batch, n, d))
+            kv = G.concat([e5[0:1], e5[:steps - 1]], axis=0)
+        return G.reshape(kv, e.shape)
 
-    def forward(self, e: Tensor, steps: int, batch: int, hw) -> Tensor:
+    def forward(self, e: Tensor, steps: int, batch: int) -> Tensor:
+        """e: the (steps*batch, D, h, w) token map; returns the same shape."""
         cfg = self.cfg
-        n_tok, d = e.shape[1], e.shape[2]
-        heads, dh = cfg.heads, d // cfg.heads
+        n, _, h, w = e.shape
         kv_src = self._shift_steps(e, steps, batch)
         q = self.q_proj.forward(e)
         k = self.k_proj.forward(kv_src)
         v = self.v_proj.forward(kv_src)
 
-        def split(x):
-            return G.transpose(G.reshape(x, (x.shape[0], n_tok, heads, dh)),
-                               (0, 2, 1, 3))
+        def split(x):  # (n, D, h, w) -> (n, heads, h*w, D/heads)
+            return G.swapaxes(G.reshape(x, (n, cfg.heads, -1, h * w)), -1, -2)
 
         att = spiking_attention(split(q), split(k), split(v), cfg.scale,
                                 cfg.lif(), trace_name=self.name + ".att.")
-        att = G.reshape(G.transpose(att, (0, 2, 1, 3)), (e.shape[0], n_tok, d))
-        aq = self.out_proj.forward(att)
-        z = self.fuse_att.forward(e, aq)
-
-        h, w = hw
-        zmap = G.reshape(G.transpose(z, (0, 2, 1)), (z.shape[0], d, h, w))
-        m = self.mlp1.forward(zmap)
-        m = self.mlp2.forward(m)
-        m = G.transpose(G.reshape(m, (m.shape[0], d, n_tok)), (0, 2, 1))
+        att = G.reshape(G.swapaxes(att, -1, -2), e.shape)
+        z = self.fuse_att.forward(e, self.out_proj.forward(att))
+        m = self.mlp2.forward(self.mlp1.forward(z))
         return self.fuse_mlp.forward(e, m)
 
 
@@ -280,7 +271,7 @@ class Refine(G.Module):
         d, lif = cfg.dim, cfg.lif()
 
         def fuse(ch, name):
-            return Fuse(cfg.residual_op, 1, lambda: CBSBlock(
+            return Fuse(cfg.residual_op, lambda: CBSBlock(
                 rng, 2 * ch, ch, lif, pool=False, kernel=1, name=name))
 
         self.up1 = CBSBlock(rng, d, d // 2, lif, pool=False, name="refine.up1")
@@ -346,18 +337,12 @@ class RSTModel(G.Module):
         if hh % 16 or ww % 16:
             raise ValueError("input spatial dims must be divisible by 16")
         xt = Tensor(np.tile(np.asarray(x, dtype=np.float64), (steps, 1, 1, 1)))
-        f1, f2, f3, f4 = self.encoder.forward(xt, steps)
-        h, w = f4.shape[2], f4.shape[3]
-        n_tok = h * w
-        e = G.transpose(G.reshape(f4, (f4.shape[0], self.cfg.dim, n_tok)),
-                        (0, 2, 1))
+        _, f2, f3, e = self.encoder.forward(xt, steps)
         _emit_tensor("tokens.in", e.data)
         for i, blk in enumerate(self.rfa):
-            e = blk.forward(e, steps, b, (h, w))
+            e = blk.forward(e, steps, b)
             _emit_tensor(f"tokens.out{i}", e.data)
-        f_agg = G.reshape(G.transpose(e, (0, 2, 1)),
-                          (e.shape[0], self.cfg.dim, h, w))
-        s_feat = self.refine.forward(f_agg, f3, f2)
+        s_feat = self.refine.forward(e, f3, f2)
         maps = self.head.forward(s_feat)
         return [maps[t * b:(t + 1) * b] for t in range(steps)]
 

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,26 @@ def test_gen_data_bad_config_path(tmp_path, capsys):
     assert rc == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(lambda raw: raw[:6] + struct.pack("<Q", 2 ** 62) + raw[14:],
+                 "truncated index", id="index-past-end-of-file"),
+    # tensor b's offset moved into tensor a's bytes
+    pytest.param(lambda raw: raw.replace(b'"offset":16', b'"offset":8 '),
+                 "overlap", id="overlapping-payload"),
+])
+def test_eval_malformed_checkpoint_is_an_error(tmp_path, capsys, corrupt,
+                                               message):
+    ckpt = tmp_path / "bad.salt"
+    G.save_tensors(ckpt, {"a": np.zeros(2), "b": np.zeros(1)},
+                   {"kind": "checkpoint"})
+    ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+    rc = main(["eval", "--ckpt", str(ckpt),
+               "--manifest", str(tmp_path / "manifest.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_gen_data_unknown_key_rejected(tmp_path, capsys):

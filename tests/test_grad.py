@@ -1,6 +1,8 @@
 """Finite-difference verification of every differentiable op, plus engine
 bookkeeping (accumulation, graph reuse, serialization)."""
 
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from spikesal import grad as G
 from spikesal import neuro, rst
-from spikesal.grad import nnops
+from spikesal.grad import nnops, store
 from spikesal.grad.tensor import _accumulate, make
 from spikesal.objective import LossConfig, map_loss, multi_step_loss
 from spikesal.optim import AdamW
@@ -633,34 +635,158 @@ def test_training_steps_match_earlier_conv_orientation(mode, monkeypatch):
     np.testing.assert_allclose(new_losses, old_losses, rtol=TRAIN_TOL)
 
 
+def traced_forward(monkeypatch, model, x):
+    """A graph-free multi-step forward; returns every traced layer's input
+    by name, and the maps."""
+    seen = {}
+
+    def record(name, a, _fanout):
+        seen[name] = np.array(a, copy=True)
+    with monkeypatch.context() as m, G.no_grad():
+        m.setattr(neuro, "_emit_layer", record)
+        m.setattr(rst, "_emit_layer", record)
+        maps = model.forward_full(x, "multi")
+    return seen, [t.data for t in maps]
+
+
+def fixture_eval_forward(monkeypatch):
+    """An eval-mode forward of a trained model (the benchmark's committed
+    128x128 fixture, whose layers fire at 0.03-1.0) on a 64x64 input; it
+    traces 24 layers."""
+    return traced_forward(monkeypatch, model_from_checkpoint(FIXTURE)[0],
+                          np.random.default_rng(6).random((2, 1, 64, 64)))
+
+
+def spike_flips(new_layers, old_layers):
+    """Elements that differ per traced layer; (B, N, D) token inputs are
+    compared as the (B, D, h, w) map they transpose to."""
+    assert new_layers.keys() == old_layers.keys()
+    assert sum(a.sum() for a in new_layers.values()) > 0
+    flips = {}
+    for name, new in new_layers.items():
+        old = old_layers[name]
+        if old.shape != new.shape:
+            old = old.swapaxes(1, 2).reshape(new.shape)
+        flips[name] = int(np.count_nonzero(new != old))
+    return flips
+
+
 def test_eval_forward_flips_no_spike_with_earlier_conv_orientation(monkeypatch):
-    """A trained model (the benchmark's committed 128x128 fixture, whose
-    layers fire at 0.03-1.0) in eval mode on a 64x64 input: every layer
-    sees the same spikes, 0 flipped in each of the 24 traced layers, and
-    the maps agree within CONV_TOL (they are byte-equal with 1 BLAS
-    thread on the host above)."""
-    model = model_from_checkpoint(FIXTURE)[0]
-    x = np.random.default_rng(6).random((2, 1, 64, 64))
+    """Every layer sees the same spikes, 0 flipped in each of the 24 traced
+    layers, and the maps agree within CONV_TOL (they are byte-equal with
+    1 BLAS thread on the host above)."""
+    new_layers, new_maps = fixture_eval_forward(monkeypatch)
+    monkeypatch.setattr(G, "conv2d", conv2d_rows_first)
+    old_layers, old_maps = fixture_eval_forward(monkeypatch)
+    flips = spike_flips(new_layers, old_layers)
+    assert len(flips) == 24 and flips == dict.fromkeys(flips, 0)
+    for a, b in zip(new_maps, old_maps):
+        assert_within(a, b, CONV_TOL)
 
+
+# -- RFA token layout ----------------------------------------------------------
+#
+# The RFA blocks keep their tokens as the encoder's (T*B, D, h, w) map and
+# project them as 1x1 conv -> BN over axis 1 -> spike. The earlier layout,
+# (T*B, N, D) tokens projected by ``G.linear`` and normalized between two
+# transposes, is kept below as the oracle; its block enters and leaves as a
+# map, where the earlier model converted once before the first block and
+# once after the last. The projections add the same terms in another order
+# and batchnorm sums its statistics in another order, so training agrees
+# to rounding; eval runs on the running statistics, and the spikes, and so
+# the maps, come out the same.
+
+
+def token_norm_forward(self, x):
+    y = G.transpose(x, (0, 2, 1))
+    y = G.batchnorm(y, self.gamma, self.beta, self.running_mean,
+                    self.running_var, training=self.training)
+    return G.transpose(y, (0, 2, 1))
+
+
+def token_projection_forward(self, x):
+    rst._emit_layer(self.name, x.data, self.weight.shape[0])
+    y = G.linear(x, self.weight)
+    y = self.norm.forward(y)
+    return rst.lif_fire(y, self.lif)
+
+
+def token_fuse(fuse, a, b):
+    if fuse.op == "concat":
+        return fuse.proj.forward(G.concat([a, b], axis=-1))
+    return fuse.forward(a, b)
+
+
+def token_block_forward(self, e, steps, batch):
+    n, d, h, w = e.shape
+    n_tok, heads, dh = h * w, self.cfg.heads, d // self.cfg.heads
+    e = G.transpose(G.reshape(e, (n, d, n_tok)), (0, 2, 1))
+    kv_src = self._shift_steps(e, steps, batch)
+    q = self.q_proj.forward(e)
+    k = self.k_proj.forward(kv_src)
+    v = self.v_proj.forward(kv_src)
+
+    def split(x):
+        return G.transpose(G.reshape(x, (n, n_tok, heads, dh)), (0, 2, 1, 3))
+
+    att = rst.spiking_attention(split(q), split(k), split(v), self.cfg.scale,
+                                self.cfg.lif(), trace_name=self.name + ".att.")
+    att = G.reshape(G.transpose(att, (0, 2, 1, 3)), (n, n_tok, d))
+    z = token_fuse(self.fuse_att, e, self.out_proj.forward(att))
+    zmap = G.reshape(G.transpose(z, (0, 2, 1)), (n, d, h, w))
+    m = self.mlp2.forward(self.mlp1.forward(zmap))
+    m = G.transpose(G.reshape(m, (n, d, n_tok)), (0, 2, 1))
+    out = token_fuse(self.fuse_mlp, e, m)
+    return G.reshape(G.transpose(out, (0, 2, 1)), (n, d, h, w))
+
+
+def use_token_layout(m):
+    m.setattr(rst._TokenNorm, "forward", token_norm_forward, raising=False)
+    m.setattr(rst._SpikeProjection, "forward", token_projection_forward)
+    m.setattr(rst.RFABlock, "forward", token_block_forward)
+
+
+@pytest.mark.parametrize("mode", ["multi", "single"])
+def test_training_steps_match_token_layout(mode, monkeypatch):
+    new_state, new_losses = train_small(mode)
+    use_token_layout(monkeypatch)
+    old_state, old_losses = train_small(mode)
+    assert new_state.keys() == old_state.keys()
+    for name in new_state:
+        assert_within(new_state[name], old_state[name], TRAIN_TOL, name)
+    np.testing.assert_allclose(new_losses, old_losses, rtol=TRAIN_TOL)
+
+
+def test_eval_forward_matches_token_layout(monkeypatch):
+    """0 flipped spikes in each of the 24 traced layers; the maps are
+    byte-equal at 1 BLAS thread, and within CONV_TOL at any other."""
+    new_layers, new_maps = fixture_eval_forward(monkeypatch)
+    use_token_layout(monkeypatch)
+    old_layers, old_maps = fixture_eval_forward(monkeypatch)
+    flips = spike_flips(new_layers, old_layers)
+    assert len(flips) == 24 and flips == dict.fromkeys(flips, 0)
+    for a, b in zip(new_maps, old_maps):
+        assert_within(a, b, CONV_TOL)
+
+
+def test_concat_fuse_matches_token_layout(monkeypatch):
+    """'concat' joins the token features and the map channels in the same
+    order: a training-mode forward of a fresh model sees the same spikes
+    in every layer, the two concat projections included."""
     def forward():
-        seen = {}
-
-        def record(name, a, _fanout):
-            seen[name] = np.array(a, copy=True)
-        with monkeypatch.context() as m, G.no_grad():
-            m.setattr(neuro, "_emit_layer", record)
-            m.setattr(rst, "_emit_layer", record)
-            maps = model.forward_full(x, "multi")
-        return seen, [t.data for t in maps]
+        model = RSTModel(RSTConfig(dim=16, heads=2, steps=3, rfa_blocks=1,
+                                   residual_op="concat"),
+                         np.random.default_rng(6))
+        return traced_forward(monkeypatch, model,
+                              np.random.default_rng(15).random((2, 1, 32, 32)))
 
     new_layers, new_maps = forward()
-    monkeypatch.setattr(G, "conv2d", conv2d_rows_first)
+    use_token_layout(monkeypatch)
     old_layers, old_maps = forward()
-    assert new_layers.keys() == old_layers.keys() and len(new_layers) == 24
-    flips = {name: int(np.count_nonzero(new_layers[name] != old_layers[name]))
-             for name in new_layers}
+    flips = spike_flips(new_layers, old_layers)
+    assert {"rfa0.fuse_att.proj", "rfa0.fuse_mlp.proj"} <= flips.keys()
+    assert new_layers["rfa0.fuse_att.proj"].sum() > 0
     assert flips == dict.fromkeys(flips, 0)
-    assert sum(a.sum() for a in new_layers.values()) > 0
     for a, b in zip(new_maps, old_maps):
         assert_within(a, b, CONV_TOL)
 
@@ -810,6 +936,14 @@ def test_soft_or_matches_hard_on_binary_and_fd():
     assert G.check_gradients(f, [a, b], h=H) < TOL
 
 
+def test_numeric_gradient_perturbs_strided_tensors():
+    # a transposed view: perturbing a raveled copy instead read 0 everywhere
+    t = G.Tensor(np.arange(6.0).reshape(2, 3).T, requires_grad=True)
+    g = G.numeric_gradient(lambda: G.sum_(G.mul(t, t)), t)
+    np.testing.assert_allclose(g, 2.0 * t.data, rtol=1e-9)
+    assert np.array_equal(t.data, np.arange(6.0).reshape(2, 3).T)
+
+
 def test_gradient_accumulation_is_additive():
     # a tensor feeding several consumers collects the sum of contributions
     t = G.Tensor([2.0, -1.0], requires_grad=True)
@@ -944,6 +1078,69 @@ def test_store_rejects_garbage(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(ValueError):
         G.load_tensors(p)
+
+
+def write_container(path, index, payload=b"", blob_len=None):
+    """A container with the given JSON index and payload bytes, well-formed
+    or not; ``blob_len`` overrides the index length in the header."""
+    blob = json.dumps(index).encode("utf-8")
+    path.write_bytes(store.MAGIC + struct.pack(
+        "<HQ", store.VERSION, len(blob) if blob_len is None else blob_len)
+        + blob + payload)
+    return path
+
+
+def test_store_rejects_index_longer_than_file(tmp_path):
+    # read without the size check, a 2**62-byte index raised MemoryError
+    p = write_container(tmp_path / "big.salt", {"tensors": {}}, blob_len=2 ** 62)
+    with pytest.raises(ValueError, match="truncated index"):
+        G.load_tensors(p)
+
+
+TWO = np.array([1.5, -2.0]).astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("index, payload", [
+    pytest.param({"meta": {}}, b"", id="no-tensors-key"),
+    pytest.param({"tensors": {"a": {"shape": [2]}}}, TWO, id="no-offset-key"),
+    pytest.param([["a", [2], 0]], TWO, id="list-index"),
+    pytest.param({"tensors": {"a": {"shape": "2", "offset": 0}}}, TWO,
+                 id="string-shape"),
+    pytest.param({"tensors": {"a": {"shape": [2], "offset": 0.0}}}, TWO,
+                 id="float-offset"),
+    pytest.param({"tensors": {"a": {"shape": [True, 2], "offset": 0}}}, TWO,
+                 id="bool-shape"),
+    pytest.param({"tensors": {"a": {"shape": [-2], "offset": 0}}}, TWO,
+                 id="negative-shape"),
+    pytest.param({"tensors": {"a": {"shape": [1], "offset": 0}}}, TWO,
+                 id="trailing-payload"),
+    pytest.param({"tensors": {"a": {"shape": [1], "offset": 0},
+                              "b": {"shape": [1], "offset": 16}}},
+                 TWO + TWO[:8], id="gapped-payload"),
+    pytest.param({"tensors": {"a": {"shape": [2], "offset": 0},
+                              "b": {"shape": [1], "offset": 8}}},
+                 TWO + TWO[:8], id="overlapping-payload"),
+    pytest.param({"tensors": {"a": {"shape": [3], "offset": 0}}}, TWO,
+                 id="truncated-payload"),
+    pytest.param({"tensors": {}, "meta": [1]}, b"", id="list-meta"),
+])
+def test_store_rejects_malformed_index(tmp_path, index, payload):
+    p = write_container(tmp_path / "bad.salt", index, payload)
+    with pytest.raises(ValueError, match="bad.salt"):
+        G.load_tensors(p)
+
+
+def test_store_reads_entries_in_any_offset_order(tmp_path):
+    # the index lists names sorted; the payload is in write order, and
+    # empty tensors take no bytes
+    p = write_container(tmp_path / "ok.salt", {"tensors": {
+        "a": {"shape": [1], "offset": 16}, "b": {"shape": [2], "offset": 0},
+        "c": {"shape": [0, 3], "offset": 16}, "d": {"shape": [], "offset": 24}}},
+        TWO + TWO)
+    arrays, meta = G.load_tensors(p)
+    assert list(arrays) == ["a", "b", "c", "d"] and meta == {}
+    assert arrays["a"].tolist() == [1.5] and arrays["b"].tolist() == [1.5, -2.0]
+    assert arrays["c"].shape == (0, 3) and arrays["d"].tolist() == -2.0
 
 
 def test_module_registration_and_state_dict():

@@ -84,7 +84,7 @@ def test_pyramid_shapes():
     assert shapes["encoder.f2"] == (2, 4, 16, 16)
     assert shapes["encoder.f3"] == (2, 8, 8, 8)
     assert shapes["encoder.f4"] == (2, 16, 4, 4)
-    assert shapes["tokens.in"] == (2, 16, 16)
+    assert shapes["tokens.in"] == (2, 16, 4, 4)
     assert shapes["refine.out"] == (2, 16, 16, 16)
 
 
@@ -178,7 +178,7 @@ def test_attention_output_binary():
 
 
 def shift_oracle(e, mode):
-    # e: (T, B, N, D) ndarray
+    # e: (T, B, D, h, w) ndarray
     if mode == "vanilla":
         return e
     if mode == "reverse":
@@ -190,9 +190,9 @@ def shift_oracle(e, mode):
 def test_step_shift(mode):
     cfg = tiny_cfg(recurrent_mode=mode, steps=4)
     block = rst.RFABlock(np.random.default_rng(0), cfg)
-    e = np.random.default_rng(8).random((4, 2, 5, 16))
-    got = block._shift_steps(Tensor(e.reshape(8, 5, 16)), 4, 2)
-    np.testing.assert_array_equal(got.data.reshape(4, 2, 5, 16),
+    e = np.random.default_rng(8).random((4, 2, 16, 3, 5))
+    got = block._shift_steps(Tensor(e.reshape(8, 16, 3, 5)), 4, 2)
+    np.testing.assert_array_equal(got.data.reshape(4, 2, 16, 3, 5),
                                   shift_oracle(e, mode))
 
 
@@ -200,14 +200,14 @@ def test_step_shift(mode):
 def test_step_shift_single_step_identity(mode):
     cfg = tiny_cfg(recurrent_mode=mode, steps=1)
     block = rst.RFABlock(np.random.default_rng(0), cfg)
-    e = Tensor(np.random.default_rng(9).random((2, 5, 16)))
+    e = Tensor(np.random.default_rng(9).random((2, 16, 3, 5)))
     assert block._shift_steps(e, 1, 2) is e
 
 
 @pytest.mark.parametrize("mode", ["vanilla", "forward", "reverse"])
 def test_block_feeds_shifted_steps_to_attention(monkeypatch, mode):
     # spy on the attention call: K must be the K-projection of the
-    # mode-shifted token tensor, not of the queries' own step
+    # mode-shifted token map, not of the queries' own step
     captured = {}
     real = rst.spiking_attention
 
@@ -217,15 +217,16 @@ def test_block_feeds_shifted_steps_to_attention(monkeypatch, mode):
         return real(q, k, v, scale, lif, trace_name)
 
     monkeypatch.setattr(rst, "spiking_attention", spy)
-    e = (np.random.default_rng(10).random((3, 2, 9, 16)) < 0.5).astype(float)
+    e = (np.random.default_rng(10).random((3, 2, 16, 3, 3)) < 0.5).astype(float)
     cfg = tiny_cfg(recurrent_mode=mode, steps=3)
     block = rst.RFABlock(np.random.default_rng(4), cfg)
-    block.forward(Tensor(e.reshape(6, 9, 16)), 3, 2, (3, 3))
+    block.forward(Tensor(e.reshape(6, 16, 3, 3)), 3, 2)
 
-    src = shift_oracle(e, mode).reshape(6, 9, 16)
+    src = shift_oracle(e, mode).reshape(6, 16, 3, 3)
     for name, proj in (("k", block.k_proj), ("v", block.v_proj)):
+        # (6, D, h, w) -> heads (6, 2, h*w, 8)
         exp = proj.forward(Tensor(src)).data
-        exp = exp.reshape(6, 9, 2, 8).transpose(0, 2, 1, 3)
+        exp = exp.reshape(6, 2, 8, 9).swapaxes(-1, -2)
         np.testing.assert_array_equal(captured[name], exp)
 
 
