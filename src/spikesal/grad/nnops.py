@@ -3,8 +3,11 @@
 Convolution is stride-1 only (spatial reduction happens in the pooling
 stage) and runs as an im2col matrix product, forward and input-backward
 alike, with the weights on the left so that its outputs are C-ordered.
-Inputs are NCHW; the per-channel ops that follow run fastest on C-ordered
-planes.
+im2col is built as (B, C*k*k, H*W) planes, k*k shifted copies of the
+unpadded input into a zeroed buffer, so the GEMMs read a plain operand
+and no padded copy is made; a 1x1 kernel without padding uses the input
+itself. Inputs are NCHW; the per-channel ops that follow run fastest on
+C-ordered planes.
 """
 
 from __future__ import annotations
@@ -25,17 +28,26 @@ def _give(t: Tensor, g: np.ndarray):
         t.grad += g
 
 
-def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
-    # xp: padded (B, C, Hp, Wp) -> contiguous (B, H_out*W_out, C*k*k), one
-    # gather: column (c, i, j) of row (ho, wo) is flat element
-    # c*Hp*Wp + (ho+i)*Wp + (wo+j). The index is rebuilt per call; caching it
-    # per shape costs more memory than it saves time.
-    b, c, hp, wp = xp.shape
-    ho, wo = hp - k + 1, wp - k + 1
-    rows = (np.arange(ho)[:, None] * wp + np.arange(wo)).reshape(-1)
-    taps = (np.arange(c)[:, None, None] * (hp * wp)
-            + np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
-    return np.take(xp.reshape(b, c * hp * wp), rows[:, None] + taps, axis=1)
+def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
+    # x: unpadded (B, C, H, W) -> (B, C*k*k, H_out*W_out) planes: row (c, i, j)
+    # is channel c shifted by (i - pad, j - pad), zero where the shift leaves
+    # the input, so the zeroed buffer is the padding. A 1x1 kernel without
+    # padding is the input itself, viewed as (B, C, H*W).
+    b, c, h, w = x.shape
+    if k == 1 and pad == 0:
+        return x.reshape(b, c, h * w)
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    col = np.zeros((b, c, k, k, ho, wo))
+    for i in range(k):
+        # the output rows whose tap i reads an input row
+        r0 = max(0, pad - i)
+        r1 = max(r0, min(ho, h + pad - i))
+        for j in range(k):
+            c0 = max(0, pad - j)
+            c1 = max(c0, min(wo, w + pad - j))
+            col[:, :, i, j, r0:r1, c0:c1] = \
+                x[:, :, r0 + i - pad:r1 + i - pad, c0 + j - pad:c1 + j - pad]
+    return col.reshape(b, c * k * k, ho * wo)
 
 
 def conv2d(x, weight, bias=None, padding: int = 0) -> Tensor:
@@ -49,14 +61,12 @@ def conv2d(x, weight, bias=None, padding: int = 0) -> Tensor:
     cout, cin_w, k, k2 = weight.data.shape
     if cin != cin_w or k != k2:
         raise ValueError("conv2d weight shape mismatch")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-        if padding else x.data
-    col = _im2col(xp, k)
+    col = _im2col(x.data, k, padding)
     wf = weight.data.reshape(cout, cin * k * k)
-    ho, wo = xp.shape[2] - k + 1, xp.shape[3] - k + 1
+    ho, wo = h + 2 * padding - k + 1, w + 2 * padding - k + 1
     # weights on the left: BLAS writes each image's (C_out, H*W) block, so
     # the output is C-ordered NCHW with no transpose copy
-    out = np.matmul(wf, col.transpose(0, 2, 1)).reshape(b_, cout, ho, wo)
+    out = np.matmul(wf, col).reshape(b_, cout, ho, wo)
     parents = (x, weight)
     if bias is not None:
         bias = as_tensor(bias)
@@ -67,20 +77,19 @@ def conv2d(x, weight, bias=None, padding: int = 0) -> Tensor:
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            # one copy to (C_out, B*H*W), then one GEMM against all images
-            gm = g.transpose(1, 0, 2, 3).reshape(cout, b_ * ho * wo)
-            gw = gm @ col.reshape(b_ * ho * wo, cin * k * k)
+            # one GEMM per image, summed: one GEMM over all images would need
+            # a (C*k*k, B*H*W) copy of col, and measured slower with it
+            gw = np.matmul(g.reshape(b_, cout, ho * wo),
+                           col.transpose(0, 2, 1)).sum(axis=0)
             _accumulate(weight, gw.reshape(weight.data.shape))
         if x.requires_grad:
             # transposed conv: full correlation of g with the flipped kernel,
-            # cropped by ``padding``; a margin of 0 or less crops g instead
+            # cropped by ``padding``; a negative margin crops g instead
             q = k - 1 - padding
-            gp = np.pad(g, ((0, 0), (0, 0), (q, q), (q, q))) if q > 0 \
-                else g[:, :, -q:g.shape[2] + q, -q:g.shape[3] + q]
+            gq = g if q >= 0 else g[:, :, -q:ho + q, -q:wo + q]
             wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
                 .reshape(cin, cout * k * k)
-            gcol = _im2col(gp, k)
-            dx = np.matmul(wt, gcol.transpose(0, 2, 1)).reshape(b_, cin, h, w)
+            dx = np.matmul(wt, _im2col(gq, k, max(q, 0))).reshape(b_, cin, h, w)
             _give(x, dx)
 
     return make(out, parents, vjp)

@@ -79,7 +79,8 @@ def _layout(path, index, size: int):
 
 def load_tensors(path):
     """Returns (dict name -> float64 ndarray, meta dict). Raises ValueError
-    for any file that is not a well-formed container."""
+    for any file that is not a well-formed container, and for a NaN or an
+    infinity in any tensor."""
     with open(path, "rb") as fh:
         head = fh.read(14)
         if len(head) < 14 or head[:4] != MAGIC:
@@ -94,4 +95,7 @@ def load_tensors(path):
     out = {name: np.frombuffer(payload, dtype="<f8", count=count, offset=off)
            .reshape(shape).copy()
            for off, count, name, shape in _layout(path, index, len(payload))}
+    for name, arr in out.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: non-finite value in tensor {name}")
     return out, index.get("meta", {})

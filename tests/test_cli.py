@@ -69,6 +69,9 @@ def test_gen_data_bad_config_path(tmp_path, capsys):
     # tensor b's offset moved into tensor a's bytes
     pytest.param(lambda raw: raw.replace(b'"offset":16', b'"offset":8 '),
                  "overlap", id="overlapping-payload"),
+    # tensor b, the last 8 payload bytes, holds a NaN
+    pytest.param(lambda raw: raw[:-8] + struct.pack("<d", np.nan),
+                 "non-finite value in tensor b", id="nan-parameter"),
 ])
 def test_eval_malformed_checkpoint_is_an_error(tmp_path, capsys, corrupt,
                                                message):

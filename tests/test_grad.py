@@ -159,8 +159,10 @@ def conv2d_input_grad_scatter(x, w, g, padding):
 
 
 @pytest.mark.parametrize("k", [1, 3, 11])
-@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("pad", [0, 1, 2])
 def test_conv2d_input_grad_matches_scatter_loop(k, pad):
+    """Pad 2 with k = 1 (or 3) gives a negative margin, so the gradient is
+    cropped instead of padded."""
     rng = np.random.default_rng(100 + 10 * k + pad)
     x = G.Tensor(rng.standard_normal((2, 3, 13, 12)), requires_grad=True)
     w = rng.standard_normal((4, 3, k, k))
@@ -254,7 +256,7 @@ def test_batchnorm_normalizes_and_tracks_running_stats():
     assert np.allclose(rv, 0.9 + 0.1 * var_u, atol=1e-12)
 
 
-# -- byte identity of the conv, pooling, upsampling and batchnorm kernels -----
+# -- byte identity of the im2col, pooling, upsampling and batchnorm kernels ---
 #
 # The kernels below are the earlier implementations, kept as oracles: the
 # current ones move less memory but must give the same bytes, outputs and
@@ -262,13 +264,35 @@ def test_batchnorm_normalizes_and_tracks_running_stats():
 # downstream (batchnorm sums, bias gradients) round in memory order.
 
 
+def pad2(x, pad):
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+
+
 def im2col_transpose_copy(xp, k):
-    """im2col as a transposed copy of the sliding-window view."""
+    """im2col rows, (B, H_out*W_out, C*k*k), of a padded input as a
+    transposed copy of the sliding-window view."""
     b, c, hp, wp = xp.shape
     win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (B,C,Ho,Wo,k,k)
     ho, wo = win.shape[2], win.shape[3]
     col = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * k * k)
     return np.ascontiguousarray(col)
+
+
+def im2col_gather(xp, k):
+    """The same rows as one np.take gather: column (c, i, j) of row (ho, wo)
+    is flat element c*Hp*Wp + (ho+i)*Wp + (wo+j) of the padded input."""
+    b, c, hp, wp = xp.shape
+    ho, wo = hp - k + 1, wp - k + 1
+    rows = (np.arange(ho)[:, None] * wp + np.arange(wo)).reshape(-1)
+    taps = (np.arange(c)[:, None, None] * (hp * wp)
+            + np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
+    return np.take(xp.reshape(b, c * hp * wp), rows[:, None] + taps, axis=1)
+
+
+def im2col_planes(x, k, pad):
+    """``nnops._im2col`` from the gathered rows of the padded input: their
+    C-ordered transpose, (B, C*k*k, H_out*W_out)."""
+    return np.ascontiguousarray(im2col_gather(pad2(x, pad), k).transpose(0, 2, 1))
 
 
 def maxpool2d_argmax(x):
@@ -373,22 +397,31 @@ def assert_same_bytes(new, old):
 
 @pytest.mark.parametrize("layout", ["C", "channels-innermost"])
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("pad", [0, 1, 2])
 def test_conv2d_one_gather_im2col_is_byte_identical(monkeypatch, layout, k, pad):
+    """The shifted-copy planes hold the bytes of the transposed rows that
+    the gather and the sliding-window copy take from the padded input; a
+    1x1 kernel without padding copies nothing. With the planes built from
+    the gather, conv2d gives the same bytes, outputs and gradients."""
     rng = np.random.default_rng(200 + 10 * k + pad)
-    x = layouts(rng.standard_normal((3, 4, 7, 10)))[layout]
+    x = layouts(rng.standard_normal((3, 4, 7, 9)))[layout]
     w = rng.standard_normal((5, 4, k, k))
     bias = rng.standard_normal(5)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    col = nnops._im2col(xp, k)
-    assert col.flags.c_contiguous
-    assert_same_bytes(col, im2col_transpose_copy(xp, k))
+    col = nnops._im2col(x, k, pad)
+    rows = im2col_transpose_copy(pad2(x, pad), k)
+    assert_same_bytes(rows, im2col_gather(pad2(x, pad), k))
+    assert col.shape == rows.transpose(0, 2, 1).shape
+    assert col.tobytes() == rows.transpose(0, 2, 1).tobytes()
+    if k == 1 and pad == 0:
+        assert np.shares_memory(col, x)
+    else:
+        assert col.flags.c_contiguous
 
     def conv(x, w, b):
         return G.conv2d(x, w, b, padding=pad)
 
     new, new_grads = run_op(conv, x, w, bias)
-    monkeypatch.setattr(nnops, "_im2col", im2col_transpose_copy)
+    monkeypatch.setattr(nnops, "_im2col", im2col_planes)
     old, old_grads = run_op(conv, x, w, bias)
     assert_same_bytes(new.data, old.data)
     for gn, go in zip(new_grads, old_grads):
@@ -506,7 +539,7 @@ def test_training_steps_byte_identical_to_earlier_kernels(monkeypatch):
         return model.state_dict(), losses, maps
 
     new_state, new_losses, new_maps = run()
-    monkeypatch.setattr(nnops, "_im2col", im2col_transpose_copy)
+    monkeypatch.setattr(nnops, "_im2col", im2col_planes)
     monkeypatch.setattr(G, "maxpool2d", maxpool2d_argmax)
     monkeypatch.setattr(G, "nearest_upsample2d", upsample2d_two_repeats)
     monkeypatch.setattr(G, "batchnorm", batchnorm_four_pass)
@@ -521,8 +554,8 @@ def test_training_steps_byte_identical_to_earlier_kernels(monkeypatch):
 
 # -- conv2d GEMM orientation ---------------------------------------------------
 #
-# conv2d multiplies weights on the left, W @ col^T, so BLAS writes C-ordered
-# (B, C, H, W) output; the earlier form, col @ W^T and a transposed view, is
+# conv2d multiplies weights on the left, W @ col, so BLAS writes C-ordered
+# (B, C, H, W) output; the earlier form, rows @ W^T and a transposed view, is
 # kept below as the oracle. The two matrix products add the same terms but
 # BLAS may split the sums differently, so values agree to rounding, not to
 # the byte: up to 6.4e-16 of the largest magnitude over 40 random shapes
@@ -539,11 +572,9 @@ def conv2d_rows_first(x, weight, bias=None, padding=0):
     x, weight = G.as_tensor(x), G.as_tensor(weight)
     b_, cin, h, w = x.data.shape
     cout, _, k, _ = weight.data.shape
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-        if padding else x.data
-    col = nnops._im2col(xp, k)
+    col = im2col_transpose_copy(pad2(x.data, padding), k)
     wf = weight.data.reshape(cout, cin * k * k)
-    ho, wo = xp.shape[2] - k + 1, xp.shape[3] - k + 1
+    ho, wo = h + 2 * padding - k + 1, w + 2 * padding - k + 1
     out = (col @ wf.T).transpose(0, 2, 1).reshape(b_, cout, ho, wo)
     parents = (x, weight)
     if bias is not None:
@@ -560,11 +591,10 @@ def conv2d_rows_first(x, weight, bias=None, padding=0):
             _accumulate(weight, gw.reshape(weight.data.shape))
         if x.requires_grad:
             q = k - 1 - padding
-            gp = np.pad(g, ((0, 0), (0, 0), (q, q), (q, q))) if q >= 0 \
-                else g[:, :, -q:q, -q:q]
+            gp = pad2(g, q) if q >= 0 else g[:, :, -q:q, -q:q]
             wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
                 .reshape(cin, cout * k * k)
-            dx = (nnops._im2col(gp, k) @ wt.T).transpose(0, 2, 1)
+            dx = (im2col_gather(gp, k) @ wt.T).transpose(0, 2, 1)
             _accumulate(x, dx.reshape(b_, cin, h, w))
 
     return make(out, parents, vjp)
@@ -677,6 +707,81 @@ def test_eval_forward_flips_no_spike_with_earlier_conv_orientation(monkeypatch):
     1 BLAS thread on the host above)."""
     new_layers, new_maps = fixture_eval_forward(monkeypatch)
     monkeypatch.setattr(G, "conv2d", conv2d_rows_first)
+    old_layers, old_maps = fixture_eval_forward(monkeypatch)
+    flips = spike_flips(new_layers, old_layers)
+    assert len(flips) == 24 and flips == dict.fromkeys(flips, 0)
+    for a, b in zip(new_maps, old_maps):
+        assert_within(a, b, CONV_TOL)
+
+
+# -- im2col planes ------------------------------------------------------------
+#
+# conv2d builds im2col as (B, C*k*k, H*W) planes from k*k shifted copies of
+# the unpadded input, so its GEMMs read a plain operand, and the weight
+# gradient is one GEMM per image, summed over the images. The conv it
+# replaced, kept below as the oracle, gathered (B, H*W, C*k*k) rows from a
+# padded copy, multiplied their transpose, and took the weight gradient as
+# one GEMM over all images after copying g. The sums split differently, so
+# values agree to rounding. Measured with 1 BLAS thread (OpenBLAS 0.3.31,
+# Haswell kernels): the fixture's eval forward flips no spike and its maps
+# differ by at most 2.2e-16; after 3 AdamW steps the parameters and
+# statistics differ by at most 8.8e-15 ("multi") and 2.1e-13 ("single") of
+# each tensor's largest magnitude, and the losses are equal.
+
+
+def conv2d_gather(x, weight, bias=None, padding=0):
+    """conv2d on gathered im2col rows of the padded input: W @ col^T per
+    image, the weight gradient as one GEMM over all images after one copy
+    of g, and the input gradient from the rows of the padded (or cropped)
+    g."""
+    x, weight = G.as_tensor(x), G.as_tensor(weight)
+    b_, cin, h, w = x.data.shape
+    cout, _, k, _ = weight.data.shape
+    col = im2col_gather(pad2(x.data, padding), k)
+    wf = weight.data.reshape(cout, cin * k * k)
+    ho, wo = h + 2 * padding - k + 1, w + 2 * padding - k + 1
+    out = np.matmul(wf, col.transpose(0, 2, 1)).reshape(b_, cout, ho, wo)
+    parents = (x, weight)
+    if bias is not None:
+        bias = G.as_tensor(bias)
+        out += bias.data.reshape(1, cout, 1, 1)
+        parents = (x, weight, bias)
+
+    def vjp(g):
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        if weight.requires_grad:
+            gm = g.transpose(1, 0, 2, 3).reshape(cout, b_ * ho * wo)
+            gw = gm @ col.reshape(b_ * ho * wo, cin * k * k)
+            _accumulate(weight, gw.reshape(weight.data.shape))
+        if x.requires_grad:
+            q = k - 1 - padding
+            gp = pad2(g, q) if q >= 0 else g[:, :, -q:q, -q:q]
+            wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
+                .reshape(cin, cout * k * k)
+            gcol = im2col_gather(gp, k)
+            dx = np.matmul(wt, gcol.transpose(0, 2, 1)).reshape(b_, cin, h, w)
+            _accumulate(x, dx)
+
+    return make(out, parents, vjp)
+
+
+@pytest.mark.parametrize("mode", ["multi", "single"])
+def test_training_steps_match_gather_conv(mode, monkeypatch):
+    new_state, new_losses = train_small(mode)
+    monkeypatch.setattr(G, "conv2d", conv2d_gather)
+    old_state, old_losses = train_small(mode)
+    assert new_state.keys() == old_state.keys()
+    for name in new_state:
+        assert_within(new_state[name], old_state[name], TRAIN_TOL, name)
+    np.testing.assert_allclose(new_losses, old_losses, rtol=TRAIN_TOL)
+
+
+def test_eval_forward_flips_no_spike_with_gather_conv(monkeypatch):
+    """0 flipped spikes in each of the 24 traced layers; the maps agree
+    within CONV_TOL."""
+    new_layers, new_maps = fixture_eval_forward(monkeypatch)
+    monkeypatch.setattr(G, "conv2d", conv2d_gather)
     old_layers, old_maps = fixture_eval_forward(monkeypatch)
     flips = spike_flips(new_layers, old_layers)
     assert len(flips) == 24 and flips == dict.fromkeys(flips, 0)
@@ -944,6 +1049,52 @@ def test_numeric_gradient_perturbs_strided_tensors():
     assert np.array_equal(t.data, np.arange(6.0).reshape(2, 3).T)
 
 
+def central_difference(f, t, h):
+    flat, out = t.data.flat, np.zeros(t.data.size)
+    for i in range(t.data.size):
+        old = flat[i]
+        flat[i] = old + h
+        fp = float(f().data)
+        flat[i] = old - h
+        fm = float(f().data)
+        flat[i] = old
+        out[i] = (fp - fm) / (2.0 * h)
+    return out.reshape(t.shape)
+
+
+def test_numeric_gradient_cancels_the_step_squared_error():
+    """sum(x**5): a central difference at h is off by 10 x**2 h**2; the
+    Richardson estimate leaves only the h**4 term."""
+    t = G.Tensor(np.linspace(-1.0, 1.0, 9), requires_grad=True)
+
+    def f():
+        t2 = G.mul(t, t)
+        return G.sum_(G.mul(G.mul(t2, t2), t))
+
+    exact = 5.0 * t.data ** 4
+    h = 1e-2
+    plain = np.abs(central_difference(f, t, h) - exact).max()
+    ours = np.abs(G.numeric_gradient(f, t, h) - exact).max()
+    assert plain > 5e-4 and ours < 1e-6
+
+
+def test_numeric_gradient_steps_past_rounding_noise():
+    """A loss whose value carries a large constant rounds away about 1e-8
+    of each evaluation; at h = 1e-5 that noise swamps a plain central
+    difference, and the estimate takes its larger steps instead."""
+    rng = np.random.default_rng(43)
+    t = G.Tensor(rng.standard_normal(64), requires_grad=True)
+    w = rng.standard_normal(64)
+
+    def f():
+        return G.sum_(G.mul(t, w)) + 1e8
+
+    h = 1e-5
+    plain = np.abs(central_difference(f, t, h) - w).max()
+    ours = np.abs(G.numeric_gradient(f, t, h) - w).max()
+    assert ours < plain / 2
+
+
 def test_gradient_accumulation_is_additive():
     # a tensor feeding several consumers collects the sum of contributions
     t = G.Tensor([2.0, -1.0], requires_grad=True)
@@ -1127,6 +1278,17 @@ TWO = np.array([1.5, -2.0]).astype("<f8").tobytes()
 def test_store_rejects_malformed_index(tmp_path, index, payload):
     p = write_container(tmp_path / "bad.salt", index, payload)
     with pytest.raises(ValueError, match="bad.salt"):
+        G.load_tensors(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_store_rejects_non_finite_values(tmp_path, bad):
+    """A NaN or an infinity anywhere in any tensor is refused by name."""
+    p = tmp_path / "t.salt"
+    w = np.zeros((2, 3))
+    w[1, 2] = bad
+    G.save_tensors(p, {"a": np.ones(4), "enc.w": w}, {"epoch": 1})
+    with pytest.raises(ValueError, match="non-finite value in tensor enc.w"):
         G.load_tensors(p)
 
 
