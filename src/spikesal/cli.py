@@ -20,7 +20,7 @@ from . import metrics
 from . import spikeio as sio
 from .simcam import GeneratorConfig, generate_dataset
 from .train import (RunConfig, train_model, model_from_checkpoint,
-                    load_samples, evaluate_model, window_repr)
+                    load_samples, evaluate_model, rate_readout, window_repr)
 
 
 def _load_generator_config(path, seed=None) -> GeneratorConfig:
@@ -79,6 +79,7 @@ def _stream_windows(stream: sio.SpikeStream, window: int):
 
 def cmd_infer(args) -> int:
     model, cfg, _ = model_from_checkpoint(args.ckpt)
+    net = model.inference_copy()
     stream = sio.read_stream(args.stream)
     window = args.window or cfg.window
     n = _stream_windows(stream, window)
@@ -86,15 +87,12 @@ def cmd_infer(args) -> int:
         raise ValueError("stream resolution incompatible with the model")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model.reset_state()
     mode = "single" if args.continuous else "multi"
     written = []
     with G.no_grad():
         for w in range(n):
             rep = window_repr(stream, w * window, window)[None]
-            maps = model.forward_full(rep, mode)
-            # rate readout: average the per-step maps (single mode yields one)
-            img = np.mean([m.data[0, 0] for m in maps], axis=0)
+            img = rate_readout(net.forward_full(rep, mode))
             path = out / f"map_{w:04d}.pgm"
             sio.write_pgm(path, np.round(img * 255).astype(np.uint8))
             written.append(path)

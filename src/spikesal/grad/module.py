@@ -61,6 +61,17 @@ class Module:
     def eval(self):
         return self.train(False)
 
+    def cast(self, dtype):
+        """Convert every parameter and buffer to ``dtype``, replacing the
+        arrays (never written in place); returns self."""
+        for p in self._params.values():
+            p.data = p.data.astype(dtype)
+        for name, arr in list(self._buffers.items()):
+            self.register_array(name, arr.astype(dtype))
+        for child in self._children.values():
+            child.cast(dtype)
+        return self
+
     def zero_grad(self):
         for p in self.parameters():
             p.grad = None
@@ -112,6 +123,11 @@ class ModuleList:
     def train(self, mode: bool = True):
         for m in self._items:
             m.train(mode)
+        return self
+
+    def cast(self, dtype):
+        for m in self._items:
+            m.cast(dtype)
         return self
 
 

@@ -7,7 +7,8 @@ im2col is built as (B, C*k*k, H*W) planes, k*k shifted copies of the
 unpadded input into a zeroed buffer, so the GEMMs read a plain operand
 and no padded copy is made; a 1x1 kernel without padding uses the input
 itself. Inputs are NCHW; the per-channel ops that follow run fastest on
-C-ordered planes.
+C-ordered planes. Every forward allocates in its input's dtype, so a
+float32 model computes in float32 from end to end.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     if k == 1 and pad == 0:
         return x.reshape(b, c, h * w)
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
-    col = np.zeros((b, c, k, k, ho, wo))
+    col = np.zeros((b, c, k, k, ho, wo), dtype=x.dtype)
     for i in range(k):
         # the output rows whose tap i reads an input row
         r0 = max(0, pad - i)
@@ -135,7 +136,7 @@ def maxpool2d(x) -> Tensor:
     # two NaNs it returns the first operand: only a window holding NaNs of
     # different bit patterns reads the later NaN where argmax took the first.
     xd = x.data
-    out = np.empty((b, c, h // 2, w // 2))
+    out = np.empty((b, c, h // 2, w // 2), dtype=xd.dtype)
     np.maximum(xd[:, :, 0::2, 1::2], xd[:, :, 0::2, 0::2], out=out)
     np.maximum(xd[:, :, 1::2, 0::2], out, out=out)
     np.maximum(xd[:, :, 1::2, 1::2], out, out=out)
@@ -146,8 +147,9 @@ def maxpool2d(x) -> Tensor:
         # the last phase takes the windows still free. Each phase is written
         # once, as the bits of g times its 0/1 mask: g where it won, +0.0
         # elsewhere, exactly (inf, NaN and -0.0 included)
-        dx = np.empty((b, c, h, w))
-        bits, gbits = dx.view(np.int64), g.view(np.int64)
+        dx = np.empty((b, c, h, w), dtype=g.dtype)
+        ints = np.dtype(f"i{g.itemsize}")
+        bits, gbits = dx.view(ints), g.view(ints)
         free = np.ones(out.shape, dtype=bool)
         nan = np.isnan(out).any()
         for i, j in ((0, 0), (0, 1), (1, 0)):
@@ -296,7 +298,7 @@ def spike_gate(x, v_th: float = 1.0, alpha: float = 2.0) -> Tensor:
     if relaxed_enabled():
         out = soft_gate_value(x.data, v_th, alpha)
     else:
-        out = (x.data >= v_th).astype(np.float64)
+        out = (x.data >= v_th).astype(x.data.dtype)
 
     def vjp(g):
         # the slope is only needed here, so graph-free forwards never pay for it
@@ -368,7 +370,7 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool):
         if soft:
             st = soft_gate_value(h, v_th, alpha)
         else:
-            st = (h >= v_th).astype(np.float64)
+            st = (h >= v_th).astype(h.dtype)
         if membrane or t < steps - 1:
             keep = 1.0 - st
             keep *= h

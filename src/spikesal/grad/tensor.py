@@ -1,15 +1,19 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A ``Tensor`` wraps a float64 ndarray plus an optional backward closure.
+A ``Tensor`` wraps a float64 or float32 ndarray plus an optional backward
+closure.
 Calling :meth:`Tensor.backward` on a scalar walks the graph in reverse
 topological order and accumulates vector-Jacobian products into ``.grad``
 of every tensor created with ``requires_grad=True``.
 
 Gradients accumulate additively, so a tensor consumed by several ops
 receives the sum of all downstream contributions regardless of traversal
-order. Storage is float64 throughout; inference may run under
-:class:`no_grad` where no graph is recorded; :class:`relaxed` swaps the
-spiking forward for its smooth twin.
+order. Float32 data stays float32 and every other dtype becomes float64;
+the ops compute in their inputs' dtype, and a Python number operand takes
+the other operand's dtype. Training and its gradients run in float64;
+graph-free inference may run a float32 model under :class:`no_grad`,
+where no graph is recorded. :class:`relaxed` swaps the spiking forward
+for its smooth twin.
 """
 
 from __future__ import annotations
@@ -67,7 +71,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else \
+            np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -186,6 +192,15 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _operand(x):
+    """(tensor, value) of an arithmetic operand. A Python number's value is
+    the number itself, which NumPy keeps weak: it takes the other operand's
+    dtype, where the 0-d float64 array ``as_tensor`` makes of it would
+    promote a float32 operand to float64."""
+    t = as_tensor(x)
+    return t, (x if isinstance(x, (int, float)) else t.data)
+
+
 def make(data, parents, vjp) -> Tensor:
     """Wrap ``data`` as an op output, recording the graph edge if enabled."""
     out = Tensor(data)
@@ -213,8 +228,8 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
+    (a, av), (b, bv) = _operand(a), _operand(b)
+    out = av + bv
 
     def vjp(g):
         if a.requires_grad:
@@ -226,8 +241,8 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
+    (a, av), (b, bv) = _operand(a), _operand(b)
+    out = av - bv
 
     def vjp(g):
         if a.requires_grad:
@@ -239,8 +254,8 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
+    (a, av), (b, bv) = _operand(a), _operand(b)
+    out = av * bv
 
     def vjp(g):
         if a.requires_grad:
@@ -252,8 +267,8 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
+    (a, av), (b, bv) = _operand(a), _operand(b)
+    out = av / bv
 
     def vjp(g):
         if a.requires_grad:

@@ -305,12 +305,10 @@ def energy_from_trace(layers) -> EnergyReport:
 
 
 def estimate_energy(model, repr_batch: np.ndarray, mode: str = "multi") -> EnergyReport:
-    """Trace one eval-mode inference and price its synaptic operations.
-    The model's train/eval mode is restored afterwards."""
-    was_training = model.training
-    model.eval()
+    """Trace one inference of ``model.inference_copy()``, the eval-mode
+    float32 model, and price its synaptic operations; ``model`` is left as
+    it is."""
+    net = model.inference_copy()
     with trace_activity() as tr, G.no_grad():
-        model.forward_full(repr_batch, mode=mode)
-    if was_training:
-        model.train()
+        net.forward_full(repr_batch, mode=mode)
     return energy_from_trace(tr.layers)

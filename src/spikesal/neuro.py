@@ -77,7 +77,8 @@ def _emit_layer(name: str, x: np.ndarray, fanout: int):
     binary = np.isin(x, (0.0, 1.0)).all()
     counts = not binary and x.min() >= 0 and np.array_equal(x, np.round(x))
     # aggregated spike counts: every accumulated unit is one synaptic op
-    spikes = float(x.sum()) if counts else float(np.count_nonzero(x))
+    spikes = float(x.sum(dtype=np.float64)) if counts \
+        else float(np.count_nonzero(x))
     analog = not (binary or counts)
     tr.layers.append({"name": name, "spikes_in": spikes,
                       "numel_in": int(x.size), "fanout": int(fanout),

@@ -330,13 +330,26 @@ class RSTModel(G.Module):
     def detach_state(self):
         self.encoder.detach_state()
 
+    def inference_copy(self) -> "RSTModel":
+        """An eval-mode float32 copy of this model's weights and running
+        statistics, with fresh membranes, for graph-free forwards under
+        ``G.no_grad()``. Spikes, pooled spikes and attention counts are
+        exact in float32; only the real-valued conv, batchnorm and head
+        values round. This model, its mode and its membranes are left as
+        they are."""
+        twin = RSTModel(self.cfg, np.random.default_rng(0))
+        twin.load_state_dict(self.state_dict())
+        return twin.cast(np.float32).eval()
+
     def forward_steps(self, x: np.ndarray, steps: int):
-        """Run ``steps`` copies of (B,1,H,W) input through the stack;
-        returns a list of per-step saliency maps, each (B,1,H,W)."""
+        """Run ``steps`` copies of (B,1,H,W) input through the stack, in
+        the weights' dtype; returns a list of per-step saliency maps, each
+        (B,1,H,W)."""
         b, _, hh, ww = x.shape
         if hh % 16 or ww % 16:
             raise ValueError("input spatial dims must be divisible by 16")
-        xt = Tensor(np.tile(np.asarray(x, dtype=np.float64), (steps, 1, 1, 1)))
+        dtype = self.head.weight.data.dtype
+        xt = Tensor(np.tile(np.asarray(x, dtype=dtype), (steps, 1, 1, 1)))
         _, f2, f3, e = self.encoder.forward(xt, steps)
         _emit_tensor("tokens.in", e.data)
         for i, blk in enumerate(self.rfa):

@@ -239,29 +239,40 @@ def write_pgm(path, img: np.ndarray):
 
 
 def read_pgm(path) -> np.ndarray:
+    """Read a binary 8-bit PGM (P5, maxval 255) as an (H, W) uint8 array.
+    Raises ValueError for any other file, a header field that is not a
+    decimal number, a zero width or height, and pixel data shorter or
+    longer than width * height bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if not raw.startswith(b"P5"):
+    if not raw.startswith(b"P5") or not raw[2:3].isspace():
         raise ValueError(f"{path}: not a binary PGM")
     fields, pos = [], 2
     while len(fields) < 3:
         while pos < len(raw) and raw[pos:pos + 1].isspace():
             pos += 1
         if raw[pos:pos + 1] == b"#":  # comment line
-            pos = raw.index(b"\n", pos) + 1
+            pos = raw.find(b"\n", pos) + 1
+            if pos == 0:
+                raise ValueError(f"{path}: PGM header ends in a comment")
             continue
         start = pos
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
-        fields.append(int(raw[start:pos]))
+        token = raw[start:pos]
+        if not token.isdigit():
+            raise ValueError(f"{path}: bad PGM header field {token[:20]!r}")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if w == 0 or h == 0:
+        raise ValueError(f"{path}: empty {w}x{h} image")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
-    data = np.frombuffer(raw, dtype=np.uint8, offset=pos, count=h * w)
-    if data.size < h * w:
-        raise ValueError(f"{path}: truncated pixel data")
-    return data.reshape(h, w).copy()
+    if len(raw) - pos != h * w:
+        raise ValueError(f"{path}: {max(len(raw) - pos, 0)} pixel bytes for "
+                         f"a {w}x{h} image")
+    return np.frombuffer(raw, dtype=np.uint8, offset=pos).reshape(h, w).copy()
 
 
 def write_mask(path, mask: Mask):
@@ -309,27 +320,50 @@ def save_manifest(path, manifest: DatasetManifest):
         fh.write("\n")
 
 
+def _field(doc, key: str, kind, where: str):
+    # doc[key], which must exist and be a ``kind`` (a bool is not an int)
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{where}: missing {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{where}: {key!r} must be of type {kind.__name__}")
+    return value
+
+
 def load_manifest(path) -> DatasetManifest:
+    """Read a dataset manifest, checking its structure and that every
+    file it names exists. Raises ValueError for malformed JSON, a missing
+    key, a value of the wrong type, an unknown split or light tag, or mask
+    frames that do not increase; OSError when a named file is missing."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: manifest nested too deeply") from None
     root = path.parent
     streams = []
-    for s in doc["streams"]:
-        if s["split"] not in ("train", "val"):
-            raise ValueError(f"unknown split {s['split']!r}")
-        if s["light"] not in ("high", "low"):
-            raise ValueError(f"unknown light tag {s['light']!r}")
-        if not (root / s["path"]).exists():
-            raise FileNotFoundError(f"manifest references missing {s['path']}")
+    for s in _field(doc, "streams", list, str(path)):
+        where = f"{path}: stream"
+        spk = _field(s, "path", str, where)
+        split = _field(s, "split", str, where)
+        light = _field(s, "light", str, where)
+        if split not in ("train", "val"):
+            raise ValueError(f"unknown split {split!r}")
+        if light not in ("high", "low"):
+            raise ValueError(f"unknown light tag {light!r}")
+        if not (root / spk).exists():
+            raise FileNotFoundError(f"manifest references missing {spk}")
         masks = []
         last = -1
-        for m in s["masks"]:
-            if not (root / m["path"]).exists():
-                raise FileNotFoundError(f"manifest references missing {m['path']}")
-            if m["frame"] <= last:
-                raise ValueError(f"mask frames not strictly increasing in {s['path']}")
-            last = m["frame"]
-            masks.append(MaskRef(m["path"], m["frame"]))
-        streams.append(StreamEntry(s["path"], s["split"], s["light"], masks))
+        for m in _field(s, "masks", list, where):
+            mask = _field(m, "path", str, f"{where} {spk} mask")
+            frame = _field(m, "frame", int, f"{where} {spk} mask")
+            if not (root / mask).exists():
+                raise FileNotFoundError(f"manifest references missing {mask}")
+            if frame <= last:
+                raise ValueError(f"mask frames not strictly increasing in {spk}")
+            last = frame
+            masks.append(MaskRef(mask, frame))
+        streams.append(StreamEntry(spk, split, light, masks))
     return DatasetManifest(streams, root)

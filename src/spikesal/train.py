@@ -187,28 +187,30 @@ def model_from_checkpoint(path):
 # -- evaluation ---------------------------------------------------------------------
 
 
+def rate_readout(maps) -> np.ndarray:
+    """The (H, W) float64 prediction of the first image of per-step maps:
+    their mean, the rate readout (one map in single mode)."""
+    return np.mean([m.data[0, 0] for m in maps], axis=0, dtype=np.float64)
+
+
 def evaluate_model(model: RSTModel, samples, mode: str = "multi") -> metrics.EvalReport:
     """Saliency metrics over samples; the prediction is the rate readout
     (mean map over steps) in multi mode, the per-window map in stateful
-    single mode."""
-    was_training = model.training
-    model.eval()
+    single mode. Runs on ``model.inference_copy()``, so ``model`` is left
+    as it is."""
+    net = model.inference_copy()
     pairs = []
     with G.no_grad():
         if mode == "multi":
             for s in samples:
-                maps = model.forward_full(s.repr[None], "multi")
-                pred = np.mean([m.data[0, 0] for m in maps], axis=0)
+                pred = rate_readout(net.forward_full(s.repr[None], "multi"))
                 pairs.append((pred, s.mask, s.seq))
         else:
             for seq, chron in _group_by_sequence(samples).items():
-                model.reset_state()
+                net.reset_state()
                 for s in chron:
-                    m = model.forward_full(s.repr[None], "single")[0]
-                    pairs.append((m.data[0, 0], s.mask, seq))
-            model.reset_state()
-    if was_training:
-        model.train()
+                    pred = rate_readout(net.forward_full(s.repr[None], "single"))
+                    pairs.append((pred, s.mask, seq))
     return metrics.evaluate(pairs)
 
 
@@ -295,6 +297,8 @@ def train_model(cfg: RunConfig, out_dir, resume=None, log=None) -> list:
             loss = _epoch_multi(model, opt, data["train"], cfg, rng)
         else:
             loss = _epoch_single(model, opt, data["train"], cfg, rng)
+        # the last step's membranes hold its graph, which nothing reads again
+        model.reset_state()
         val_samples = data["val"] or data["train"]
         report = evaluate_model(model, val_samples, mode=cfg.mode)
         entry = {"epoch": epoch, "loss": loss, "val_mae": report.mae,

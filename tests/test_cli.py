@@ -86,6 +86,25 @@ def test_eval_malformed_checkpoint_is_an_error(tmp_path, capsys, corrupt,
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: d.pop("streams"), "missing 'streams'",
+                 id="no-streams"),
+    pytest.param(lambda d: d["streams"][0]["masks"][0].update(frame="0"),
+                 "'frame' must be of type int", id="string-frame"),
+])
+def test_eval_malformed_manifest_is_an_error(workspace, capsys, edit, message):
+    doc = json.loads((workspace / "data" / "manifest.json").read_text())
+    edit(doc)
+    # beside the good one, so that every file it names exists
+    bad = workspace / "data" / "bad_manifest.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["eval", "--ckpt", str(workspace / "ckpt" / "last.salt"),
+               "--manifest", str(bad)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_gen_data_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({**GEN, "sensor_kind": "dvs"}))

@@ -10,13 +10,16 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from spikesal import grad as G
-from spikesal import neuro, rst
+from spikesal import metrics, neuro, rst
+from spikesal import spikeio as sio
+from spikesal.cli import main
 from spikesal.grad import nnops, store
 from spikesal.grad.tensor import _accumulate, make
 from spikesal.objective import LossConfig, map_loss, multi_step_loss
 from spikesal.optim import AdamW
 from spikesal.rst import RSTConfig, RSTModel
-from spikesal.train import model_from_checkpoint
+from spikesal.simcam import GeneratorConfig, generate_dataset
+from spikesal.train import model_from_checkpoint, rate_readout, window_repr
 
 TOL = 1e-4
 H = 1e-3
@@ -665,9 +668,9 @@ def test_training_steps_match_earlier_conv_orientation(mode, monkeypatch):
     np.testing.assert_allclose(new_losses, old_losses, rtol=TRAIN_TOL)
 
 
-def traced_forward(monkeypatch, model, x):
-    """A graph-free multi-step forward; returns every traced layer's input
-    by name, and the maps."""
+def traced_forward(monkeypatch, model, x, mode="multi"):
+    """A graph-free forward; returns every traced layer's input by name,
+    and the maps."""
     seen = {}
 
     def record(name, a, _fanout):
@@ -675,7 +678,7 @@ def traced_forward(monkeypatch, model, x):
     with monkeypatch.context() as m, G.no_grad():
         m.setattr(neuro, "_emit_layer", record)
         m.setattr(rst, "_emit_layer", record)
-        maps = model.forward_full(x, "multi")
+        maps = model.forward_full(x, mode)
     return seen, [t.data for t in maps]
 
 
@@ -894,6 +897,164 @@ def test_concat_fuse_matches_token_layout(monkeypatch):
     assert flips == dict.fromkeys(flips, 0)
     for a, b in zip(new_maps, old_maps):
         assert_within(a, b, CONV_TOL)
+
+
+# -- float32 inference --------------------------------------------------------
+#
+# evaluate_model, infer and energy run model.inference_copy(): float32
+# weights and statistics, and float32 compute. Spikes, pooled spikes and
+# the attention's integer counts are exact in float32; the conv, batchnorm
+# and head values round, so a spike flips only where a membrane lies within
+# that rounding of the threshold. Measured on the fixture over the 8
+# windows below (1 BLAS thread, OpenBLAS 0.3.31): no spike flips in either
+# mode, and the maps differ from the float64 model's by at most 9.2e-8
+# (multi) and 8.2e-8 (single).
+
+F32_MAP_TOL = 1e-6      # absolute, on saliency maps in [0, 1]
+WINDOW = 400
+
+
+@pytest.fixture(scope="module")
+def fixture_streams(tmp_path_factory):
+    """A low- and a high-light simulated 128x128 stream of four 400-frame
+    windows each, the fixture's resolution and window."""
+    root = tmp_path_factory.mktemp("f32")
+    cfg = GeneratorConfig(train_sequences=0, val_sequences=2,
+                          labels_per_sequence=4, width=128, height=128,
+                          seed=861)
+    generate_dataset(cfg, root)
+    return sorted(root.glob("val_*.spk"))
+
+
+def stream_windows(path):
+    stream = sio.read_stream(path)
+    return [window_repr(stream, w * WINDOW, WINDOW)[None]
+            for w in range(stream.frames // WINDOW)]
+
+
+@pytest.mark.parametrize("mode", ["multi", "single"])
+def test_float32_copy_flips_no_spike(monkeypatch, fixture_streams, mode):
+    """Every traced layer of the float32 copy sees the float64 model's
+    spikes and counts, window after window (membranes carried in single
+    mode); its first layer sees the input rounded to float32, and its maps
+    agree within F32_MAP_TOL."""
+    model = model_from_checkpoint(FIXTURE)[0]
+    net = model.inference_copy()
+    flips, worst = {}, 0.0
+    for path in fixture_streams:
+        model.reset_state()
+        net.reset_state()
+        for rep in stream_windows(path):
+            old_layers, old_maps = traced_forward(monkeypatch, model, rep, mode)
+            new_layers, new_maps = traced_forward(monkeypatch, net, rep, mode)
+            first = new_layers.pop("encoder.conv1")
+            assert first.dtype == np.float32
+            assert np.array_equal(first, old_layers.pop("encoder.conv1")
+                                  .astype(np.float32))
+            for name, n in spike_flips(new_layers, old_layers).items():
+                flips[name] = flips.get(name, 0) + n
+            for a, b in zip(new_maps, old_maps):
+                assert a.dtype == np.float32
+                worst = max(worst, np.max(np.abs(a - b)))
+    assert len(flips) == 23 and flips == dict.fromkeys(flips, 0)
+    assert 0.0 < worst <= F32_MAP_TOL
+
+
+def float64_pgms(model, path, continuous):
+    """The PGM bytes a float64 model's rate readout gives every window."""
+    model.reset_state()
+    out = []
+    with G.no_grad():
+        for rep in stream_windows(path):
+            maps = model.forward_full(rep, "single" if continuous else "multi")
+            img = np.round(rate_readout(maps) * 255).astype(np.uint8)
+            out.append(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode()
+                       + img.tobytes())
+    return out
+
+
+@pytest.mark.parametrize("continuous", [False, True])
+def test_float32_infer_writes_the_float64_maps(fixture_streams, tmp_path,
+                                               continuous):
+    model = model_from_checkpoint(FIXTURE)[0]
+    for path in fixture_streams:
+        out = tmp_path / f"{path.stem}-{continuous}"
+        argv = ["infer", "--ckpt", str(FIXTURE), "--stream", str(path),
+                "--out", str(out)]
+        assert main(argv + (["--continuous"] if continuous else [])) == 0
+        got = [p.read_bytes() for p in sorted(out.glob("map_*.pgm"))]
+        assert got == float64_pgms(model, path, continuous)
+
+
+def test_float32_energy_report_is_the_float64_one(fixture_streams):
+    model = model_from_checkpoint(FIXTURE)[0]
+    for path in fixture_streams:
+        rep = stream_windows(path)[0]
+        with neuro.trace_activity() as tr, G.no_grad():
+            model.forward_full(rep, "multi")
+        want = metrics.energy_from_trace(tr.layers)
+        assert want.ac_ops > 0
+        assert metrics.estimate_energy(model, rep).to_json() == want.to_json()
+
+
+def f32_param(shape, seed=0):
+    data = np.random.default_rng(seed).standard_normal(shape)
+    return G.Tensor(data.astype(np.float32), requires_grad=True)
+
+
+F32_OPS = {
+    "conv2d": lambda x: G.conv2d(x, f32_param((4, 3, 3, 3)), f32_param((4,)),
+                                 padding=1),
+    "batchnorm": lambda x: G.batchnorm(
+        x, f32_param((3,)), f32_param((3,)), np.zeros(3, np.float32),
+        np.ones(3, np.float32), training=False),
+    "maxpool2d": G.maxpool2d,
+    "nearest_upsample2d": lambda x: G.nearest_upsample2d(x, 2),
+    "lif_scan": lambda x: G.lif_scan(x, 2, 2.0, 0.5, 0.0, 2.0,
+                                     v=f32_param((1, 3, 4, 4))),
+    "lif_fire": lambda x: G.lif_fire(x, 2.0, 0.5, 0.0, 2.0),
+    "spike_gate": G.spike_gate,
+    "matmul": lambda x: G.matmul(x, f32_param((2, 3, 4, 5))),
+    "concat": lambda x: G.concat([x, f32_param(x.shape)], axis=1),
+    "elementwise_or": lambda x: G.elementwise_or(
+        G.spike_gate(x, 0.0), G.spike_gate(f32_param(x.shape), 0.0)),
+    "sigmoid": G.sigmoid,
+    "mul by a Python float": lambda x: G.mul(x, 0.41),
+    "Python int times": lambda x: 3 * x,
+}
+
+
+@pytest.mark.parametrize("op", list(F32_OPS))
+def test_ops_compute_in_float32(op):
+    x = f32_param((2, 3, 4, 4), seed=1)
+    with G.no_grad():
+        out = F32_OPS[op](x)
+    for t in out if isinstance(out, tuple) else (out,):
+        assert t.data.dtype == np.float32
+
+
+@pytest.mark.parametrize("data", [np.arange(3), np.array([True, False]),
+                                  np.ones(2, np.float16), [1, 2], 2.5])
+def test_tensor_stores_other_dtypes_as_float64(data):
+    assert G.Tensor(data).data.dtype == np.float64
+
+
+def test_tensor_keeps_float32_data_uncopied():
+    a = np.ones(3, np.float32)
+    assert G.Tensor(a).data is a
+
+
+def test_inference_copy_holds_float32_weights_and_statistics():
+    model = model_from_checkpoint(FIXTURE)[0].train()
+    net = model.inference_copy()
+    assert model.training and not net.training
+    new, old = net.state_dict(), model.state_dict()
+    assert new.keys() == old.keys()
+    for name, arr in new.items():
+        assert old[name].dtype == np.float64
+        assert arr.dtype == np.float32
+        assert np.array_equal(arr, old[name].astype(np.float32)), name
+        assert not np.shares_memory(arr, old[name]), name
 
 
 def test_shape_ops():

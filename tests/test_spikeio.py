@@ -1,5 +1,7 @@
 """Codec round-trips, intensity statistics, and representation oracles."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -341,6 +343,62 @@ def test_pgm_with_comment(tmp_path):
     assert np.array_equal(sio.read_pgm(p), img)
 
 
+@pytest.mark.parametrize("raw, message", [
+    pytest.param(b"P5\n0 4\n255\n", "empty", id="zero-width"),
+    pytest.param(b"P5\n4 0\n255\n", "empty", id="zero-height"),
+    pytest.param(b"P5\n2 2\n255\n" + bytes(5), "5 pixel bytes", id="trailing"),
+    pytest.param(b"P5\n2 2\n255\n" + bytes(3), "3 pixel bytes", id="truncated"),
+    pytest.param(b"P5\n2 2\n255", "0 pixel bytes", id="no-pixels"),
+    pytest.param(b"P5\n-2 -2\n255\n" + bytes(4), "header field", id="negative"),
+    pytest.param(b"P5\n2 2\n", "header field", id="no-maxval"),
+    pytest.param(b"P5\n2 2 # c", "ends in a comment", id="open-comment"),
+    pytest.param(b"P5\n2 2\n65535\n" + bytes(8), "maxval", id="16-bit"),
+    pytest.param(b"P52 2\n255\n" + bytes(4), "not a binary PGM", id="magic"),
+])
+def test_pgm_rejects_malformed(tmp_path, raw, message):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(raw)
+    with pytest.raises(ValueError, match=message):
+        sio.read_pgm(p)
+
+
+def pgm_bytes(img, comment=b""):
+    h, w = img.shape
+    return b"P5\n" + comment + f"{w} {h}\n255\n".encode() + img.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 2**31),
+       comment=st.sampled_from([b"", b"# c\n"]),
+       mutation=st.sampled_from(["truncate", "flip", "append", "resize"]),
+       data=st.data())
+def test_pgm_fuzz_raises_only_value_error(tmp_path_factory, h, w, seed,
+                                          comment, mutation, data):
+    """Truncated, mutated and oversized files either decode to an (H, W)
+    image holding exactly the bytes after the header, or raise ValueError."""
+    img = np.random.default_rng(seed).integers(0, 256, (h, w), dtype=np.uint8)
+    raw = pgm_bytes(img, comment)
+    if mutation == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif mutation == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
+    elif mutation == "append":
+        raw += data.draw(st.binary(min_size=1, max_size=64))
+    else:   # a header claiming another, possibly huge, size
+        h2 = data.draw(st.integers(0, 2**62))
+        raw = pgm_bytes(img, comment).replace(f" {h}\n".encode(),
+                                              f" {h2}\n".encode(), 1)
+    p = tmp_path_factory.mktemp("pgm") / "f.pgm"
+    p.write_bytes(raw)
+    try:
+        got = sio.read_pgm(p)
+    except ValueError:
+        return
+    assert got.dtype == np.uint8 and got.ndim == 2 and got.size > 0
+    assert raw.endswith(got.tobytes())
+
+
 # -- manifest ----------------------------------------------------------------------
 
 
@@ -391,3 +449,109 @@ def test_manifest_mask_order_enforced(tmp_path):
     sio.save_manifest(mp, man)
     with pytest.raises(ValueError):
         sio.load_manifest(mp)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: d.pop("streams"), "missing 'streams'", id="no-streams"),
+    pytest.param(lambda d: d["streams"][0].pop("light"), "missing 'light'",
+                 id="no-light"),
+    pytest.param(lambda d: d["streams"][0]["masks"][0].pop("frame"),
+                 "missing 'frame'", id="no-frame"),
+    pytest.param(lambda d: d["streams"][0]["masks"][1].update(frame="4"),
+                 "'frame' must be of type int", id="string-frame"),
+    pytest.param(lambda d: d["streams"][0]["masks"][0].update(frame=True),
+                 "'frame' must be of type int", id="bool-frame"),
+    pytest.param(lambda d: d["streams"][1].update(path=3),
+                 "'path' must be of type str", id="int-path"),
+    pytest.param(lambda d: d["streams"][0].update(masks={}),
+                 "'masks' must be of type list", id="dict-masks"),
+    pytest.param(lambda d: d["streams"].append([]), "missing 'path'",
+                 id="list-entry"),
+    pytest.param(lambda d: d.update(streams="seq0.spk"),
+                 "'streams' must be of type list", id="string-streams"),
+])
+def test_manifest_rejects_malformed(tmp_path, edit, message):
+    mp = tmp_path / "manifest.json"
+    sio.save_manifest(mp, make_dataset(tmp_path, np.random.default_rng(13)))
+    doc = json.loads(mp.read_text())
+    edit(doc)
+    mp.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        sio.load_manifest(mp)
+
+
+@pytest.mark.parametrize("text", ["[]", "null", '{"streams": 1e999}',
+                                  "[" * 100000, '{"streams": []} x'])
+def test_manifest_rejects_other_documents(tmp_path, text):
+    mp = tmp_path / "manifest.json"
+    mp.write_text(text)
+    with pytest.raises(ValueError):
+        sio.load_manifest(mp)
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifest")
+    sio.save_manifest(root / "manifest.json",
+                      make_dataset(root, np.random.default_rng(14)))
+    return root
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=8)
+
+
+def json_slots(doc):
+    """Every (container, key) pair of a parsed JSON document."""
+    slots, todo = [], [doc]
+    while todo:
+        node = todo.pop()
+        keys = list(node) if isinstance(node, dict) else \
+            range(len(node)) if isinstance(node, list) else ()
+        for k in keys:
+            slots.append((node, k))
+            todo.append(node[k])
+    return slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation=st.sampled_from(["delete", "replace", "truncate", "flip",
+                                 "append"]),
+       data=st.data())
+def test_manifest_fuzz_raises_only_documented_errors(manifest_dir, mutation,
+                                                     data):
+    """A manifest with a key deleted, a value replaced by any JSON value,
+    or its bytes truncated, mutated or extended either loads with every
+    field of the right type, or raises ValueError or OSError."""
+    raw = (manifest_dir / "manifest.json").read_bytes()
+    if mutation in ("delete", "replace"):
+        doc = json.loads(raw)
+        node, key = data.draw(st.sampled_from(json_slots(doc)))
+        if mutation == "delete":
+            del node[key]
+        else:
+            node[key] = data.draw(JSON_VALUES)
+        raw = json.dumps(doc).encode()
+    elif mutation == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif mutation == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=64))
+    path = manifest_dir / "fuzzed.json"
+    path.write_bytes(raw)
+    try:
+        man = sio.load_manifest(path)
+    except (ValueError, OSError):
+        return
+    for s in man.streams:
+        assert isinstance(s.path, str) and s.split in ("train", "val")
+        assert s.light in ("high", "low")
+        frames = [m.frame for m in s.masks]
+        assert all(type(f) is int for f in frames)
+        assert frames == sorted(set(frames))
+        assert all(isinstance(m.path, str) for m in s.masks)

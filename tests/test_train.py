@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spikesal.grad import Tensor
-from spikesal import optim
+from spikesal import metrics, optim
 from spikesal import train as T
-from spikesal.rst import RSTConfig
+from spikesal.rst import RSTConfig, RSTModel
 from spikesal.simcam import GeneratorConfig, generate_dataset
 
 
@@ -196,6 +196,40 @@ def test_checkpoint_reload_reproduces_eval(tmp_path, dataset):
     r1 = T.evaluate_model(model, data["val"])
     r2 = T.evaluate_model(model, data["val"])
     assert r1.mae == r2.mae == meta["history"][0]["val_mae"]
+
+
+@pytest.mark.parametrize("mode", ["multi", "single"])
+def test_reloaded_last_checkpoint_scores_the_logged_val_metrics(tmp_path,
+                                                                dataset, mode):
+    cfg = run_cfg(dataset, mode=mode, epochs=2, batch_size=1)
+    history = T.train_model(cfg, tmp_path / "run")
+    model = T.model_from_checkpoint(tmp_path / "run" / "last.salt")[0]
+    report = T.evaluate_model(model, T.load_samples(dataset, cfg.window)["val"],
+                              mode=mode)
+    assert report.mae == history[-1]["val_mae"]
+    assert report.mean_f_beta == history[-1]["val_mean_f"]
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_evaluation_leaves_the_live_model_as_it_is(dataset, training):
+    """evaluate_model and estimate_energy run a float32 copy: the model
+    they are given keeps its float64 arrays, its mode and its membranes."""
+    model = RSTModel(RSTConfig(dim=16, heads=2, steps=2, rfa_blocks=1),
+                     np.random.default_rng(3)).train(training)
+    val = T.load_samples(dataset, 80)["val"]
+    model.forward_full(val[0].repr[None], "single")
+    states = [b.lif.state for b in model.encoder.blocks]
+    state_bytes = [v.data.tobytes() for v in states]
+    before = {k: v.copy() for k, v in model.state_dict().items()}
+    for mode in ("multi", "single"):
+        T.evaluate_model(model, val, mode=mode)
+        metrics.estimate_energy(model, val[0].repr[None], mode=mode)
+    assert model.training == training
+    for name, arr in model.state_dict().items():
+        assert arr.dtype == np.float64
+        assert arr.tobytes() == before[name].tobytes(), name
+    assert [b.lif.state for b in model.encoder.blocks] == states
+    assert [v.data.tobytes() for v in states] == state_bytes
 
 
 def test_resume_reproduces_uninterrupted_run(tmp_path, dataset):
