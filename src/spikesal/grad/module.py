@@ -47,6 +47,13 @@ class Module:
         for name, child in self._children.items():
             yield from child.named_buffers(prefix + name + ".")
 
+    def modules(self):
+        """This module and every descendant, depth first in registration
+        order."""
+        yield self
+        for child in self._children.values():
+            yield from child.modules()
+
     def register_array(self, name: str, arr: np.ndarray):
         """Register a plain ndarray buffer (mutated in place, outside the graph)."""
         self._buffers[name] = arr
@@ -119,6 +126,10 @@ class ModuleList:
     def named_buffers(self, prefix: str = ""):
         for i, m in enumerate(self._items):
             yield from m.named_buffers(f"{prefix}{i}.")
+
+    def modules(self):
+        for m in self._items:
+            yield from m.modules()
 
     def train(self, mode: bool = True):
         for m in self._items:

@@ -218,8 +218,11 @@ def linear(x, weight, bias=None) -> Tensor:
     return make(out, parents, vjp)
 
 
+BN_EPS = 1e-5
+
+
 def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
-              training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+              training: bool, momentum: float = 0.1, eps: float = BN_EPS) -> Tensor:
     """Batch normalization over axis 1 (channels); statistics over every
     other axis. Callers fold any step/time dimension into the batch axis
     before calling, so statistics cover steps x batch x spatial.

@@ -80,7 +80,10 @@ def _layout(path, index, size: int):
 def load_tensors(path):
     """Returns (dict name -> float64 ndarray, meta dict). Raises ValueError
     for any file that is not a well-formed container, and for a NaN or an
-    infinity in any tensor."""
+    infinity in any tensor, naming the first such tensor in index order.
+
+    The payload is read once, into one writable buffer, and checked for
+    finiteness in one pass; the tensors are non-overlapping views of it."""
     with open(path, "rb") as fh:
         head = fh.read(14)
         if len(head) < 14 or head[:4] != MAGIC:
@@ -88,14 +91,19 @@ def load_tensors(path):
         version, blob_len = struct.unpack("<HQ", head[4:14])
         if version != VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
-        if blob_len > os.fstat(fh.fileno()).st_size - 14:
+        size = os.fstat(fh.fileno()).st_size - 14
+        if blob_len > size:
             raise ValueError(f"{path}: truncated index")
         index = json.loads(fh.read(blob_len).decode("utf-8"))
-        payload = fh.read()
-    out = {name: np.frombuffer(payload, dtype="<f8", count=count, offset=off)
-           .reshape(shape).copy()
-           for off, count, name, shape in _layout(path, index, len(payload))}
-    for name, arr in out.items():
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: non-finite value in tensor {name}")
+        entries = _layout(path, index, size - blob_len)
+        flat = np.empty((size - blob_len) // 8, dtype="<f8")
+        if fh.readinto(flat) != flat.nbytes:
+            raise ValueError(f"{path}: truncated payload")
+    finite = np.isfinite(flat)
+    if not finite.all():
+        for off, count, name, _ in entries:
+            if not finite[off // 8:off // 8 + count].all():
+                raise ValueError(f"{path}: non-finite value in tensor {name}")
+    out = {name: flat[off // 8:off // 8 + count].reshape(shape)
+           for off, count, name, shape in entries}
     return out, index.get("meta", {})

@@ -20,6 +20,11 @@ gradient; that is the form the finite-difference checks differentiate.
 
 Synaptic layers report their own input activity to an active
 :class:`trace_activity`, so energy accounting needs no hand-placed calls.
+
+:func:`fire_thresholds` solves the eval-mode form of a stateless unit:
+in float32, ``lif_fire(batchnorm(y))`` fires exactly where the raw conv
+output y lies on one side of a per-channel threshold, so an inference
+copy fires its stateless units through one compare (:class:`FiringInterval`).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import numpy as np
 
 from . import grad as G
 from .grad import Tensor
+from .grad.nnops import BN_EPS
 
 
 @dataclass
@@ -112,6 +118,149 @@ def lif_fire(x, p: LIFParams) -> Tensor:
     return G.lif_fire(x, p.tau, p.v_th, p.v_reset, p.alpha)
 
 
+# -- threshold form of eval-mode batchnorm + one fresh LIF step -------------------
+#
+# In float32, eval-mode batchnorm followed by one LIF step from a fresh
+# membrane computes, per channel,
+#
+#     ((((y - mean) * inv) * gamma + beta) / tau) + v_reset >= v_th
+#
+# with inv = 1 / sqrt(var + eps): a chain of correctly rounded operations,
+# each monotone in y (rounding is monotone), non-decreasing except the
+# multiplication by gamma, which reverses the order when gamma < 0. With
+# finite statistics, gamma != 0 and inv finite and positive, no step makes
+# a NaN out of a non-NaN y, +-inf included, so the firing y form a
+# half-line of the float32 order: y >= t for gamma > 0, y <= t for
+# gamma < 0. Its end t is found by bisection over that order, probing with
+# the very batchnorm and lif_fire calls the unit makes. -0.0 and +0.0 read
+# alike at every step, and the order keys make them one point.
+
+_KEY_NEG_INF = -0x7F800000      # order keys of -inf and +inf
+_KEY_POS_INF = 0x7F800000
+_BRACKET = 1 << 10              # half-width of the first bracket, in keys
+
+
+def _order_key(y: np.ndarray) -> np.ndarray:
+    """int64 keys of float32 values, increasing with the value; -0.0 and
+    +0.0 share key 0."""
+    bits = np.ascontiguousarray(y, dtype=np.float32).view(np.int32) \
+        .astype(np.int64)
+    return np.where(bits < 0, -(bits & 0x7FFFFFFF), bits)
+
+
+def _of_key(k: np.ndarray) -> np.ndarray:
+    """The float32 values of order keys (key 0 reads +0.0)."""
+    bits = np.where(k < 0, -k | 0x80000000, k)
+    return bits.astype(np.uint32).view(np.float32)
+
+
+def fire_thresholds(gamma, beta, mean, var, p: LIFParams):
+    """Per channel, the threshold form of eval-mode ``G.batchnorm`` (default
+    eps) followed by ``lif_fire``, in float32. Returns float32 ``t`` and
+    boolean ``up`` and ``ok``: where ``ok``, channel c fires at a float32 y
+    exactly when y >= t[c] (``up``) or y <= t[c] (not ``up``), for every y,
+    +-inf and NaN included. A channel that fires at every finite y has the
+    finite extreme on its silent side as t; one that fires at no finite y
+    has the infinity on its firing side.
+
+    A channel is not ``ok`` (its t is NaN) when its statistics are not
+    finite, gamma is 0, or 1 / sqrt(var + eps) is not finite and positive;
+    none is when tau, v_th or v_reset is not finite in float32. All
+    channels are solved together: 13 vectorized probes, about 33 if some
+    channel's boundary lies outside the bracket its float64 estimate gives.
+    """
+    gamma, beta, mean, var = (np.asarray(a, dtype=np.float32)
+                              for a in (gamma, beta, mean, var))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / np.sqrt(var + BN_EPS)   # the batchnorm's own expression
+    ok = (np.isfinite(gamma) & (gamma != 0) & np.isfinite(beta)
+          & np.isfinite(mean) & np.isfinite(inv) & (inv > 0))
+    with np.errstate(over="ignore"):
+        lif = np.array([p.tau, p.v_th, p.v_reset]).astype(np.float32)
+    if not (np.isfinite(lif).all() and lif[0] > 0):
+        ok[:] = False
+    t = np.full(gamma.shape, np.nan, dtype=np.float32)
+    up = gamma > 0
+    idx = np.flatnonzero(ok)
+    if idx.size:
+        t[idx] = _solve(gamma[idx], beta[idx], mean[idx], var[idx],
+                        inv[idx], up[idx], p)
+    return t, up, ok
+
+
+def _solve(gamma, beta, mean, var, inv, up, p: LIFParams) -> np.ndarray:
+    # channel c fires at y where sign*y >= u: search u over the order keys,
+    # probing y = sign * of_key(k), whose firing keys form an up-set. The
+    # key of -inf never fires (the chain gives -inf < v_th) and that of
+    # +inf always does, so lo and hi below bracket every boundary.
+    sign = np.where(up, np.float32(1), np.float32(-1))
+
+    def fires(k):
+        y = sign * _of_key(k)
+        with G.no_grad():
+            h = G.batchnorm(Tensor(y[None]), gamma, beta, mean, var,
+                            training=False)
+            return lif_fire(h, p).data[0] > 0
+
+    with np.errstate(over="ignore"):    # probes near the float32 extremes
+        # first a bracket around the float64 estimate; on the side where
+        # it fails to hold, the search falls back to the whole order
+        est = mean.astype(np.float64) + ((p.v_th - p.v_reset) * p.tau
+                                         - beta.astype(np.float64)) \
+            / (gamma.astype(np.float64) * inv.astype(np.float64))
+        lim = float(np.finfo(np.float32).max)
+        k0 = _order_key((sign * np.clip(est, -lim, lim)).astype(np.float32))
+        a = np.maximum(k0 - _BRACKET, _KEY_NEG_INF)
+        b = np.minimum(k0 + _BRACKET, _KEY_POS_INF)
+        fa, fb = fires(a), fires(b)
+        lo = np.where(fa, _KEY_NEG_INF, np.where(fb, a, b))
+        hi = np.where(fa, a, np.where(fb, b, _KEY_POS_INF))
+        while (hi - lo > 1).any():      # lo does not fire, hi does
+            mid = lo + (hi - lo) // 2
+            f = fires(mid)
+            hi = np.where(f, mid, hi)
+            lo = np.where(f, lo, mid)
+    return sign * _of_key(hi)
+
+
+class FiringInterval:
+    """A stateless unit's eval-mode batchnorm and fresh-membrane spike as
+    one compare per channel of the raw conv output: lo <= y <= hi, with
+    -inf / +inf on the side a channel leaves open. Built by
+    :func:`fold_thresholds`."""
+
+    def __init__(self, t: np.ndarray, up: np.ndarray):
+        shape = (1, t.size, 1, 1)
+        self.lo = np.where(up, t, -np.inf).astype(np.float32).reshape(shape)
+        self.hi = np.where(up, np.inf, t).astype(np.float32).reshape(shape)
+
+    def fire(self, y: Tensor) -> Tensor:
+        y = y.data
+        s = y >= self.lo
+        s &= y <= self.hi
+        return Tensor(s.astype(y.dtype))
+
+
+def fold_thresholds(units, p: LIFParams):
+    """Set ``unit.fold`` of every stateless unit in ``units`` (each firing
+    with ``p``, its statistics read through ``norm_arrays()``) to its
+    :class:`FiringInterval`, with all channels of all units solved in one
+    :func:`fire_thresholds` call. A unit with a channel that has no
+    threshold form gets ``fold = None`` and keeps its batchnorm. Folds are
+    read only by graph-free eval forwards, and are a snapshot: they do not
+    follow later changes to the statistics."""
+    units = list(units)
+    if not units:
+        return
+    stats = [u.norm_arrays() for u in units]
+    t, up, ok = fire_thresholds(*(np.concatenate(col) for col in zip(*stats)),
+                                p)
+    cuts = np.cumsum([s[0].size for s in stats])[:-1]
+    for unit, t_u, up_u, ok_u in zip(units, np.split(t, cuts),
+                                     np.split(up, cuts), np.split(ok, cuts)):
+        unit.fold = FiringInterval(t_u, up_u) if ok_u.all() else None
+
+
 class LIFNeuron(G.Module):
     """Stateful wrapper: carries the membrane across consecutive step calls.
 
@@ -152,7 +301,9 @@ class CBSBlock(G.Module):
       processed in parallel.
 
     Each forward reports its input to an active trace under ``name``,
-    with C_out * kernel^2 synapses per input element.
+    with C_out * kernel^2 synapses per input element. A graph-free eval
+    forward of a stateless block with a ``fold`` (see
+    :func:`fold_thresholds`) fires through it instead of the batchnorm.
     """
 
     def __init__(self, rng, in_ch: int, out_ch: int, lif: LIFParams,
@@ -171,6 +322,7 @@ class CBSBlock(G.Module):
         self.padding = (kernel - 1) // 2
         self.lif = LIFNeuron(lif)
         self.name = name
+        self.fold = None
 
     def reset_state(self):
         self.lif.reset_state()
@@ -178,14 +330,31 @@ class CBSBlock(G.Module):
     def detach_state(self):
         self.lif.detach_state()
 
-    def forward(self, x, steps: int = 1) -> Tensor:
+    def norm_arrays(self):
+        """(gamma, beta, running_mean, running_var) data arrays."""
+        return (self.gamma.data, self.beta.data, self.running_mean,
+                self.running_var)
+
+    def forward(self, x, steps: int = 1, repeated: bool = False) -> Tensor:
+        """``repeated``: the ``steps`` slices of x hold the same images, so
+        a graph-free eval forward runs the conv and the batchnorm, affine
+        there, on the first slice and tiles the result before the spikes."""
         _emit_layer(self.name, x.data, self.weight.shape[0] * self.kernel ** 2)
-        y = G.conv2d(x, self.weight, padding=self.padding)
-        y = G.batchnorm(y, self.gamma, self.beta,
-                        self.running_mean, self.running_var,
-                        training=self.training)
-        if self.stateful:
-            s = self.lif.step(y, steps)
+        graph_free_eval = not self.training and not G.grad_enabled()
+        if self.fold is not None and graph_free_eval:
+            s = self.fold.fire(G.conv2d(x, self.weight, padding=self.padding))
         else:
-            s = lif_fire(y, self.lif.params)
+            tile = steps if repeated and graph_free_eval else 1
+            if tile > 1:
+                x = Tensor(x.data[:x.shape[0] // tile])
+            y = G.conv2d(x, self.weight, padding=self.padding)
+            y = G.batchnorm(y, self.gamma, self.beta,
+                            self.running_mean, self.running_var,
+                            training=self.training)
+            if tile > 1:
+                y = Tensor(np.tile(y.data, (tile, 1, 1, 1)))
+            if self.stateful:
+                s = self.lif.step(y, steps)
+            else:
+                s = lif_fire(y, self.lif.params)
         return G.maxpool2d(s) if self.pool else s

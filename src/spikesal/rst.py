@@ -32,7 +32,8 @@ import numpy as np
 
 from . import grad as G
 from .grad import Tensor
-from .neuro import LIFParams, CBSBlock, lif_fire, _emit_layer, _emit_tensor
+from .neuro import (LIFParams, CBSBlock, lif_fire, fold_thresholds,
+                    _emit_layer, _emit_tensor)
 # re-exported: rst.trace_activity for callers, rst.lif_step for the
 # benchmark tracer, which patches it here
 from .neuro import trace_activity, lif_step
@@ -146,7 +147,9 @@ class _TokenNorm(G.Module):
 class _SpikeProjection(G.Module):
     """1x1 conv -> BN -> fresh-membrane spike over a (B, d_in, h, w) token
     map; traced under ``name`` with d_out synapses per input element. The
-    weight is stored as the (d_out, d_in) matrix."""
+    weight is stored as the (d_out, d_in) matrix. Like a stateless
+    ``CBSBlock``, a graph-free eval forward fires through its ``fold``
+    when it has one."""
 
     def __init__(self, rng, d_in: int, d_out: int, lif: LIFParams, name: str):
         super().__init__()
@@ -154,10 +157,18 @@ class _SpikeProjection(G.Module):
         self.norm = _TokenNorm(d_out)
         self.lif = lif
         self.name = name
+        self.fold = None
+
+    def norm_arrays(self):
+        bn = self.norm
+        return bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var
 
     def forward(self, x: Tensor) -> Tensor:
         _emit_layer(self.name, x.data, self.weight.shape[0])
         y = G.conv2d(x, G.reshape(self.weight, self.weight.shape + (1, 1)))
+        if self.fold is not None and not self.training \
+                and not G.grad_enabled():
+            return self.fold.fire(y)
         bn = self.norm
         y = G.batchnorm(y, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
                         training=self.training)
@@ -254,9 +265,11 @@ class Encoder(G.Module):
             b.detach_state()
 
     def forward(self, x: Tensor, steps: int):
+        """x holds ``steps`` copies of the same images, one per step, so
+        ``conv1`` gets them as ``repeated`` (see ``CBSBlock.forward``)."""
         feats = []
         for i, blk in enumerate(self.blocks):
-            x = blk.forward(x, steps=steps)
+            x = blk.forward(x, steps=steps, repeated=i == 0)
             _emit_tensor(f"encoder.f{i + 1}", x.data)
             feats.append(x)
         return feats
@@ -335,11 +348,23 @@ class RSTModel(G.Module):
         statistics, with fresh membranes, for graph-free forwards under
         ``G.no_grad()``. Spikes, pooled spikes and attention counts are
         exact in float32; only the real-valued conv, batchnorm and head
-        values round. This model, its mode and its membranes are left as
-        they are."""
+        values round. Every stateless conv-BN-spike unit of the copy gets
+        its batchnorm and spike folded into per-channel thresholds on the
+        raw conv output, which fire exactly where the float32 batchnorm
+        path does (``neuro.fold_thresholds``). This model, its mode and its
+        membranes are left as they are."""
         twin = RSTModel(self.cfg, np.random.default_rng(0))
         twin.load_state_dict(self.state_dict())
-        return twin.cast(np.float32).eval()
+        twin.cast(np.float32).eval()
+        fold_thresholds(twin.stateless_units(), self.cfg.lif())
+        return twin
+
+    def stateless_units(self) -> list:
+        """The conv-BN-spike units that fire from a fresh membrane: every
+        ``_SpikeProjection`` and every ``CBSBlock`` outside the encoder."""
+        return [m for m in self.modules()
+                if isinstance(m, _SpikeProjection)
+                or (isinstance(m, CBSBlock) and not m.stateful)]
 
     def forward_steps(self, x: np.ndarray, steps: int):
         """Run ``steps`` copies of (B,1,H,W) input through the stack, in

@@ -190,20 +190,47 @@ def isi_repr(stream: SpikeStream, at_frame: int,
     f = bits.shape[0]
     if at_frame + 1 == f:
         return SpikeRepr(np.zeros(bits.shape[1:], dtype=np.float64), full_scale)
-    # Frame t is weighted t+1 before the cut and f-t after it, so one max
-    # per side finds the nearest spike on that side; 0 means none.
+    # Frame t is weighted t+1 before the cut and f-t after it, so the max
+    # over frames finds the nearest spike on that side; 0 means none. Each
+    # side is scanned outward from the cut in chunks of frames, and stops
+    # once every pixel that still needs a spike on that side has one.
     dtype = _frame_index_dtype(f)
-    prev = np.max(bits[:at_frame + 1]
-                  * np.arange(1, at_frame + 2, dtype=dtype)[:, None, None], axis=0)
-    nxt = np.max(bits[at_frame + 1:]
-                 * np.arange(f - at_frame - 1, 0, -1, dtype=dtype)[:, None, None],
-                 axis=0)
+    prev = _nearest_spike(bits, at_frame + 1, -1, dtype, lambda t: t + 1)
+    nxt = _nearest_spike(bits, at_frame + 1, f, dtype, lambda t: f - t,
+                         prev > 0)
     both = (prev > 0) & (nxt > 0)
     # gap (f - nxt) - (prev - 1), in int64: f + 1 may not fit the index type
     gap = f + 1 - nxt.astype(np.int64) - prev
     dt = np.where(both, gap, 1).astype(np.float64)
     vals = np.where(both, full_scale / dt, 0.0)
     return SpikeRepr(vals, full_scale)
+
+
+_ISI_CHUNK = 16     # frames per step of the outward scan
+
+
+def _nearest_spike(bits, cut: int, end: int, dtype, weight, need=None):
+    """Per pixel, the largest ``weight(t)`` over its spiking frames t on
+    one side of a cut: frames cut-1 down to end+1 when end < cut, else cut
+    up to end-1. Weights fall away from the cut, so the largest names the
+    nearest spike; 0 means none. Frames are read outward from the cut, a
+    chunk at a time, and the scan stops once every pixel in the boolean
+    mask ``need`` (None: every pixel) has a spike; pixels outside it may
+    then read 0 where a full scan would not."""
+    step = 1 if end > cut else -1
+    best = np.zeros(bits.shape[1:], dtype=dtype)
+    a = cut if step > 0 else cut - 1
+    while a != end:
+        b = a + step * _ISI_CHUNK
+        b = min(b, end) if step > 0 else max(b, end)
+        lo, hi = (a, b) if step > 0 else (b + 1, a + 1)
+        w = weight(np.arange(lo, hi, dtype=np.int64)).astype(dtype)
+        np.maximum(best, np.max(bits[lo:hi] * w[:, None, None], axis=0),
+                   out=best)
+        if (best if need is None else best[need]).all():
+            break
+        a = b
+    return best
 
 
 def _frame_index_dtype(frames: int):

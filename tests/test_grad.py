@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from spikesal import grad as G
@@ -960,6 +962,35 @@ def test_float32_copy_flips_no_spike(monkeypatch, fixture_streams, mode):
     assert 0.0 < worst <= F32_MAP_TOL
 
 
+@pytest.mark.parametrize("mode", ["multi", "single"])
+def test_threshold_fold_flips_no_spike(monkeypatch, fixture_streams, mode):
+    """The copy ``inference_copy`` returns fires its 15 stateless units
+    through per-channel thresholds; the same float32 copy with the
+    thresholds cleared runs their batchnorm and spike. Every traced layer
+    sees the same spikes, window after window (membranes carried in single
+    mode), and the maps are equal."""
+    model = model_from_checkpoint(FIXTURE)[0]
+    folded, plain = model.inference_copy(), model.inference_copy()
+    units = plain.stateless_units()
+    assert len(units) == 15 and all(u.fold is not None for u in units)
+    for unit in units:
+        unit.fold = None
+    flips = {}
+    for path in fixture_streams:
+        folded.reset_state()
+        plain.reset_state()
+        for rep in stream_windows(path):
+            old_layers, old_maps = traced_forward(monkeypatch, plain, rep, mode)
+            new_layers, new_maps = traced_forward(monkeypatch, folded, rep, mode)
+            assert np.array_equal(new_layers.pop("encoder.conv1"),
+                                  old_layers.pop("encoder.conv1"))
+            for name, n in spike_flips(new_layers, old_layers).items():
+                flips[name] = flips.get(name, 0) + n
+            for a, b in zip(new_maps, old_maps):
+                assert a.dtype == np.float32 and np.array_equal(a, b)
+    assert len(flips) == 23 and flips == dict.fromkeys(flips, 0)
+
+
 def float64_pgms(model, path, continuous):
     """The PGM bytes a float64 model's rate readout gives every window."""
     model.reset_state()
@@ -1464,6 +1495,63 @@ def test_store_reads_entries_in_any_offset_order(tmp_path):
     assert list(arrays) == ["a", "b", "c", "d"] and meta == {}
     assert arrays["a"].tolist() == [1.5] and arrays["b"].tolist() == [1.5, -2.0]
     assert arrays["c"].shape == (0, 3) and arrays["d"].tolist() == -2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**31),
+       mutation=st.sampled_from(["truncate", "flip", "append"]),
+       data=st.data())
+def test_store_fuzz_raises_only_value_error(tmp_path_factory, seed, mutation,
+                                            data):
+    """Truncated, byte-mutated and extended containers either load as
+    finite float64 tensors tiling the payload, or raise ValueError."""
+    rng = np.random.default_rng(seed)
+    arrays = {f"t{i}": rng.standard_normal(tuple(rng.integers(0, 3, k)))
+              for i, k in enumerate(rng.integers(0, 3, rng.integers(1, 4)))}
+    p = tmp_path_factory.mktemp("salt") / "f.salt"
+    G.save_tensors(p, arrays, {"epoch": int(rng.integers(9))})
+    raw = p.read_bytes()
+    if mutation == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif mutation == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=64))
+    p.write_bytes(raw)
+    try:
+        got, meta = G.load_tensors(p)
+    except ValueError:
+        return
+    assert isinstance(meta, dict)
+    assert sum(8 * a.size for a in got.values()) <= len(raw)
+    for a in got.values():
+        assert a.dtype == np.float64 and np.isfinite(a).all()
+        assert a.flags.writeable
+
+
+def test_store_tensors_are_disjoint_views_of_one_buffer(tmp_path):
+    p = tmp_path / "t.salt"
+    G.save_tensors(p, {"a": np.arange(3.0), "b": np.ones((2, 2)),
+                       "c": np.array(7.0)})
+    got, _ = G.load_tensors(p)
+    base = got["a"].base
+    assert all(a.base is base for a in got.values())
+    for x in got.values():
+        for y in got.values():
+            assert x is y or not np.shares_memory(x, y)
+    got["b"][...] = 5.0
+    assert got["a"].tolist() == [0.0, 1.0, 2.0] and got["c"] == 7.0
+
+
+def test_store_names_the_first_bad_tensor_in_index_order(tmp_path):
+    # the payload holds b before a; the index lists a first
+    bad = np.array([np.nan]).astype("<f8").tobytes()
+    p = write_container(tmp_path / "nan.salt", {"tensors": {
+        "a": {"shape": [1], "offset": 8}, "b": {"shape": [1], "offset": 0}}},
+        bad + bad)
+    with pytest.raises(ValueError, match="non-finite value in tensor a$"):
+        G.load_tensors(p)
 
 
 def test_module_registration_and_state_dict():

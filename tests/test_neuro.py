@@ -464,3 +464,198 @@ def test_cbs_param_names_stable():
     assert names == ["beta", "gamma", "weight"]
     buffers = sorted(n for n, _ in blk.named_buffers())
     assert buffers == ["running_mean", "running_var"]
+
+
+# -- threshold form of eval-mode batchnorm + fresh spike ------------------------
+
+F32 = np.float32
+LIF_CASES = [LIFParams(), LIFParams(tau=3.7, v_th=0.6, v_reset=-0.25),
+             LIFParams(tau=1.3, v_th=0.1, v_reset=0.4)]
+
+
+def bn_fire(y, gamma, beta, mean, var, p):
+    """The spikes the float32 eval-mode batchnorm + lif_fire path gives the
+    rows of y, an (n, C) float32 array."""
+    with G.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        h = G.batchnorm(G.Tensor(y), gamma, beta, mean, var, training=False)
+        return lif_fire(h, p).data > 0
+
+
+def random_stats(rng, c):
+    """float32 batchnorm statistics of c channels: gammas of both signs
+    and four magnitudes, a few exactly 0."""
+    gamma = rng.standard_normal(c) * rng.choice([1e-30, 1e-3, 1.0, 30.0], c)
+    gamma[rng.random(c) < 0.1] = 0.0
+    beta = rng.standard_normal(c) * rng.choice([0.1, 3.0], c)
+    mean = rng.standard_normal(c) * rng.choice([0.0, 1.0, 1e3], c)
+    var = rng.random(c) * rng.choice([0.0, 1.0, 1e4], c)
+    return [a.astype(F32) for a in (gamma, beta, mean, var)]
+
+
+def probe_values(rng, t, n=64):
+    """(n + 10, C) float32 probes per channel: t, its two float32
+    neighbours, the zeros, infinities, NaN and the finite extremes, and n
+    random values spread over many magnitudes."""
+    big = float(np.finfo(F32).max)
+    with np.errstate(over="ignore"):    # the neighbours of +-big are +-inf
+        fixed = [t, np.nextafter(t, F32(np.inf)),
+                 np.nextafter(t, F32(-np.inf))]
+    fixed += [np.full_like(t, v) for v in (0.0, -0.0, np.inf, -np.inf, np.nan,
+                                           big, -big)]
+    spread = rng.standard_normal((n, t.size)) \
+        * 10.0 ** rng.uniform(-6, 12, (n, t.size))
+    return np.vstack([np.stack(fixed), spread.astype(F32)])
+
+
+def assert_threshold_form(stats, p, rng):
+    t, up, ok = neuro.fire_thresholds(*stats, p)
+    assert t.dtype == F32 and up.dtype == bool and ok.dtype == bool
+    y = probe_values(rng, np.where(ok, t, F32(0)))
+    want = bn_fire(y, *stats, p)
+    got = np.where(up, y >= t, y <= t)
+    assert np.array_equal(got[:, ok], want[:, ok])
+    return t, up, ok
+
+
+@pytest.mark.parametrize("p", LIF_CASES)
+def test_fire_thresholds_match_batchnorm_and_spike(p):
+    """At the solved t, at both of its float32 neighbours, at the special
+    values and at random y, the threshold compare fires exactly where the
+    batchnorm + spike path does, for gammas of either sign."""
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        stats = random_stats(rng, 40)
+        t, up, ok = assert_threshold_form(stats, p, rng)
+        gamma = stats[0]
+        assert not ok[gamma == 0].any()
+        assert ok[gamma != 0].all()
+        assert np.array_equal(up[ok], gamma[ok] > 0)
+
+
+@pytest.mark.parametrize("p", LIF_CASES)
+def test_fire_thresholds_always_and_never_firing_channels(p):
+    """A beta far above or below the threshold makes a channel fire at
+    every finite y, or at none: t sits at the finite extreme on the silent
+    side, or at the infinity on the firing side."""
+    big = np.finfo(F32).max
+    gamma = np.array([1e-30, 1e-30, -1e-30, -1e-30], F32)
+    beta = np.array([1e30, -1e30, 1e30, -1e30], F32)
+    stats = [gamma, beta, np.zeros(4, F32), np.ones(4, F32)]
+    t, up, ok = assert_threshold_form(stats, p, np.random.default_rng(42))
+    assert ok.all() and up.tolist() == [True, True, False, False]
+    assert t.tolist() == [-big, np.inf, big, -np.inf]
+
+
+@pytest.mark.parametrize("bad", ["nan-mean", "inf-beta", "inf-gamma",
+                                 "nan-var", "inf-var", "negative-var"])
+def test_fire_thresholds_refuse_channels_without_a_half_line(bad):
+    stats = [np.ones(3, F32), np.zeros(3, F32), np.zeros(3, F32),
+             np.ones(3, F32)]
+    which, value = {"nan-mean": (2, np.nan), "inf-beta": (1, np.inf),
+                    "inf-gamma": (0, np.inf), "nan-var": (3, np.nan),
+                    "inf-var": (3, np.inf), "negative-var": (3, -1.0)}[bad]
+    stats[which][1] = value
+    t, _, ok = neuro.fire_thresholds(*stats, LIFParams())
+    assert ok.tolist() == [True, False, True]
+    assert np.isnan(t[1])
+
+
+def test_fire_thresholds_refuse_non_finite_lif_parameters():
+    stats = [np.ones(2, F32), np.zeros(2, F32), np.zeros(2, F32),
+             np.ones(2, F32)]
+    for p in (LIFParams(v_th=np.inf), LIFParams(v_reset=np.nan),
+              LIFParams(tau=1e300)):
+        assert not neuro.fire_thresholds(*stats, p)[2].any()
+
+
+def frozen_block(seed, pool, signs, p=LIFParams()):
+    """An eval-mode float32 stateless CBS block with random statistics and
+    gammas of the given signs."""
+    rng = np.random.default_rng(seed)
+    blk = CBSBlock(rng, 3, len(signs), p, pool=pool)
+    blk.gamma.data = np.asarray(signs) * rng.uniform(0.2, 2.0, len(signs))
+    blk.beta.data = rng.standard_normal(len(signs))
+    blk.running_mean[:] = rng.standard_normal(len(signs))
+    blk.running_var[:] = rng.uniform(0.1, 3.0, len(signs))
+    return blk.cast(np.float32).eval()
+
+
+@pytest.mark.parametrize("signs", [[1, 1, 1, 1], [-1, -1, -1], [1, -1, 1, -1]])
+@pytest.mark.parametrize("pool", [False, True])
+def test_folded_block_fires_as_its_batchnorm(signs, pool):
+    """Graph-free eval forwards through the fold give the batchnorm path's
+    spikes, bit for bit; a channel leaves the side opposite its gamma's
+    sign open at -inf or +inf."""
+    p = LIFParams(tau=2.5, v_th=0.7, v_reset=-0.1)
+    blk = frozen_block(9, pool, signs, p)
+    x = G.Tensor((np.random.default_rng(10).random((4, 3, 12, 12)) < 0.4)
+                 .astype(np.float32))
+    with G.no_grad():
+        want = blk.forward(x).data
+        neuro.fold_thresholds([blk], p)
+        got = blk.forward(x).data
+    assert blk.fold is not None
+    up = np.asarray(signs) > 0
+    assert np.array_equal(blk.fold.lo.ravel() == -np.inf, ~up)
+    assert np.array_equal(blk.fold.hi.ravel() == np.inf, up)
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, want) and 0 < want.mean() < 1
+
+
+def test_fold_is_used_only_by_graph_free_eval_forwards(monkeypatch):
+    blk = frozen_block(11, False, [1, -1, 1])
+    neuro.fold_thresholds([blk], LIFParams())
+    calls = []
+    real = G.batchnorm
+    monkeypatch.setattr(G, "batchnorm",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    x = G.Tensor(np.ones((2, 3, 6, 6), np.float32))
+    with G.no_grad():
+        blk.forward(x)
+    assert calls == []
+    blk.forward(x)                       # a graph is recorded
+    blk.train()
+    with G.no_grad():
+        blk.forward(x)
+    assert calls == [1, 1]
+
+
+def test_fold_keeps_batchnorm_for_a_zero_gamma():
+    blk = frozen_block(12, False, [1, 0, 1])
+    neuro.fold_thresholds([blk], LIFParams())
+    assert blk.fold is None
+
+
+@pytest.mark.parametrize("pool", [False, True])
+def test_repeated_input_runs_the_conv_once_and_scans_the_same(pool,
+                                                              monkeypatch):
+    """A stateful block fed one image repeated at every step gives the same
+    spikes and membranes from one conv over the first step's slice; the
+    conv still sees every step when a graph is recorded or in training."""
+    rng = np.random.default_rng(13)
+    img = rng.uniform(0, 2, (2, 1, 10, 10))
+    x = G.Tensor(np.tile(img, (4, 1, 1, 1)))
+    batches = []
+    real = G.conv2d
+    monkeypatch.setattr(G, "conv2d",
+                        lambda a, *r, **k: batches.append(a.shape[0])
+                        or real(a, *r, **k))
+
+    def run(repeated, graph, train=False):
+        blk = CBSBlock(np.random.default_rng(14), 1, 5, LIFParams(),
+                       pool=pool, stateful=True)
+        blk.running_mean[:] = 0.2
+        blk.train(train)
+        if graph:
+            out = blk.forward(x, steps=4, repeated=repeated)
+        else:
+            with G.no_grad():
+                out = blk.forward(x, steps=4, repeated=repeated)
+        return out.data, blk.lif.state.data
+
+    want = run(False, graph=False)
+    for got in (run(True, graph=False), run(True, graph=True)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert batches == [8, 2, 8]
+    run(True, graph=False, train=True)
+    assert batches[-1] == 8

@@ -232,6 +232,50 @@ def test_isi_long_stream_across_index_dtype_switch(frames):
     assert sio.isi_repr(stream, 1).values[0, 0] == 255.0 / (frames - 1)
 
 
+def isi_max_oracle(stream, at_frame, full_scale=255.0):
+    """The earlier isi_repr: one multiply-max over every frame on each side
+    of the cut."""
+    bits = stream.bits
+    f = bits.shape[0]
+    if at_frame + 1 == f:
+        return np.zeros(bits.shape[1:], dtype=np.float64)
+    dtype = sio._frame_index_dtype(f)
+    prev = np.max(bits[:at_frame + 1]
+                  * np.arange(1, at_frame + 2, dtype=dtype)[:, None, None], axis=0)
+    nxt = np.max(bits[at_frame + 1:]
+                 * np.arange(f - at_frame - 1, 0, -1, dtype=dtype)[:, None, None],
+                 axis=0)
+    both = (prev > 0) & (nxt > 0)
+    gap = f + 1 - nxt.astype(np.int64) - prev
+    dt = np.where(both, gap, 1).astype(np.float64)
+    return np.where(both, full_scale / dt, 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(frames=st.one_of(st.integers(1, 80), st.integers(32766, 32768)),
+       seed=st.integers(0, 2**31), density=st.sampled_from([0.0, 0.01, 0.2, 1.0]),
+       at=st.sampled_from(["first", "f-2", "f-1", "random"]), data=st.data())
+def test_isi_early_exit_matches_full_scan(frames, seed, density, at, data):
+    """The outward, early-exit scan reads exactly what one multiply-max over
+    all frames reads, with silent pixels, pixels firing every frame, cuts
+    at the first and last frames, and frame counts on both sides of the
+    int16 index limit."""
+    rng = np.random.default_rng(seed)
+    h, w = (1, 3) if frames > 1000 else (3, 4)
+    bits = (rng.random((frames, h, w)) < density).astype(np.uint8)
+    bits[:, 0, 0] = 0                       # silent
+    bits[:, -1, -1] = 1                     # fires every frame
+    if frames > 1:                          # first and last frame only
+        bits[:, 0, 1] = 0
+        bits[[0, -1], 0, 1] = 1
+    cut = {"first": 0, "f-2": max(frames - 2, 0), "f-1": frames - 1,
+           "random": data.draw(st.integers(0, frames - 1))}[at]
+    stream = sio.SpikeStream(bits)
+    got = sio.isi_repr(stream, cut).values
+    want = isi_max_oracle(stream, cut)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_isi_rejects_bad_frame():
     s = sio.SpikeStream(np.zeros((5, 2, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
