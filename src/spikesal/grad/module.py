@@ -142,7 +142,12 @@ class ModuleList:
         return self
 
 
-def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
-    """He-uniform fan-in init: U(-sqrt(6/fan_in), +sqrt(6/fan_in))."""
+def kaiming_uniform(rng: np.random.Generator | None, shape,
+                    fan_in: int) -> Tensor:
+    """He-uniform fan-in init: U(-sqrt(6/fan_in), +sqrt(6/fan_in)). With
+    ``rng`` None the weights are zeros and nothing is drawn, for a module
+    whose state is loaded next."""
+    if rng is None:
+        return Tensor(np.zeros(shape), requires_grad=True)
     bound = float(np.sqrt(6.0 / fan_in))
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)

@@ -17,16 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import (Tensor, as_tensor, grad_enabled, make, relaxed_enabled,
-                     _accumulate)
-
-
-def _give(t: Tensor, g: np.ndarray):
-    # ``_accumulate`` for a gradient array the caller has just allocated and
-    # keeps no reference to: the first one becomes ``t.grad`` uncopied
-    if t.grad is None:
-        t.grad = g
-    else:
-        t.grad += g
+                     _accumulate, _give)
 
 
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
@@ -96,11 +87,37 @@ def conv2d(x, weight, bias=None, padding: int = 0) -> Tensor:
     return make(out, parents, vjp)
 
 
-def _separable_pass(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    # valid 1-d correlation with ``taps`` along H, then along W
-    k = taps.shape[0]
-    rows = sliding_window_view(x, k, axis=-2) @ taps
-    return sliding_window_view(rows, k, axis=-1) @ taps
+def _blur_rows(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    # valid 1-d correlation along H: each output row is one BLAS gemv of the
+    # column-major (W, k) window matrix with the taps
+    return sliding_window_view(x, taps.shape[0], axis=-2) @ taps
+
+
+def blur_valid(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Valid 2-d correlation of the last two axes of ``x`` with the separable
+    kernel outer(taps, taps): (..., H, W) -> (..., H-k+1, W-k+1), C-ordered.
+
+    The H pass runs first; the W pass is the same gemv pass over a C-ordered
+    transpose of its output, so both run in BLAS. Each output is one gemv
+    row of k products, and the bytes are the same at 1 and 2 BLAS threads;
+    a banded GEMM blur is faster, but its bytes change with the thread
+    count.
+    """
+    taps = np.ascontiguousarray(taps, dtype=np.float64)
+    rows = _blur_rows(x, taps)
+    cols = _blur_rows(np.ascontiguousarray(np.swapaxes(rows, -1, -2)), taps)
+    return np.ascontiguousarray(np.swapaxes(cols, -1, -2))
+
+
+def blur_adjoint(g: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`blur_valid`: the full correlation of ``g`` with the
+    reversed taps, (..., h, w) -> (..., h+k-1, w+k-1)."""
+    k = len(taps)
+    h, w = g.shape[-2:]
+    padded = np.zeros(g.shape[:-2] + (h + 2 * k - 2, w + 2 * k - 2),
+                      dtype=g.dtype)
+    padded[..., k - 1:k - 1 + h, k - 1:k - 1 + w] = g
+    return blur_valid(padded, np.asarray(taps)[::-1])
 
 
 def blur2d(x, taps) -> Tensor:
@@ -108,19 +125,15 @@ def blur2d(x, taps) -> Tensor:
 
     x: (..., H, W), taps: (k,) constant array. Output is (..., H-k+1, W-k+1).
     Equals ``conv2d`` with that k x k kernel per channel, done as two 1-d
-    passes (2k instead of k*k multiply-adds per output).
+    passes (2k instead of k*k multiply-adds per output); see
+    :func:`blur_valid`.
     """
     x = as_tensor(x)
-    taps = np.asarray(taps, dtype=np.float64)
-    k = taps.shape[0]
-    out = _separable_pass(x.data, taps)
 
     def vjp(g):
-        # adjoint of a valid correlation: full correlation with reversed taps
-        pad = [(0, 0)] * (g.ndim - 2) + [(k - 1, k - 1)] * 2
-        _give(x, _separable_pass(np.pad(g, pad), taps[::-1]))
+        _give(x, blur_adjoint(g, taps))
 
-    return make(out, (x,), vjp)
+    return make(blur_valid(x.data, taps), (x,), vjp)
 
 
 def maxpool2d(x) -> Tensor:

@@ -188,6 +188,15 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad += g
 
 
+def _give(t: Tensor, g: np.ndarray):
+    # ``_accumulate`` for a gradient array the caller has just allocated and
+    # keeps no reference to: the first one becomes ``t.grad`` uncopied
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 

@@ -326,9 +326,11 @@ class Head(G.Module):
 class RSTModel(G.Module):
     """Full network. Run under ``G.relaxed()`` it is its own smooth twin
     (continuous gates, differentiable OR, undetached resets) whose
-    analytic gradient is finite-difference checkable end to end."""
+    analytic gradient is finite-difference checkable end to end. Built
+    with ``rng`` None, its weights are zeros and no random number is
+    drawn, for a model whose state is loaded next."""
 
-    def __init__(self, cfg: RSTConfig, rng: np.random.Generator):
+    def __init__(self, cfg: RSTConfig, rng: np.random.Generator | None):
         super().__init__()
         self.cfg = cfg
         self.encoder = Encoder(rng, cfg)
@@ -353,7 +355,7 @@ class RSTModel(G.Module):
         raw conv output, which fire exactly where the float32 batchnorm
         path does (``neuro.fold_thresholds``). This model, its mode and its
         membranes are left as they are."""
-        twin = RSTModel(self.cfg, np.random.default_rng(0))
+        twin = RSTModel(self.cfg, None)
         twin.load_state_dict(self.state_dict())
         twin.cast(np.float32).eval()
         fold_thresholds(twin.stateless_units(), self.cfg.lif())

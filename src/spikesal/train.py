@@ -178,7 +178,7 @@ def model_from_checkpoint(path):
     if meta.get("kind") != "checkpoint":
         raise ValueError("not a training checkpoint")
     cfg = RunConfig.from_json_dict(meta["config"])
-    model = RSTModel(cfg.model, np.random.default_rng(0))
+    model = RSTModel(cfg.model, None)
     _load_model_arrays(model, arrays)
     model.eval()
     return model, cfg, meta

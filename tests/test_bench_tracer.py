@@ -49,3 +49,22 @@ def test_tracer_instruments_a_training_step_and_restores():
                  "grad.conv2d.bwd", "grad.backward"):
         assert tr.incl_s[span] > 0.0, span
     assert tr.counts["grad.conv2d.calls"] > 0
+
+
+def test_tracer_times_each_fused_loss_term():
+    # all T step maps are scored in one call of each term, and the SSIM
+    # node's backward is timed as its own span
+    tracing = load_tracer()
+    rng = np.random.default_rng(2)
+    maps = [grad.Tensor(rng.uniform(0.05, 0.95, (2, 1, 32, 32)),
+                        requires_grad=True) for _ in range(5)]
+    target = grad.Tensor((rng.random((2, 1, 32, 32)) < 0.4).astype(float))
+    tr = tracing.Tracer()
+    with tracing.instrument(tr):
+        train.multi_step_loss(maps, target).backward()
+    for span in ("objective.bce.fwd", "objective.iou.fwd",
+                 "objective.ssim.fwd", "objective.ssim.bwd", "objective.loss"):
+        assert tr.incl_s[span] > 0.0, span
+    for term in ("bce", "iou", "ssim"):
+        assert tr.counts[f"objective.{term}.calls"] == 1, term
+    assert all(m.grad is not None for m in maps)

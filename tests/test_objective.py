@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from spikesal import grad as G
 from spikesal.grad import Tensor, gradcheck
+from spikesal.grad.tensor import _accumulate, make
 from spikesal import objective as obj
 
 
@@ -296,3 +302,197 @@ def test_vanilla_loss_on_mean_map():
     mean_map = np.mean([m.data for m in maps], axis=0)
     exp = obj.map_loss(Tensor(mean_map), Tensor(target)).item()
     assert got == pytest.approx(exp, rel=1e-12)
+
+
+# -- equivalence with the graph-composed objective ------------------------------
+#
+# The objective as it was before each term became one graph node: about 45
+# elementwise graph ops per step map, one map_loss call per step, and the
+# blur whose W pass used numpy's own matmul loop.
+
+
+def _separable_pass(x, taps):
+    # valid 1-d correlation with ``taps`` along H, then along W
+    k = taps.shape[0]
+    rows = sliding_window_view(x, k, axis=-2) @ taps
+    return sliding_window_view(rows, k, axis=-1) @ taps
+
+
+def blur2d_graph(x, taps):
+    x = G.as_tensor(x)
+    k = taps.shape[0]
+
+    def vjp(g):
+        pad = [(0, 0)] * (g.ndim - 2) + [(k - 1, k - 1)] * 2
+        _accumulate(x, _separable_pass(np.pad(g, pad), taps[::-1]))
+
+    return make(_separable_pass(x.data, taps), (x,), vjp)
+
+
+def bce_graph(pred, target):
+    pred = G.clip(G.as_tensor(pred), obj.CLAMP_EPS, 1.0 - obj.CLAMP_EPS)
+    target = G.as_tensor(target)
+    pos = G.mul(target, G.log(pred))
+    neg = G.mul(G.sub(1.0, target), G.log(G.sub(1.0, pred)))
+    return G.mul(G.mean(G.add(pos, neg)), -1.0)
+
+
+def iou_graph(pred, target):
+    pred, target = G.as_tensor(pred), G.as_tensor(target)
+    inter = G.sum_(G.mul(pred, target))
+    union = G.sub(G.add(G.sum_(pred), G.sum_(target)), inter)
+    return G.sub(1.0, G.div(inter, union))
+
+
+def ssim_target_stats_graph(target):
+    taps = obj._gaussian_taps(11, 1.5)
+    mu_t = blur2d_graph(target, taps)
+    var_t = G.sub(blur2d_graph(G.mul(target, target), taps),
+                  G.mul(mu_t, mu_t))
+    return mu_t, var_t
+
+
+def ssim_graph(pred, target, target_stats=None):
+    pred, target = G.as_tensor(pred), G.as_tensor(target)
+    taps = obj._gaussian_taps(11, 1.5)
+    mu_t, var_t = target_stats or ssim_target_stats_graph(target)
+    mu_p = blur2d_graph(pred, taps)
+    var_p = G.sub(blur2d_graph(G.mul(pred, pred), taps), G.mul(mu_p, mu_p))
+    cov = G.sub(blur2d_graph(G.mul(pred, target), taps), G.mul(mu_p, mu_t))
+    num = G.mul(G.add(G.mul(2.0, G.mul(mu_p, mu_t)), obj._SSIM_C1),
+                G.add(G.mul(2.0, cov), obj._SSIM_C2))
+    den = G.mul(G.add(G.add(G.mul(mu_p, mu_p), G.mul(mu_t, mu_t)),
+                      obj._SSIM_C1),
+                G.add(G.add(var_p, var_t), obj._SSIM_C2))
+    return G.sub(1.0, G.mean(G.div(num, den)))
+
+
+def map_loss_graph(pred, target, ssim_stats=None):
+    return G.add(G.add(bce_graph(pred, target), iou_graph(pred, target)),
+                 ssim_graph(pred, target, target_stats=ssim_stats))
+
+
+def multi_step_loss_graph(maps, target, cfg=None):
+    cfg = cfg or obj.LossConfig(steps=len(maps))
+    stats = ssim_target_stats_graph(target)
+    total = None
+    for w, m in zip(cfg.weights, maps):
+        t = G.mul(map_loss_graph(m, target, ssim_stats=stats), float(w))
+        total = t if total is None else G.add(total, t)
+    return total
+
+
+def vanilla_loss_graph(maps, target):
+    mean_map = G.mean(G.stack(list(maps), axis=0), axis=0)
+    return map_loss_graph(mean_map, target)
+
+
+def step_maps(steps, shape, edges=False):
+    """``steps`` prediction maps and a binary target; with ``edges`` a
+    quarter of every map holds exactly 0, CLAMP_EPS, 1 - CLAMP_EPS or 1."""
+    pred, target = rand_pair((steps,) + shape)
+    if edges:
+        edge = np.array([0.0, obj.CLAMP_EPS, 1.0 - obj.CLAMP_EPS, 1.0])
+        pick = rng.random(pred.shape) < 0.25
+        pred[pick] = rng.choice(edge, size=int(pick.sum()))
+    return ([Tensor(p, requires_grad=True) for p in pred],
+            Tensor(target[0]))
+
+
+def assert_matches_oracle(run, oracle, maps):
+    v_new, g_new = value_and_grads(run, maps)
+    v_ref, g_ref = value_and_grads(oracle, maps)
+    assert v_new == pytest.approx(v_ref, rel=1e-12, abs=0.0)
+    for a, b in zip(g_new, g_ref):
+        assert_close_rel(a, b)
+
+
+ORACLE_SHAPES = [(1, 1, 16, 16), (2, 1, 16, 16), (2, 1, 13, 21)]
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+@pytest.mark.parametrize("steps", [1, 3, 5])
+@pytest.mark.parametrize("edges", [False, True])
+def test_multi_step_loss_matches_graph_oracle(steps, shape, edges):
+    maps, t = step_maps(steps, shape, edges)
+    assert_matches_oracle(lambda: obj.multi_step_loss(maps, t),
+                          lambda: multi_step_loss_graph(maps, t), maps)
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+@pytest.mark.parametrize("edges", [False, True])
+def test_map_loss_matches_graph_oracle(shape, edges):
+    maps, t = step_maps(1, shape, edges)
+    assert_matches_oracle(lambda: obj.map_loss(maps[0], t),
+                          lambda: map_loss_graph(maps[0], t), maps)
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+@pytest.mark.parametrize("steps", [1, 3, 5])
+def test_vanilla_loss_matches_graph_oracle(steps, shape):
+    maps, t = step_maps(steps, shape, edges=True)
+    assert_matches_oracle(lambda: obj.vanilla_loss(maps, t),
+                          lambda: vanilla_loss_graph(maps, t), maps)
+
+
+@pytest.mark.parametrize("term,oracle", [(obj.bce, bce_graph),
+                                         (obj.iou_loss, iou_graph),
+                                         (obj.ssim_loss, ssim_graph)])
+def test_stacked_terms_score_each_step(term, oracle):
+    # T stacked step maps give the length-T vector of the per-map values
+    maps, t = step_maps(4, (2, 1, 13, 21), edges=True)
+    stacked = Tensor(np.stack([m.data for m in maps]), requires_grad=True)
+    r = rng.normal(size=4)
+    got, (g_got,) = value_and_grads(
+        lambda: G.sum_(G.mul(term(stacked, t), r)), [stacked])
+    want, g_want = value_and_grads(
+        lambda: G.sum_(G.mul(G.stack([oracle(m, t) for m in maps]), r)), maps)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    for a, b in zip(g_got, g_want):
+        assert_close_rel(a, b)
+
+
+def test_bce_gradient_is_zero_where_the_prediction_is_clamped():
+    edge = np.array([0.0, obj.CLAMP_EPS, 1.0 - obj.CLAMP_EPS, 1.0, 0.5])
+    p = Tensor(np.tile(edge, (2, 1, 1, 2)), requires_grad=True)
+    t = Tensor(np.tile([1.0, 0.0, 1.0, 0.0, 1.0], (2, 1, 1, 2)))
+    obj.bce(p, t).backward()
+    clamped = np.tile(edge, (2, 1, 1, 2)) != 0.5
+    assert (p.grad[clamped] == 0.0).all()
+    assert (p.grad[~clamped] != 0.0).all()
+
+
+# -- bytes independent of the BLAS thread count ----------------------------------
+
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from spikesal import grad as G, objective as obj
+for size in (64, 128):
+    rng = np.random.default_rng(size)
+    maps = [G.Tensor(rng.uniform(0.0, 1.0, (2, 1, size, size)),
+                     requires_grad=True) for _ in range(5)]
+    target = G.Tensor((rng.random((2, 1, size, size)) < 0.4) * 1.0)
+    loss = obj.multi_step_loss(maps, target)
+    loss.backward()
+    h = hashlib.sha256(loss.data.tobytes())
+    for m in maps:
+        h.update(m.grad.tobytes())
+    print(size, h.hexdigest())
+"""
+
+
+def test_multi_step_loss_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[0] == outputs[1]

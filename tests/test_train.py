@@ -198,6 +198,31 @@ def test_checkpoint_reload_reproduces_eval(tmp_path, dataset):
     assert r1.mae == r2.mae == meta["history"][0]["val_mae"]
 
 
+def test_rebuilt_models_draw_no_random_numbers(tmp_path, monkeypatch):
+    """model_from_checkpoint and inference_copy overwrite every weight of
+    the model they build, so they build it without drawing any."""
+    cfg = T.RunConfig(model=RSTConfig(dim=16, heads=2, steps=2,
+                                      rfa_blocks=1))
+    model = RSTModel(cfg.model, np.random.default_rng(5))
+    T.save_checkpoint(tmp_path / "m.salt", model,
+                      optim.AdamW(model.named_parameters(), lr=1e-3), cfg,
+                      0, [])
+
+    def no_generator(*_a, **_k):
+        raise AssertionError("a random generator was created")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    legacy = np.random.get_state()
+    loaded = T.model_from_checkpoint(tmp_path / "m.salt")[0]
+    twin = loaded.inference_copy()
+    after = np.random.get_state()
+    assert after[1].tobytes() == legacy[1].tobytes() and after[2] == legacy[2]
+    for name, arr in model.state_dict().items():
+        assert loaded.state_dict()[name].tobytes() == arr.tobytes(), name
+        assert twin.state_dict()[name].tobytes() == \
+            arr.astype(np.float32).tobytes(), name
+
+
 @pytest.mark.parametrize("mode", ["multi", "single"])
 def test_reloaded_last_checkpoint_scores_the_logged_val_metrics(tmp_path,
                                                                 dataset, mode):
