@@ -7,8 +7,8 @@ from .tensor import (
     sum_, mean,
 )
 from .nnops import (
-    conv2d, blur2d, maxpool2d, nearest_upsample2d, linear, batchnorm,
-    spike_gate, lif_scan, lif_fire, elementwise_or, surrogate_slope,
+    conv2d, upsample_conv2d, blur2d, maxpool2d, nearest_upsample2d, linear,
+    batchnorm, spike_gate, lif_scan, lif_fire, elementwise_or, surrogate_slope,
     soft_gate_value,
 )
 from .module import Module, ModuleList, kaiming_uniform
@@ -24,7 +24,8 @@ __all__ = [
     "add", "sub", "mul", "div", "pow_", "log", "exp", "sigmoid", "clip",
     "matmul", "reshape", "transpose", "swapaxes", "take", "concat", "stack",
     "sum_", "mean",
-    "conv2d", "blur2d", "maxpool2d", "nearest_upsample2d", "linear", "batchnorm",
+    "conv2d", "upsample_conv2d", "blur2d", "maxpool2d", "nearest_upsample2d",
+    "linear", "batchnorm",
     "spike_gate", "lif_scan", "lif_fire", "elementwise_or", "surrogate_slope",
     "soft_gate_value", "Module", "ModuleList", "kaiming_uniform",
     "numeric_gradient", "check_gradients", "check_gradients_sampled",

@@ -6,9 +6,11 @@ alike, with the weights on the left so that its outputs are C-ordered.
 im2col is built as (B, C*k*k, H*W) planes, k*k shifted copies of the
 unpadded input into a zeroed buffer, so the GEMMs read a plain operand
 and no padded copy is made; a 1x1 kernel without padding uses the input
-itself. Inputs are NCHW; the per-channel ops that follow run fastest on
-C-ordered planes. Every forward allocates in its input's dtype, so a
-float32 model computes in float32 from end to end.
+itself. A conv of a 2x nearest-upsampled map runs at the map's own
+resolution (``upsample_conv2d``). Inputs are NCHW; the per-channel ops
+that follow run fastest on C-ordered planes. Every forward allocates in
+its input's dtype, so a float32 model computes in float32 from end to
+end; a graph-free LIF scan allocates nothing per step.
 """
 
 from __future__ import annotations
@@ -69,22 +71,97 @@ def conv2d(x, weight, bias=None, padding: int = 0) -> Tensor:
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            # one GEMM per image, summed: one GEMM over all images would need
-            # a (C*k*k, B*H*W) copy of col, and measured slower with it
-            gw = np.matmul(g.reshape(b_, cout, ho * wo),
-                           col.transpose(0, 2, 1)).sum(axis=0)
+            gw = _conv_weight_grad(g.reshape(b_, cout, ho * wo), col)
             _accumulate(weight, gw.reshape(weight.data.shape))
         if x.requires_grad:
-            # transposed conv: full correlation of g with the flipped kernel,
-            # cropped by ``padding``; a negative margin crops g instead
-            q = k - 1 - padding
-            gq = g if q >= 0 else g[:, :, -q:ho + q, -q:wo + q]
-            wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
-                .reshape(cin, cout * k * k)
-            dx = np.matmul(wt, _im2col(gq, k, max(q, 0))).reshape(b_, cin, h, w)
-            _give(x, dx)
+            _give(x, _conv_input_grad(g, weight.data, padding))
 
     return make(out, parents, vjp)
+
+
+def _conv_weight_grad(g: np.ndarray, col: np.ndarray) -> np.ndarray:
+    # (B, C_out, N) output gradients and (B, C_in*k*k, N) im2col planes ->
+    # (C_out, C_in*k*k): one GEMM per image, summed; one GEMM over all
+    # images would need a (C*k*k, B*N) copy of col, and measured slower
+    return np.matmul(g, col.transpose(0, 2, 1)).sum(axis=0)
+
+
+def _conv_input_grad(g: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:
+    # transposed conv: full correlation of the (B, C_out, H_out, W_out)
+    # gradient with the flipped kernel, cropped by ``padding``; a negative
+    # margin crops g instead
+    b_, cout, ho, wo = g.shape
+    cin, k = w.shape[1], w.shape[2]
+    q = k - 1 - padding
+    gq = g if q >= 0 else g[:, :, -q:ho + q, -q:wo + q]
+    wt = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+    dx = np.matmul(wt, _im2col(gq, k, max(q, 0)))
+    return dx.reshape(b_, cin, ho - 2 * padding + k - 1, wo - 2 * padding + k - 1)
+
+
+def _phase_taps(k: int, dtype):
+    """(m, taps) for a k x k kernel with padding p = (k - 1) // 2 over a 2x
+    nearest-upsampled map. Tap u of output row 2i + a reads upsampled row
+    2i + a + u - p, which is row i + (a + u - p) // 2 of the map itself, so
+    output phase (a, b) is an m x m conv of the map (m = 3 for k = 3):
+    taps[2a + b, r*m + s, u*k + v] is 1 where tap (u, v) lands on its tap
+    (r, s), else 0."""
+    p = (k - 1) // 2
+    r0 = (p + 1) // 2
+    m = 2 * r0 + 1
+    rows = np.zeros((2, m, k), dtype=dtype)
+    for a in range(2):
+        for u in range(k):
+            rows[a, (a + u - p) // 2 + r0, u] = 1
+    taps = rows[:, None, :, None, :, None] * rows[None, :, None, :, None, :]
+    return m, taps.reshape(4, m * m, k * k)
+
+
+def upsample_conv2d(x, weight) -> Tensor:
+    """``conv2d(nearest_upsample2d(x, 2), weight, padding=(k - 1) // 2)``
+    for an odd k x k kernel, computed at x's resolution.
+
+    Each output pixel (2i + a, 2j + b) is a conv of x around (i, j) with
+    the phase kernel of (a, b), the taps of ``weight`` that read the same
+    pixel of x summed (Shi et al. 2016, arXiv 1609.07009). One GEMM of
+    the four phase kernels, stacked as 4*C_out rows, with x's own im2col
+    planes gives all four phases, which are then interleaved: no upsampled
+    map, and no im2col of one, is built. The summed taps round once more,
+    so values agree with the composed form to rounding, not to the byte.
+    """
+    x, weight = as_tensor(x), as_tensor(weight)
+    b_, cin, h, w = x.data.shape
+    cout, cin_w, k, k2 = weight.data.shape
+    if cin != cin_w or k != k2 or k % 2 == 0:
+        raise ValueError("upsample_conv2d needs an odd square kernel over "
+                         "the input's channels")
+    m, taps = _phase_taps(k, weight.data.dtype)
+    # (4, C_out*C_in, m*m): the phase kernels, GEMM rows (a, b, c_out)
+    wp = np.matmul(weight.data.reshape(cout * cin, k * k),
+                   taps.transpose(0, 2, 1))
+    col = _im2col(x.data, m, m // 2)
+    y = np.matmul(wp.reshape(4 * cout, cin * m * m), col) \
+        .reshape(b_, 2, 2, cout, h, w)
+    out = np.empty((b_, cout, 2 * h, 2 * w), dtype=y.dtype)
+    for a in range(2):
+        for b in range(2):
+            out[:, :, a::2, b::2] = y[:, a, b]
+
+    def vjp(g):
+        gy = np.empty((b_, 2, 2, cout, h, w), dtype=g.dtype)
+        for a in range(2):
+            for b in range(2):
+                gy[:, a, b] = g[:, :, a::2, b::2]
+        gy = gy.reshape(b_, 4 * cout, h * w)
+        if weight.requires_grad:
+            gwp = _conv_weight_grad(gy, col).reshape(4, cout * cin, m * m)
+            gw = np.matmul(gwp, taps).sum(axis=0)
+            _give(weight, gw.reshape(weight.data.shape))
+        if x.requires_grad:
+            _give(x, _conv_input_grad(gy.reshape(b_, 4 * cout, h, w),
+                                      wp.reshape(4 * cout, cin, m, m), m // 2))
+
+    return make(out, (x, weight), vjp)
 
 
 def _blur_rows(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -267,15 +344,17 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
     out += beta.data.reshape(bshape)
 
     def vjp(g):
+        # g.mean(axes) is this sum over m, so one reduction serves both
+        gsum = g.sum(axis=axes)
         if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=axes))
+            _accumulate(beta, gsum)
         gx = (g * xhat).sum(axis=axes)
         if gamma.requires_grad:
             _accumulate(gamma, gx)
         if x.requires_grad:
             gi = gamma.data.reshape(bshape) * inv.reshape(bshape)
             if training:
-                gmean = g.mean(axis=axes).reshape(bshape)
+                gmean = (gsum / m).reshape(bshape)
                 gxhat = gx.reshape(bshape) / m
                 _give(x, gi * (g - gmean - xhat * gxhat))
             else:
@@ -373,6 +452,10 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool):
     record = grad_enabled() and (x.requires_grad
                                  or (v is not None and v.requires_grad))
     soft = relaxed_enabled()
+    if not record:
+        vd, s = _scan_in_place(xd, vd, steps, tau, v_th, v_reset, alpha,
+                               soft, membrane)
+        return (Tensor(vd) if membrane else None), Tensor(s)
     hs, spikes = [], []
     for t in range(steps):
         xt = xd[t * b:(t + 1) * b]
@@ -393,11 +476,8 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool):
             vd = st * v_reset
             vd += keep
         spikes.append(st)
-        if record:
-            hs.append(h)
+        hs.append(h)
     s = spikes[0] if steps == 1 else np.concatenate(spikes)
-    if not record:
-        return (Tensor(vd) if membrane else None), Tensor(s)
     carry = [None]              # gradient that reaches the returned membrane
 
     def vjp(g):
@@ -444,6 +524,46 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool):
             s_out.grad = np.zeros_like(s)
 
     return make(vd, (s_out,), vjp_v), s_out
+
+
+def _scan_in_place(xd, vd, steps, tau, v_th, v_reset, alpha, soft,
+                   membrane):
+    # the graph-free scan: the recorded loop's arithmetic, op for op, with
+    # every step's spikes written straight into one output and one set of
+    # h / keep / membrane buffers for all steps. The caller's membrane vd is
+    # read, never written. xd may be a zero-stride view that repeats one
+    # image over the steps.
+    b = xd.shape[0] // steps
+    first = xd[:b]
+    # the dtype and the layout the recorded loop's h takes; the output is
+    # laid out as that loop's concatenated steps
+    dtype = np.result_type(first, tau) if vd is None \
+        else np.result_type(first, vd)
+    h = np.empty_like(first, dtype=dtype)
+    s = np.empty_like(h, shape=xd.shape)
+    keep = np.empty_like(h)
+    v_next = np.empty_like(h) if membrane or steps > 1 else None
+    for t in range(steps):
+        xt = xd[t * b:(t + 1) * b]
+        st = s[t * b:(t + 1) * b]
+        if vd is None:
+            np.divide(xt, tau, out=h)
+            h += v_reset
+        else:
+            np.subtract(vd, v_reset, out=keep)
+            np.subtract(xt, keep, out=h)
+            h /= tau
+            np.add(vd, h, out=h)
+        if soft:
+            st[...] = soft_gate_value(h, v_th, alpha)
+        else:
+            np.greater_equal(h, v_th, out=st)
+        if membrane or t < steps - 1:
+            np.subtract(1.0, st, out=keep)
+            keep *= h
+            vd = np.multiply(st, v_reset, out=v_next)
+            vd += keep
+    return (vd if membrane else None), s
 
 
 def elementwise_or(a, b) -> Tensor:

@@ -287,6 +287,14 @@ class LIFNeuron(G.Module):
         return s
 
 
+def repeat_steps(a: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` copies of the (B, ...) array ``a`` folded as (steps*B, ...),
+    the bytes of ``np.tile(a, (steps, 1, ...))``: for B = 1 a read-only view
+    with stride 0 over the steps, which copies nothing; otherwise one copy."""
+    return np.broadcast_to(a, (steps,) + a.shape) \
+        .reshape((steps * a.shape[0],) + a.shape[1:])
+
+
 class CBSBlock(G.Module):
     """conv 3x3 stride 1 (no bias) -> batchnorm -> spike -> optional 2x2 maxpool.
 
@@ -300,15 +308,18 @@ class CBSBlock(G.Module):
       steps are independent and stay batched; used wherever steps are
       processed in parallel.
 
-    Each forward reports its input to an active trace under ``name``,
-    with C_out * kernel^2 synapses per input element. A graph-free eval
-    forward of a stateless block with a ``fold`` (see
+    With ``upsample`` the conv reads the 2x nearest-upsampled input, run
+    as ``G.upsample_conv2d`` at the input's resolution.
+
+    Each forward reports its conv's input to an active trace under
+    ``name``, with C_out * kernel^2 synapses per input element. A
+    graph-free eval forward of a stateless block with a ``fold`` (see
     :func:`fold_thresholds`) fires through it instead of the batchnorm.
     """
 
     def __init__(self, rng, in_ch: int, out_ch: int, lif: LIFParams,
                  pool: bool = True, stateful: bool = False,
-                 kernel: int = 3, name: str = ""):
+                 kernel: int = 3, name: str = "", upsample: bool = False):
         super().__init__()
         self.weight = G.kaiming_uniform(rng, (out_ch, in_ch, kernel, kernel),
                                         fan_in=in_ch * kernel * kernel)
@@ -317,6 +328,7 @@ class CBSBlock(G.Module):
         self.register_array("running_mean", np.zeros(out_ch))
         self.register_array("running_var", np.ones(out_ch))
         self.pool = pool
+        self.upsample = upsample
         self.stateful = stateful
         self.kernel = kernel
         self.padding = (kernel - 1) // 2
@@ -335,24 +347,37 @@ class CBSBlock(G.Module):
         return (self.gamma.data, self.beta.data, self.running_mean,
                 self.running_var)
 
+    def _conv(self, x: Tensor) -> Tensor:
+        if self.upsample:
+            return G.upsample_conv2d(x, self.weight)
+        return G.conv2d(x, self.weight, padding=self.padding)
+
     def forward(self, x, steps: int = 1, repeated: bool = False) -> Tensor:
         """``repeated``: the ``steps`` slices of x hold the same images, so
         a graph-free eval forward runs the conv and the batchnorm, affine
-        there, on the first slice and tiles the result before the spikes."""
-        _emit_layer(self.name, x.data, self.weight.shape[0] * self.kernel ** 2)
+        there, on the first slice and hands the spikes a view that repeats
+        it (:func:`repeat_steps`)."""
+        seen = x.data
+        if self.upsample:
+            # the conv's input is the upsampled map: traced as a broadcast
+            # (B, C, h, 2, w, 2) view of x, which copies nothing
+            b, c, h, w = seen.shape
+            seen = np.broadcast_to(seen[:, :, :, None, :, None],
+                                   (b, c, h, 2, w, 2))
+        _emit_layer(self.name, seen, self.weight.shape[0] * self.kernel ** 2)
         graph_free_eval = not self.training and not G.grad_enabled()
         if self.fold is not None and graph_free_eval:
-            s = self.fold.fire(G.conv2d(x, self.weight, padding=self.padding))
+            s = self.fold.fire(self._conv(x))
         else:
             tile = steps if repeated and graph_free_eval else 1
             if tile > 1:
                 x = Tensor(x.data[:x.shape[0] // tile])
-            y = G.conv2d(x, self.weight, padding=self.padding)
+            y = self._conv(x)
             y = G.batchnorm(y, self.gamma, self.beta,
                             self.running_mean, self.running_var,
                             training=self.training)
             if tile > 1:
-                y = Tensor(np.tile(y.data, (tile, 1, 1, 1)))
+                y = Tensor(repeat_steps(y.data, tile))
             if self.stateful:
                 s = self.lif.step(y, steps)
             else:

@@ -183,6 +183,9 @@ def ssim_loss(pred, target, window: int = 11, sigma: float = 1.5) -> Tensor:
 def _step_sum(per_step: Tensor, weights: np.ndarray) -> Tensor:
     """sum_t weights[t] * per_step[t], added in step order."""
     w = np.asarray(weights, dtype=np.float64)
+    if per_step.size != w.size:     # e.g. T stacked maps given to map_loss
+        raise ValueError(f"{per_step.size} step values for {w.size} "
+                         f"step weights")
     total = np.cumsum(per_step.data.reshape(-1) * w)[-1]
 
     def vjp(g):
@@ -202,15 +205,24 @@ def map_loss(pred, target) -> Tensor:
     return _hybrid(pred, target, step_weights(1))
 
 
+def _step_maps(maps) -> Tensor:
+    """T step maps as one (T, B, 1, H, W) tensor: ``maps`` itself, as
+    ``RSTModel.forward_full`` returns it, or a sequence of T (B, 1, H, W)
+    maps, stacked."""
+    if isinstance(maps, (list, tuple)):
+        return G.stack(list(maps), axis=0)
+    return G.as_tensor(maps)
+
+
 def multi_step_loss(maps, target, cfg: LossConfig | None = None) -> Tensor:
     """Weighted sum of per-step map losses, early steps heaviest."""
-    cfg = cfg or LossConfig(steps=len(maps))
-    if len(maps) != cfg.steps:
-        raise ValueError(f"expected {cfg.steps} maps, got {len(maps)}")
-    return _hybrid(G.stack(list(maps), axis=0), target, cfg.weights)
+    maps = _step_maps(maps)
+    cfg = cfg or LossConfig(steps=maps.shape[0])
+    if maps.shape[0] != cfg.steps:
+        raise ValueError(f"expected {cfg.steps} maps, got {maps.shape[0]}")
+    return _hybrid(maps, target, cfg.weights)
 
 
 def vanilla_loss(maps, target) -> Tensor:
     """Unweighted loss on the mean of the step maps."""
-    mean_map = G.mean(G.stack(list(maps), axis=0), axis=0)
-    return map_loss(mean_map, target)
+    return map_loss(G.mean(_step_maps(maps), axis=0), target)

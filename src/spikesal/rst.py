@@ -33,7 +33,7 @@ import numpy as np
 from . import grad as G
 from .grad import Tensor
 from .neuro import (LIFParams, CBSBlock, lif_fire, fold_thresholds,
-                    _emit_layer, _emit_tensor)
+                    repeat_steps, _emit_layer, _emit_tensor)
 # re-exported: rst.trace_activity for callers, rst.lif_step for the
 # benchmark tracer, which patches it here
 from .neuro import trace_activity, lif_step
@@ -277,7 +277,8 @@ class Encoder(G.Module):
 
 class Refine(G.Module):
     """Two upsample-project-fuse stages against the pyramid, then a
-    projection back to D channels at quarter resolution."""
+    projection back to D channels at quarter resolution. Each stage's
+    nearest x2 upsample and 3x3 conv run as one ``G.upsample_conv2d``."""
 
     def __init__(self, rng, cfg: RSTConfig):
         super().__init__()
@@ -287,18 +288,19 @@ class Refine(G.Module):
             return Fuse(cfg.residual_op, lambda: CBSBlock(
                 rng, 2 * ch, ch, lif, pool=False, kernel=1, name=name))
 
-        self.up1 = CBSBlock(rng, d, d // 2, lif, pool=False, name="refine.up1")
+        self.up1 = CBSBlock(rng, d, d // 2, lif, pool=False, upsample=True,
+                            name="refine.up1")
         self.fuse1 = fuse(d // 2, "refine.fuse1.proj")
         self.up2 = CBSBlock(rng, d // 2, d // 4, lif, pool=False,
-                            name="refine.up2")
+                            upsample=True, name="refine.up2")
         self.fuse2 = fuse(d // 4, "refine.fuse2.proj")
         self.out = CBSBlock(rng, d // 4, d, lif, pool=False, name="refine.out")
 
     def forward(self, f_agg: Tensor, f3: Tensor, f2: Tensor) -> Tensor:
-        x = self.up1.forward(G.nearest_upsample2d(f_agg, 2))
+        x = self.up1.forward(f_agg)
         x = self.fuse1.forward(x, f3)
         _emit_tensor("refine.s1", x.data)
-        x = self.up2.forward(G.nearest_upsample2d(x, 2))
+        x = self.up2.forward(x)
         x = self.fuse2.forward(x, f2)
         _emit_tensor("refine.s2", x.data)
         x = self.out.forward(x)
@@ -368,15 +370,15 @@ class RSTModel(G.Module):
                 if isinstance(m, _SpikeProjection)
                 or (isinstance(m, CBSBlock) and not m.stateful)]
 
-    def forward_steps(self, x: np.ndarray, steps: int):
+    def forward_steps(self, x: np.ndarray, steps: int) -> Tensor:
         """Run ``steps`` copies of (B,1,H,W) input through the stack, in
-        the weights' dtype; returns a list of per-step saliency maps, each
-        (B,1,H,W)."""
+        the weights' dtype; returns the per-step saliency maps as one
+        (steps, B, 1, H, W) tensor."""
         b, _, hh, ww = x.shape
         if hh % 16 or ww % 16:
             raise ValueError("input spatial dims must be divisible by 16")
         dtype = self.head.weight.data.dtype
-        xt = Tensor(np.tile(np.asarray(x, dtype=dtype), (steps, 1, 1, 1)))
+        xt = Tensor(repeat_steps(np.asarray(x, dtype=dtype), steps))
         _, f2, f3, e = self.encoder.forward(xt, steps)
         _emit_tensor("tokens.in", e.data)
         for i, blk in enumerate(self.rfa):
@@ -384,11 +386,12 @@ class RSTModel(G.Module):
             _emit_tensor(f"tokens.out{i}", e.data)
         s_feat = self.refine.forward(e, f3, f2)
         maps = self.head.forward(s_feat)
-        return [maps[t * b:(t + 1) * b] for t in range(steps)]
+        return G.reshape(maps, (steps, b) + maps.shape[1:])
 
-    def forward_full(self, x: np.ndarray, mode: str = "multi"):
+    def forward_full(self, x: np.ndarray, mode: str = "multi") -> Tensor:
         """multi: fresh state, the configured step count, T maps out.
-        single: one step per call, membrane state carried across calls."""
+        single: one step per call, membrane state carried across calls.
+        The maps come as one (T, B, 1, H, W) tensor, T = 1 in single mode."""
         if mode == "multi":
             self.reset_state()
             return self.forward_steps(x, self.cfg.steps)

@@ -188,9 +188,10 @@ def model_from_checkpoint(path):
 
 
 def rate_readout(maps) -> np.ndarray:
-    """The (H, W) float64 prediction of the first image of per-step maps:
-    their mean, the rate readout (one map in single mode)."""
-    return np.mean([m.data[0, 0] for m in maps], axis=0, dtype=np.float64)
+    """The (H, W) float64 prediction of the first image of the (T, B, 1,
+    H, W) step maps: their mean, the rate readout (one map in single
+    mode)."""
+    return np.mean(maps.data[:, 0, 0], axis=0, dtype=np.float64)
 
 
 def evaluate_model(model: RSTModel, samples, mode: str = "multi") -> metrics.EvalReport:
@@ -257,7 +258,7 @@ def _epoch_single(model, opt, samples, cfg, rng) -> float:
         for s in chron:
             x, y = _stack([s])
             maps = model.forward_full(x, "single")
-            loss = map_loss(maps[0], G.Tensor(y))
+            loss = map_loss(G.reshape(maps, maps.shape[1:]), G.Tensor(y))
             opt.zero_grad()
             loss.backward()
             opt.step()

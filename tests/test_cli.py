@@ -171,8 +171,8 @@ def grad_enabled_maps(ckpt, stream_path, continuous):
     for w in range(stream.frames // cfg.window):
         rep = window_repr(stream, w * cfg.window, cfg.window)[None]
         maps = model.forward_full(rep, "single" if continuous else "multi")
-        assert maps[0].requires_grad
-        img = np.round(np.mean([m.data[0, 0] for m in maps], axis=0) * 255)
+        assert maps.requires_grad
+        img = np.round(np.mean(maps.data[:, 0, 0], axis=0) * 255)
         h, w = img.shape
         out.append(f"P5\n{w} {h}\n255\n".encode() + img.astype(np.uint8).tobytes())
     return out

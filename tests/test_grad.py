@@ -229,6 +229,21 @@ def test_nearest_upsample():
                                      [3, 3, 4, 4], [3, 3, 4, 4]])
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_upsample_conv2d_gradients(k):
+    rng = np.random.default_rng(9 + k)
+    x = G.Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+    w = G.Tensor(rng.standard_normal((4, 3, k, k)) * 0.3, requires_grad=True)
+    r = readout(rng, (2, 4, 8, 10))
+
+    def f():
+        return G.sum_(G.upsample_conv2d(x, w) * r)
+
+    assert G.check_gradients(f, [x, w], h=H) < TOL
+    with pytest.raises(ValueError):
+        G.upsample_conv2d(x, G.Tensor(np.zeros((4, 3, 2, 2))))
+
+
 def test_batchnorm_train_and_eval():
     rng = np.random.default_rng(9)
     x = G.Tensor(rng.standard_normal((4, 3, 5, 5)), requires_grad=True)
@@ -512,7 +527,10 @@ def test_batchnorm_fewer_passes_is_byte_identical(training, layout, grad_layout,
 
 def test_training_steps_byte_identical_to_earlier_kernels(monkeypatch):
     """A few multi-step and single-step AdamW steps of a small model, and a
-    graph-free forward, give the same bytes with the earlier kernels."""
+    graph-free forward, give the same bytes with the earlier kernels. The
+    model upsamples through ``G.nearest_upsample2d`` only in its head; run
+    once more with Refine's upsample-convs in the composed form, the x2
+    upsample is swapped as well."""
     rng = np.random.default_rng(40)
     xs = rng.random((3, 2, 1, 32, 32))
     ys = (rng.random((3, 2, 1, 32, 32)) > 0.6).astype(float)
@@ -540,21 +558,24 @@ def test_training_steps_byte_identical_to_earlier_kernels(monkeypatch):
             model.detach_state()
         model.eval()
         with G.no_grad():
-            maps = [m.data for m in model.forward_full(xs[0], "multi")]
+            maps = model.forward_full(xs[0], "multi").data
         return model.state_dict(), losses, maps
 
-    new_state, new_losses, new_maps = run()
-    monkeypatch.setattr(nnops, "_im2col", im2col_planes)
-    monkeypatch.setattr(G, "maxpool2d", maxpool2d_argmax)
-    monkeypatch.setattr(G, "nearest_upsample2d", upsample2d_two_repeats)
-    monkeypatch.setattr(G, "batchnorm", batchnorm_four_pass)
-    old_state, old_losses, old_maps = run()
-    assert new_state.keys() == old_state.keys()
-    for name in new_state:
-        assert new_state[name].tobytes() == old_state[name].tobytes(), name
-    assert [a.tobytes() for a in new_losses] == [a.tobytes() for a in old_losses]
-    for a, b in zip(new_maps, old_maps):
-        assert_same_bytes(a, b)
+    for refine in (G.upsample_conv2d, upsample_conv2d_composed):
+        with monkeypatch.context() as m:
+            m.setattr(G, "upsample_conv2d", refine)
+            new_state, new_losses, new_maps = run()
+            m.setattr(nnops, "_im2col", im2col_planes)
+            m.setattr(G, "maxpool2d", maxpool2d_argmax)
+            m.setattr(G, "nearest_upsample2d", upsample2d_two_repeats)
+            m.setattr(G, "batchnorm", batchnorm_four_pass)
+            old_state, old_losses, old_maps = run()
+        assert new_state.keys() == old_state.keys()
+        for name in new_state:
+            assert new_state[name].tobytes() == old_state[name].tobytes(), name
+        assert [a.tobytes() for a in new_losses] \
+            == [a.tobytes() for a in old_losses]
+        assert_same_bytes(new_maps, old_maps)
 
 
 # -- conv2d GEMM orientation ---------------------------------------------------
@@ -681,7 +702,7 @@ def traced_forward(monkeypatch, model, x, mode="multi"):
         m.setattr(neuro, "_emit_layer", record)
         m.setattr(rst, "_emit_layer", record)
         maps = model.forward_full(x, mode)
-    return seen, [t.data for t in maps]
+    return seen, maps.data
 
 
 def fixture_eval_forward(monkeypatch):
@@ -1028,6 +1049,110 @@ def test_float32_energy_report_is_the_float64_one(fixture_streams):
         assert metrics.estimate_energy(model, rep).to_json() == want.to_json()
 
 
+# -- upsample-conv at low resolution ---------------------------------------------
+#
+# Refine's upsample-convs run as ``G.upsample_conv2d``: the four 2x2-phase
+# kernels of the low-resolution map in one GEMM. Its composed form, a conv
+# over the nearest-upsampled map, is kept below as the oracle. A phase
+# kernel sums two or four taps of the 3x3 kernel, which rounds once more.
+# Measured with 1 BLAS thread (OpenBLAS 0.3.31): up to 4.0e-7 (float32) and
+# 8.4e-16 (float64) of the largest magnitude at the model's shapes; on the
+# fixture's float32 copy no spike flips in any traced layer and the maps,
+# infer PGMs and energy reports come out byte-identical.
+
+UPCONV_TOL = {np.float32: 1e-6, np.float64: 1e-13}   # of the largest magnitude
+
+
+def upsample_conv2d_composed(x, weight):
+    """conv2d over the 2x nearest-upsampled input, 'same' padding."""
+    k = G.as_tensor(weight).shape[-1]
+    return G.conv2d(G.nearest_upsample2d(x, 2), weight, padding=(k - 1) // 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("shape", [(2, 3, 4, 5), (5, 48, 8, 8), (5, 24, 16, 16)])
+def test_upsample_conv2d_matches_composed(dtype, k, shape):
+    rng = np.random.default_rng(70 + k)
+    x = (rng.random(shape) < 0.3).astype(dtype)
+    w = rng.standard_normal((shape[1] // 2 + 1, shape[1], k, k)).astype(dtype)
+    new, new_grads = run_op(G.upsample_conv2d, x, w)
+    old, old_grads = run_op(upsample_conv2d_composed, x, w)
+    assert new.data.dtype == dtype and new.data.flags.c_contiguous
+    for name, a, b in zip(["output", "x.grad", "weight.grad"],
+                          [new.data] + new_grads, [old.data] + old_grads):
+        assert_within(a, b, UPCONV_TOL[dtype], name)
+
+
+@pytest.mark.parametrize("mode", ["multi", "single"])
+def test_training_steps_match_composed_upsample(mode, monkeypatch):
+    new_state, new_losses = train_small(mode)
+    monkeypatch.setattr(G, "upsample_conv2d", upsample_conv2d_composed)
+    old_state, old_losses = train_small(mode)
+    assert new_state.keys() == old_state.keys()
+    for name in new_state:
+        assert_within(new_state[name], old_state[name], TRAIN_TOL, name)
+    np.testing.assert_allclose(new_losses, old_losses, rtol=TRAIN_TOL)
+
+
+@pytest.mark.parametrize("mode", ["multi", "single"])
+def test_upsample_conv2d_flips_no_spike_on_the_fixture(monkeypatch,
+                                                       fixture_streams, mode):
+    """The fixture's float32 copy sees the same spikes in every traced
+    layer with Refine's upsample-convs in either form, window after window,
+    and its maps are equal."""
+    net = model_from_checkpoint(FIXTURE)[0].inference_copy()
+    runs = []
+    for form in (G.upsample_conv2d, upsample_conv2d_composed):
+        monkeypatch.setattr(G, "upsample_conv2d", form)
+        out = []
+        for path in fixture_streams:
+            net.reset_state()
+            for rep in stream_windows(path):
+                out.append(traced_forward(monkeypatch, net, rep, mode))
+        runs.append(out)
+    flips = {}
+    for (new_layers, new_maps), (old_layers, old_maps) in zip(*runs):
+        for name, n in spike_flips(new_layers, old_layers).items():
+            flips[name] = flips.get(name, 0) + n
+        assert np.array_equal(new_maps, old_maps)
+    assert len(flips) == 24 and flips == dict.fromkeys(flips, 0)
+
+
+@pytest.mark.parametrize("residual_op", ["or", "add"])
+def test_upsample_layers_trace_the_upsampled_map(residual_op):
+    """refine.up1/up2 report the spikes, size and fanout of the map their
+    conv reads, the 2x upsample of their input, as when it was built."""
+    model = RSTModel(RSTConfig(dim=16, heads=2, steps=3, rfa_blocks=1,
+                               residual_op=residual_op),
+                     np.random.default_rng(6))
+    x = np.random.default_rng(15).random((2, 1, 32, 32))
+    with neuro.trace_activity() as tr, G.no_grad():
+        model.forward_full(x, "multi")
+    records = {r["name"]: r for r in tr.layers}
+    tensors = dict(tr.tensors)
+    inputs = {"refine.up1": tensors["tokens.out0"],
+              "refine.up2": tensors["refine.s1"]}
+    for name, block in (("refine.up1", model.refine.up1),
+                        ("refine.up2", model.refine.up2)):
+        with neuro.trace_activity() as want:
+            neuro._emit_layer(name, G.nearest_upsample2d(inputs[name], 2).data,
+                              block.weight.shape[0] * block.kernel ** 2)
+        assert records[name] == want.layers[0], name
+        assert records[name]["spikes_in"] > 0
+    if residual_op == "add":
+        assert tensors["tokens.out0"].max() > 1.0
+
+
+def test_energy_report_is_that_of_the_composed_upsample(fixture_streams,
+                                                        monkeypatch):
+    model = model_from_checkpoint(FIXTURE)[0]
+    rep = stream_windows(fixture_streams[0])[0]
+    new = metrics.estimate_energy(model, rep).to_json()
+    monkeypatch.setattr(G, "upsample_conv2d", upsample_conv2d_composed)
+    assert new == metrics.estimate_energy(model, rep).to_json()
+
+
 def f32_param(shape, seed=0):
     data = np.random.default_rng(seed).standard_normal(shape)
     return G.Tensor(data.astype(np.float32), requires_grad=True)
@@ -1041,6 +1166,7 @@ F32_OPS = {
         np.ones(3, np.float32), training=False),
     "maxpool2d": G.maxpool2d,
     "nearest_upsample2d": lambda x: G.nearest_upsample2d(x, 2),
+    "upsample_conv2d": lambda x: G.upsample_conv2d(x, f32_param((4, 3, 3, 3))),
     "lif_scan": lambda x: G.lif_scan(x, 2, 2.0, 0.5, 0.0, 2.0,
                                      v=f32_param((1, 3, 4, 4))),
     "lif_fire": lambda x: G.lif_fire(x, 2.0, 0.5, 0.0, 2.0),

@@ -1,6 +1,8 @@
 """LIF dynamics against a straight-line oracle, the fused scan against the
 composed graph ops it replaces, and CBS block behaviour."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,74 @@ def test_fused_scan_graph_free_without_grad(monkeypatch):
     want_v, want_s = composed_lif_step(G.Tensor(v0), G.Tensor(x), p, 3)
     assert_same_array(s.data, want_s.data, "spikes")
     assert_same_array(v.data, want_v.data, "membrane")
+
+
+def scan_input(steps, layout, dtype, carried, seed=40):
+    """A scan case in ``dtype``; "zero-stride" is one image repeated over
+    the steps as the read-only view ``neuro.repeat_steps`` gives."""
+    batch = 1 if layout == "zero-stride" else 2
+    p, x, v0, _, _ = scan_case(seed + steps, steps, "C" if layout ==
+                               "zero-stride" else layout, batch)
+    x = x.astype(dtype, copy=False)
+    if layout == "zero-stride":
+        x = neuro.repeat_steps(x[:1], steps)
+        assert x.strides[0] == 0 or steps == 1
+    v0 = v0.astype(dtype, copy=False) if carried else None
+    return p, x, v0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["C", "channels-innermost", "zero-stride"])
+@pytest.mark.parametrize("carried", [False, True])
+@pytest.mark.parametrize("steps", [1, 5])
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_graph_free_scan_equals_recorded_scan(relaxed, steps, carried, layout,
+                                              dtype):
+    """The graph-free scan writes into one output and reuses its step
+    buffers; spikes and membrane equal the recorded scan's byte for byte,
+    layout included, and the inputs are left as they were."""
+    p, x, v0 = scan_input(steps, layout, dtype, carried)
+    x_before = x.copy()
+    v_before = None if v0 is None else v0.copy()
+    results = []
+    for graph in (True, False):
+        with contextlib.ExitStack() as ctx:
+            if relaxed:
+                ctx.enter_context(G.relaxed())
+            if not graph:
+                ctx.enter_context(G.no_grad())
+            xt = G.Tensor(x, requires_grad=True)
+            vt = None if v0 is None else G.Tensor(v0, requires_grad=True)
+            v, s = lif_step(vt, xt, p, steps)
+            fired = lif_fire(xt, p) if steps == 1 and v0 is None else None
+        assert s.requires_grad == graph
+        results.append((s.data, v.data, None if fired is None else fired.data))
+    (want_s, want_v, want_f), (got_s, got_v, got_f) = results
+    assert got_s.dtype == dtype and got_v.dtype == dtype
+    assert_same_array(got_s, want_s, "spikes")
+    assert_same_array(got_v, want_v, "membrane")
+    if want_f is not None:
+        assert_same_array(got_f, want_f, "lif_fire spikes")
+    assert np.array_equal(x, x_before)
+    if v0 is not None:
+        assert np.array_equal(v0, v_before)
+
+
+def test_repeated_input_reaches_the_scan_as_a_zero_stride_view(monkeypatch):
+    """A graph-free eval forward of one image hands the stateful scan the
+    batchnorm output of the first step as a view repeated over the steps,
+    not a tiled copy."""
+    seen = []
+    real = G.lif_scan
+    monkeypatch.setattr(G, "lif_scan", lambda x, *a, **k: seen.append(
+        G.as_tensor(x).data.strides) or real(x, *a, **k))
+    blk = CBSBlock(np.random.default_rng(14), 1, 5, LIFParams(), pool=False,
+                   stateful=True)
+    blk.eval()
+    x = G.Tensor(neuro.repeat_steps(np.ones((1, 1, 6, 6)), 4))
+    with G.no_grad():
+        blk.forward(x, steps=4, repeated=True)
+    assert seen and seen[0][0] == 0
 
 
 def composed_lif_fire(x, p):

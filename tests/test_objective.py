@@ -250,6 +250,13 @@ def test_length_mismatch_rejected():
     with pytest.raises(ValueError, match="maps"):
         obj.multi_step_loss([Tensor(pred)] * 3, Tensor(target),
                             obj.LossConfig(steps=5))
+    # map_loss scores one map: a stack of 3 is refused, not summed, and a
+    # stack of one is that map
+    stack = Tensor(np.stack([pred] * 3))
+    with pytest.raises(ValueError, match="step weights"):
+        obj.map_loss(stack, Tensor(target))
+    assert obj.map_loss(stack[:1], Tensor(target)).item() \
+        == obj.map_loss(Tensor(pred), Tensor(target)).item()
 
 
 # -- config ---------------------------------------------------------------------

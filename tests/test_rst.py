@@ -67,10 +67,8 @@ def test_forward_shapes():
     model = build(cfg)
     x = np.random.default_rng(1).random((2, 1, 64, 64))
     maps = model.forward_full(x, mode="multi")
-    assert len(maps) == cfg.steps
-    for m in maps:
-        assert m.shape == (2, 1, 64, 64)
-        assert (m.data > 0).all() and (m.data < 1).all()
+    assert maps.shape == (cfg.steps, 2, 1, 64, 64)
+    assert (maps.data > 0).all() and (maps.data < 1).all()
 
 
 def test_pyramid_shapes():
@@ -120,8 +118,7 @@ def test_zero_input_gives_half_map():
     model = build(tiny_cfg(steps=2))
     model.eval()
     maps = model.forward_full(np.zeros((1, 1, 32, 32)), mode="multi")
-    for m in maps:
-        np.testing.assert_allclose(m.data, 0.5)
+    np.testing.assert_allclose(maps.data, 0.5)
 
 
 # -- attention core against enumeration ------------------------------------
@@ -247,10 +244,9 @@ def test_multi_mode_resets_between_calls():
     model = build(tiny_cfg(steps=2))
     model.eval()
     x = (np.random.default_rng(13).random((1, 1, 32, 32)) < 0.4).astype(float)
-    a = [m.data for m in model.forward_full(x, mode="multi")]
-    b = [m.data for m in model.forward_full(x, mode="multi")]
-    for ma, mb in zip(a, b):
-        np.testing.assert_array_equal(ma, mb)
+    a = model.forward_full(x, mode="multi").data
+    b = model.forward_full(x, mode="multi").data
+    np.testing.assert_array_equal(a, b)
 
 
 # -- parameters ---------------------------------------------------------------
@@ -311,7 +307,7 @@ def test_every_parameter_receives_gradient():
     model = build(tiny_cfg(steps=2, rfa_blocks=1), seed=2)
     x = (np.random.default_rng(17).random((2, 1, 32, 32)) < 0.5).astype(float)
     maps = model.forward_full(x, mode="multi")
-    loss = G.mean(G.concat(maps, axis=0))
+    loss = G.mean(maps)
     loss.backward()
     for name, p in model.named_parameters():
         assert p.grad is not None, name

@@ -1,6 +1,7 @@
 """Codec round-trips, intensity statistics, and representation oracles."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -80,6 +81,45 @@ def test_zero_dim_header_rejected(tmp_path):
     p.write_bytes(sio.HEADER.pack(sio.MAGIC, sio.VERSION, 0, 4, 4, 20000))
     with pytest.raises(sio.MalformedHeaderError):
         sio.read_stream(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=st.integers(1, 5), h=st.integers(1, 7), w=st.integers(1, 9),
+       seed=st.integers(0, 2**31),
+       mutation=st.sampled_from(["truncate", "flip", "extend", "header"]),
+       data=st.data())
+def test_read_stream_fuzz_raises_only_spike_io_errors(tmp_path_factory, frames,
+                                                      h, w, seed, mutation,
+                                                      data):
+    """Truncated, byte-mutated and extended .spk files either decode to a
+    binary stream whose header matches the payload size, or raise a
+    SpikeIOError subclass; no other exception escapes."""
+    p = tmp_path_factory.mktemp("spk") / "f.spk"
+    sio.write_stream(p, random_stream(np.random.default_rng(seed), frames, h, w))
+    raw = p.read_bytes()
+    if mutation == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif mutation == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
+    elif mutation == "extend":
+        raw += data.draw(st.binary(min_size=1, max_size=64))
+    else:   # any value, possibly huge, in one numeric header field:
+        # version, width, height, frames or rate
+        fields = list(sio.HEADER.unpack_from(raw))
+        at = data.draw(st.integers(1, 5))
+        bits = 8 * struct.calcsize("<" + "HIIQI"[at - 1])
+        fields[at] = data.draw(st.integers(0, 2 ** bits - 1))
+        raw = sio.HEADER.pack(*fields) + raw[sio.HEADER.size:]
+    p.write_bytes(raw)
+    try:
+        got = sio.read_stream(p)
+    except sio.SpikeIOError:
+        return
+    assert got.bits.dtype == np.uint8 and got.bits.ndim == 3
+    assert np.isin(got.bits, (0, 1)).all()
+    f, gh, gw = got.bits.shape
+    assert len(raw) == sio.HEADER.size + f * ((gh * gw + 7) // 8)
 
 
 def test_error_types_are_distinct():
