@@ -70,8 +70,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _stream_windows(stream: sio.SpikeStream, window: int):
-    n = stream.bits.shape[0] // window
+def _window(args, cfg: RunConfig) -> int:
+    """The --window flag, else the checkpoint config's window."""
+    window = cfg.window if args.window is None else args.window
+    if window < 1:
+        raise ValueError(f"--window must be at least 1, got {window}")
+    return window
+
+
+def _stream_windows(stream: sio.PackedStream, window: int):
+    n = stream.frames // window
     if n == 0:
         raise ValueError("stream shorter than one window")
     return n
@@ -79,9 +87,9 @@ def _stream_windows(stream: sio.SpikeStream, window: int):
 
 def cmd_infer(args) -> int:
     model, cfg, _ = model_from_checkpoint(args.ckpt)
+    window = _window(args, cfg)
     net = model.inference_copy()
-    stream = sio.read_stream(args.stream)
-    window = args.window or cfg.window
+    stream = sio.open_stream(args.stream)
     n = _stream_windows(stream, window)
     if stream.height % 16 or stream.width % 16:
         raise ValueError("stream resolution incompatible with the model")
@@ -102,8 +110,8 @@ def cmd_infer(args) -> int:
 
 def cmd_energy(args) -> int:
     model, cfg, _ = model_from_checkpoint(args.ckpt)
-    stream = sio.read_stream(args.stream)
-    window = args.window or cfg.window
+    window = _window(args, cfg)
+    stream = sio.open_stream(args.stream)
     _stream_windows(stream, window)
     rep = window_repr(stream, 0, window)[None]
     report = metrics.estimate_energy(model, rep, mode="multi")

@@ -5,6 +5,12 @@ by an integrate-and-fire sensor sampling at ``rate_hz``. On disk the
 stream is bit-packed frame-major then row-major, LSB-first within each
 byte, each frame padded up to a whole byte count.
 
+``open_stream`` checks a file and keeps its payload packed, one row of
+bytes per frame; ``read_stream`` is that reader plus one unpack of every
+frame. Both stream types hand out frames through ``frame_bits``, so the
+ISI decoder reads a packed stream by unpacking only the 16-frame chunks
+its outward scan visits.
+
 File header (little-endian): magic ``SPKS``, u16 version, u32 width,
 u32 height, u64 frames, u32 rate_hz. 26 bytes total.
 """
@@ -94,9 +100,47 @@ class SpikeStream:
         return self.bits.shape[2]
 
     def slice(self, start: int, stop: int) -> "SpikeStream":
-        if not (0 <= start < stop <= self.frames):
-            raise ValueError(f"bad frame range [{start}, {stop})")
+        _check_range(start, stop, self.frames)
         return SpikeStream._of_binary(self.bits[start:stop], self.rate_hz)
+
+    def frame_bits(self, start: int, stop: int) -> np.ndarray:
+        """The bits of frames [start, stop): a view of ``bits``."""
+        return self.bits[start:stop]
+
+
+@dataclass(frozen=True)
+class PackedStream:
+    """A spike stream held as its file payload: ``packed`` is a read-only
+    (frames, frame_bytes) uint8 array, each row one frame's bits packed
+    LSB-first and padded to whole bytes. ``frame_bits`` unpacks only the
+    frames it is asked for. Made by ``open_stream``."""
+
+    packed: np.ndarray
+    height: int
+    width: int
+    rate_hz: int
+
+    @property
+    def frames(self) -> int:
+        return self.packed.shape[0]
+
+    def slice(self, start: int, stop: int) -> "PackedStream":
+        _check_range(start, stop, self.frames)
+        return PackedStream(self.packed[start:stop], self.height, self.width,
+                            self.rate_hz)
+
+    def frame_bits(self, start: int, stop: int) -> np.ndarray:
+        """The bits of frames [start, stop), unpacked to a (stop - start,
+        height, width) uint8 array of 0 and 1."""
+        rows = self.packed[start:stop]
+        bits = np.unpackbits(rows, axis=1, count=self.height * self.width,
+                             bitorder="little")
+        return bits.reshape(rows.shape[0], self.height, self.width)
+
+
+def _check_range(start: int, stop: int, frames: int):
+    if not (0 <= start < stop <= frames):
+        raise ValueError(f"bad frame range [{start}, {stop})")
 
 
 @dataclass
@@ -123,7 +167,10 @@ def write_stream(path, stream: SpikeStream):
         fh.write(packed.tobytes())
 
 
-def read_stream(path) -> SpikeStream:
+def open_stream(path) -> PackedStream:
+    """Read and check a .spk file, keeping its payload packed. Raises
+    MalformedHeaderError, DimensionOverflowError or TruncatedPayloadError
+    for a file that does not hold exactly one valid stream."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < HEADER.size:
@@ -145,9 +192,15 @@ def read_stream(path) -> SpikeStream:
     if len(raw) > expected:
         raise MalformedHeaderError(f"{path}: trailing bytes after payload")
     packed = np.frombuffer(raw, dtype=np.uint8, offset=HEADER.size)
-    packed = packed.reshape(f, frame_bytes)
-    bits = np.unpackbits(packed, axis=1, count=h * w, bitorder="little")
-    return SpikeStream._of_binary(bits.reshape(f, h, w), rate)
+    return PackedStream(packed.reshape(f, frame_bytes), h, w, rate)
+
+
+def read_stream(path) -> SpikeStream:
+    """Read a .spk file into a dense stream: ``open_stream`` and one unpack
+    of every frame; raises what ``open_stream`` raises."""
+    stream = open_stream(path)
+    return SpikeStream._of_binary(stream.frame_bits(0, stream.frames),
+                                  stream.rate_hz)
 
 
 # -- light intensity statistics ------------------------------------------------
@@ -174,7 +227,7 @@ class SpikeRepr:
     full_scale: float = DEFAULT_FULL_SCALE
 
 
-def isi_repr(stream: SpikeStream, at_frame: int,
+def isi_repr(stream: SpikeStream | PackedStream, at_frame: int,
              full_scale: float = DEFAULT_FULL_SCALE) -> SpikeRepr:
     """Inter-spike-interval intensity at one frame.
 
@@ -182,21 +235,22 @@ def isi_repr(stream: SpikeStream, at_frame: int,
     minus (nearest spike at or before ``at_frame``); the value is
     full_scale / interval. A pixel firing every frame therefore reads
     full_scale exactly. Pixels without such a bracketing pair inside the
-    stream read 0.
+    stream read 0. A packed stream reads the same values, and only the
+    frames the scan visits are unpacked.
     """
-    if not 0 <= at_frame < stream.frames:
-        raise ValueError(f"at_frame {at_frame} outside [0, {stream.frames})")
-    bits = stream.bits
-    f = bits.shape[0]
+    f = stream.frames
+    if not 0 <= at_frame < f:
+        raise ValueError(f"at_frame {at_frame} outside [0, {f})")
+    shape = (stream.height, stream.width)
     if at_frame + 1 == f:
-        return SpikeRepr(np.zeros(bits.shape[1:], dtype=np.float64), full_scale)
+        return SpikeRepr(np.zeros(shape, dtype=np.float64), full_scale)
     # Frame t is weighted t+1 before the cut and f-t after it, so the max
     # over frames finds the nearest spike on that side; 0 means none. Each
     # side is scanned outward from the cut in chunks of frames, and stops
     # once every pixel that still needs a spike on that side has one.
     dtype = _frame_index_dtype(f)
-    prev = _nearest_spike(bits, at_frame + 1, -1, dtype, lambda t: t + 1)
-    nxt = _nearest_spike(bits, at_frame + 1, f, dtype, lambda t: f - t,
+    prev = _nearest_spike(stream, at_frame + 1, -1, dtype, lambda t: t + 1)
+    nxt = _nearest_spike(stream, at_frame + 1, f, dtype, lambda t: f - t,
                          prev > 0)
     both = (prev > 0) & (nxt > 0)
     # gap (f - nxt) - (prev - 1), in int64: f + 1 may not fit the index type
@@ -209,24 +263,24 @@ def isi_repr(stream: SpikeStream, at_frame: int,
 _ISI_CHUNK = 16     # frames per step of the outward scan
 
 
-def _nearest_spike(bits, cut: int, end: int, dtype, weight, need=None):
+def _nearest_spike(stream, cut: int, end: int, dtype, weight, need=None):
     """Per pixel, the largest ``weight(t)`` over its spiking frames t on
     one side of a cut: frames cut-1 down to end+1 when end < cut, else cut
     up to end-1. Weights fall away from the cut, so the largest names the
     nearest spike; 0 means none. Frames are read outward from the cut, a
-    chunk at a time, and the scan stops once every pixel in the boolean
-    mask ``need`` (None: every pixel) has a spike; pixels outside it may
-    then read 0 where a full scan would not."""
+    chunk at a time through ``stream.frame_bits``, and the scan stops once
+    every pixel in the boolean mask ``need`` (None: every pixel) has a
+    spike; pixels outside it may then read 0 where a full scan would not."""
     step = 1 if end > cut else -1
-    best = np.zeros(bits.shape[1:], dtype=dtype)
+    best = np.zeros((stream.height, stream.width), dtype=dtype)
     a = cut if step > 0 else cut - 1
     while a != end:
         b = a + step * _ISI_CHUNK
         b = min(b, end) if step > 0 else max(b, end)
         lo, hi = (a, b) if step > 0 else (b + 1, a + 1)
         w = weight(np.arange(lo, hi, dtype=np.int64)).astype(dtype)
-        np.maximum(best, np.max(bits[lo:hi] * w[:, None, None], axis=0),
-                   out=best)
+        np.maximum(best, np.max(stream.frame_bits(lo, hi) * w[:, None, None],
+                                axis=0), out=best)
         if (best if need is None else best[need]).all():
             break
         a = b

@@ -106,21 +106,25 @@ class Sample:
     index: int           # chronological window index within the sequence
 
 
-def window_repr(stream: sio.SpikeStream, start: int, window: int) -> np.ndarray:
+def window_repr(stream: sio.SpikeStream | sio.PackedStream, start: int,
+                window: int) -> np.ndarray:
     """Timing representation for the window [start, start+window), decoded
-    at the window centre and scaled to [0, 1]."""
-    stop = min(start + window, stream.bits.shape[0])
+    at the window centre and scaled to [0, 1]. A packed stream gives the
+    same bytes as its dense form."""
+    stop = min(start + window, stream.frames)
     piece = stream.slice(start, stop)
-    at = min(window // 2, piece.bits.shape[0] - 1)
+    at = min(window // 2, piece.frames - 1)
     return sio.isi_repr(piece, at).values[None] * REPR_SCALE
 
 
 def load_samples(manifest_path, window: int) -> dict:
-    """Decode every labelled window up front; toy-scale sets fit in memory."""
+    """Decode every labelled window up front; toy-scale sets fit in memory.
+    Streams stay packed, so only the frames each window's decode scans
+    are unpacked."""
     manifest = sio.load_manifest(manifest_path)
     out = {"train": [], "val": []}
     for entry in manifest.streams:
-        stream = sio.read_stream(manifest.root / entry.path)
+        stream = sio.open_stream(manifest.root / entry.path)
         seq = Path(entry.path).stem
         for idx, ref in enumerate(entry.masks):
             mask = sio.read_mask(manifest.root / ref.path, ref.frame)

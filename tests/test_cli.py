@@ -9,7 +9,8 @@ from spikesal import grad as G
 from spikesal import spikeio as sio
 from spikesal.cli import main
 from spikesal.rst import RSTConfig, RSTModel
-from spikesal.train import RunConfig, model_from_checkpoint, window_repr
+from spikesal.train import (RunConfig, load_samples, model_from_checkpoint,
+                            window_repr)
 
 
 GEN = {"train_sequences": 1, "val_sequences": 1, "labels_per_sequence": 3,
@@ -220,6 +221,50 @@ def test_infer_short_stream_rejected(workspace, tmp_path, capsys):
                "--stream", str(tmp_path / "tiny.spk"),
                "--out", str(tmp_path / "maps")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("window", ["0", "-5"])
+@pytest.mark.parametrize("command", ["infer", "energy"])
+def test_window_below_one_rejected(workspace, tmp_path, capsys, command,
+                                   window):
+    argv = [command, "--ckpt", str(workspace / "ckpt" / "last.salt"),
+            "--stream", str(workspace / "data" / "val_000.spk"),
+            "--window", window]
+    if command == "infer":
+        argv += ["--out", str(tmp_path / "maps")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--window" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "maps").exists()
+
+
+def test_stream_commands_never_unpack_a_whole_stream(workspace, tmp_path,
+                                                     monkeypatch):
+    """infer (both modes), eval, energy and load_samples read streams packed
+    and unpack at most one ISI chunk of frames at a time."""
+    def refuse(path):
+        raise AssertionError(f"dense read of {path}")
+    monkeypatch.setattr(sio, "read_stream", refuse)
+    spans = []
+    frame_bits = sio.PackedStream.frame_bits
+
+    def recording(self, start, stop):
+        spans.append(stop - start)
+        return frame_bits(self, start, stop)
+    monkeypatch.setattr(sio.PackedStream, "frame_bits", recording)
+
+    ckpt = str(workspace / "ckpt" / "last.salt")
+    stream = str(workspace / "data" / "val_000.spk")
+    manifest = str(workspace / "data" / "manifest.json")
+    for flags in ([], ["--continuous"]):
+        assert main(["infer", "--ckpt", ckpt, "--stream", stream,
+                     "--out", str(tmp_path / f"maps{len(flags)}")] + flags) == 0
+    assert main(["eval", "--ckpt", ckpt, "--manifest", manifest]) == 0
+    assert main(["energy", "--ckpt", ckpt, "--stream", stream]) == 0
+    data = load_samples(manifest, 80)
+    assert len(data["train"]) + len(data["val"]) == 6
+    assert spans and max(spans) <= sio._ISI_CHUNK
 
 
 def test_energy_report(workspace, tmp_path, capsys):

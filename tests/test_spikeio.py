@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikesal import spikeio as sio
+from spikesal.train import window_repr
 
 
 def random_stream(rng, frames, h, w, p=0.3, rate=20000):
@@ -113,13 +114,21 @@ def test_read_stream_fuzz_raises_only_spike_io_errors(tmp_path_factory, frames,
         raw = sio.HEADER.pack(*fields) + raw[sio.HEADER.size:]
     p.write_bytes(raw)
     try:
-        got = sio.read_stream(p)
-    except sio.SpikeIOError:
+        packed = sio.open_stream(p)
+    except sio.SpikeIOError as exc:
+        # the packed reader refuses exactly what read_stream refuses
+        with pytest.raises(sio.SpikeIOError) as dense_exc:
+            sio.read_stream(p)
+        assert type(dense_exc.value) is type(exc)
         return
+    got = sio.read_stream(p)
     assert got.bits.dtype == np.uint8 and got.bits.ndim == 3
     assert np.isin(got.bits, (0, 1)).all()
     f, gh, gw = got.bits.shape
     assert len(raw) == sio.HEADER.size + f * ((gh * gw + 7) // 8)
+    assert (packed.frames, packed.height, packed.width) == (f, gh, gw)
+    assert packed.rate_hz == got.rate_hz
+    assert np.array_equal(packed.frame_bits(0, f), got.bits)
 
 
 def test_error_types_are_distinct():
@@ -387,6 +396,14 @@ def test_slices_and_decoded_streams_skip_the_check(tmp_path, monkeypatch):
     back = sio.read_stream(tmp_path / "s.spk")
     assert back.rate_hz == 40000 and back.bits.dtype == np.uint8
     assert np.array_equal(back.bits, s.bits)
+    packed = sio.open_stream(tmp_path / "s.spk")
+    assert not packed.packed.flags.writeable
+    piece = packed.slice(2, 7)
+    assert piece.rate_hz == 40000 and piece.frames == 5
+    assert np.shares_memory(piece.packed, packed.packed)
+    assert np.array_equal(piece.frame_bits(0, 5), s.bits[2:7])
+    assert np.array_equal(piece.frame_bits(1, 3), s.bits[3:5])
+    assert np.array_equal(window_repr(packed, 2, 6), window_repr(s, 2, 6))
 
 
 def test_slice_stream():
@@ -397,6 +414,44 @@ def test_slice_stream():
     assert np.array_equal(part.bits, s.bits[5:10])
     with pytest.raises(ValueError):
         s.slice(10, 5)
+
+
+def test_packed_slice_rejects_bad_ranges(tmp_path):
+    sio.write_stream(tmp_path / "s.spk",
+                     random_stream(np.random.default_rng(8), 6, 2, 3))
+    packed = sio.open_stream(tmp_path / "s.spk")
+    for start, stop in ((3, 3), (4, 2), (-1, 2), (0, 7)):
+        with pytest.raises(ValueError):
+            packed.slice(start, stop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames=st.integers(1, 90), h=st.integers(1, 7), w=st.integers(1, 9),
+       seed=st.integers(0, 2**31), density=st.sampled_from([0.0, 0.02, 0.3, 1.0]),
+       kind=st.sampled_from(["any", "clipped", "cut-on-last-frame"]),
+       data=st.data())
+def test_packed_window_repr_matches_dense(tmp_path_factory, frames, h, w, seed,
+                                          density, kind, data):
+    """window_repr over the packed reader equals window_repr over
+    read_stream byte for byte: padded frames (h*w not a multiple of 8), a
+    last window clipped at the stream end, and a cut on a window's last
+    frame, where the decode reads 0."""
+    rng = np.random.default_rng(seed)
+    bits = (rng.random((frames, h, w)) < density).astype(np.uint8)
+    p = tmp_path_factory.mktemp("win") / "s.spk"
+    sio.write_stream(p, sio.SpikeStream(bits))
+    start = data.draw(st.integers(0, frames - 1))
+    left = frames - start               # frames from start to the stream end
+    if kind == "clipped":
+        window = data.draw(st.integers(left + 1, 2 * frames + 2))
+    elif kind == "cut-on-last-frame":   # window // 2 reaches past the end
+        window = data.draw(st.integers(max(1, 2 * left - 2), 2 * left + 2))
+    else:
+        window = data.draw(st.integers(1, frames))
+    got = window_repr(sio.open_stream(p), start, window)
+    want = window_repr(sio.read_stream(p), start, window)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # -- pgm ---------------------------------------------------------------------------
