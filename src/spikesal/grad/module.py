@@ -28,7 +28,7 @@ class Module:
                 raise TypeError(f"{name}: a grad-free Tensor is neither a "
                                 "parameter nor a buffer; use register_array")
             self._params[name] = value
-        elif isinstance(value, (Module, ModuleList)):
+        elif isinstance(value, Module):
             self._children[name] = value
         object.__setattr__(self, name, value)
 
@@ -101,45 +101,23 @@ class Module:
             dst[...] = src
 
 
-class ModuleList:
-    """Ordered child container so lists of blocks register properly."""
+class ModuleList(Module):
+    """Ordered child container: child i registers as ``str(i)``, so its
+    state keys read ``<list name>.<i>.<key>``."""
 
     def __init__(self, modules=()):
-        self._items = list(modules)
+        super().__init__()
+        for i, m in enumerate(modules):
+            setattr(self, str(i), m)
 
     def __iter__(self):
-        return iter(self._items)
+        return iter(self._children.values())
 
     def __len__(self):
-        return len(self._items)
+        return len(self._children)
 
     def __getitem__(self, i):
-        return self._items[i]
-
-    def append(self, m: Module):
-        self._items.append(m)
-
-    def named_parameters(self, prefix: str = ""):
-        for i, m in enumerate(self._items):
-            yield from m.named_parameters(f"{prefix}{i}.")
-
-    def named_buffers(self, prefix: str = ""):
-        for i, m in enumerate(self._items):
-            yield from m.named_buffers(f"{prefix}{i}.")
-
-    def modules(self):
-        for m in self._items:
-            yield from m.modules()
-
-    def train(self, mode: bool = True):
-        for m in self._items:
-            m.train(mode)
-        return self
-
-    def cast(self, dtype):
-        for m in self._items:
-            m.cast(dtype)
-        return self
+        return list(self._children.values())[i]
 
 
 def kaiming_uniform(rng: np.random.Generator | None, shape,

@@ -197,22 +197,6 @@ def blur_adjoint(g: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return blur_valid(padded, np.asarray(taps)[::-1])
 
 
-def blur2d(x, taps) -> Tensor:
-    """Valid 2-d cross-correlation with the separable kernel outer(taps, taps).
-
-    x: (..., H, W), taps: (k,) constant array. Output is (..., H-k+1, W-k+1).
-    Equals ``conv2d`` with that k x k kernel per channel, done as two 1-d
-    passes (2k instead of k*k multiply-adds per output); see
-    :func:`blur_valid`.
-    """
-    x = as_tensor(x)
-
-    def vjp(g):
-        _give(x, blur_adjoint(g, taps))
-
-    return make(blur_valid(x.data, taps), (x,), vjp)
-
-
 def maxpool2d(x) -> Tensor:
     """2x2 max pooling, stride 2. Ties route gradient to the first maximum
     in window scan order (top-left first). The output is C-ordered whatever
@@ -440,7 +424,12 @@ def lif_fire(x, tau: float, v_th: float, v_reset: float, alpha: float) -> Tensor
 
 def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool):
     # ``membrane``: compute and return the final membrane, else return None
-    # in its place and skip the last step's reset
+    # in its place and skip the last step's reset. Every step's spikes go
+    # into one output, laid out as the concatenated steps; one keep and one
+    # membrane buffer serve all steps, each op writing in place. The
+    # caller's membrane is read, never written, and x may be a zero-stride
+    # view that repeats one image over the steps. A graph-free scan reuses
+    # one h; a recording one keeps each step's h for its backward.
     x = as_tensor(x)
     v = None if v is None else as_tensor(v)
     xd = x.data
@@ -452,32 +441,39 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool):
     record = grad_enabled() and (x.requires_grad
                                  or (v is not None and v.requires_grad))
     soft = relaxed_enabled()
-    if not record:
-        vd, s = _scan_in_place(xd, vd, steps, tau, v_th, v_reset, alpha,
-                               soft, membrane)
-        return (Tensor(vd) if membrane else None), Tensor(s)
-    hs, spikes = [], []
+    first = xd[:b]
+    # h takes the dtype separate ops would give it, and x's layout
+    dtype = np.result_type(first, tau) if vd is None \
+        else np.result_type(first, vd)
+    keep = np.empty_like(first, dtype=dtype)
+    s = np.empty_like(keep, shape=xd.shape)
+    v_next = np.empty_like(keep) if membrane or steps > 1 else None
+    hs = []
     for t in range(steps):
+        if record or not hs:
+            hs.append(np.empty_like(first, dtype=dtype))
+        h = hs[-1]
         xt = xd[t * b:(t + 1) * b]
+        st = s[t * b:(t + 1) * b]
         if vd is None:
-            h = xt / tau
+            np.divide(xt, tau, out=h)
             h += v_reset
         else:
-            h = xt - (vd - v_reset)
+            np.subtract(vd, v_reset, out=keep)
+            np.subtract(xt, keep, out=h)
             h /= tau
-            h = vd + h
+            np.add(vd, h, out=h)
         if soft:
-            st = soft_gate_value(h, v_th, alpha)
+            st[...] = soft_gate_value(h, v_th, alpha)
         else:
-            st = (h >= v_th).astype(h.dtype)
+            np.greater_equal(h, v_th, out=st)
         if membrane or t < steps - 1:
-            keep = 1.0 - st
+            np.subtract(1.0, st, out=keep)
             keep *= h
-            vd = st * v_reset
+            vd = np.multiply(st, v_reset, out=v_next)
             vd += keep
-        spikes.append(st)
-        hs.append(h)
-    s = spikes[0] if steps == 1 else np.concatenate(spikes)
+    if not record:
+        return (Tensor(vd) if membrane else None), Tensor(s)
     carry = [None]              # gradient that reaches the returned membrane
 
     def vjp(g):
@@ -497,7 +493,7 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool):
             else:
                 gh *= gs
             if gv is not None:
-                keep = 1.0 - spikes[t]
+                keep = 1.0 - s[rows]
                 keep *= gv
                 gh += keep
             if steps == 1:
@@ -524,46 +520,6 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool):
             s_out.grad = np.zeros_like(s)
 
     return make(vd, (s_out,), vjp_v), s_out
-
-
-def _scan_in_place(xd, vd, steps, tau, v_th, v_reset, alpha, soft,
-                   membrane):
-    # the graph-free scan: the recorded loop's arithmetic, op for op, with
-    # every step's spikes written straight into one output and one set of
-    # h / keep / membrane buffers for all steps. The caller's membrane vd is
-    # read, never written. xd may be a zero-stride view that repeats one
-    # image over the steps.
-    b = xd.shape[0] // steps
-    first = xd[:b]
-    # the dtype and the layout the recorded loop's h takes; the output is
-    # laid out as that loop's concatenated steps
-    dtype = np.result_type(first, tau) if vd is None \
-        else np.result_type(first, vd)
-    h = np.empty_like(first, dtype=dtype)
-    s = np.empty_like(h, shape=xd.shape)
-    keep = np.empty_like(h)
-    v_next = np.empty_like(h) if membrane or steps > 1 else None
-    for t in range(steps):
-        xt = xd[t * b:(t + 1) * b]
-        st = s[t * b:(t + 1) * b]
-        if vd is None:
-            np.divide(xt, tau, out=h)
-            h += v_reset
-        else:
-            np.subtract(vd, v_reset, out=keep)
-            np.subtract(xt, keep, out=h)
-            h /= tau
-            np.add(vd, h, out=h)
-        if soft:
-            st[...] = soft_gate_value(h, v_th, alpha)
-        else:
-            np.greater_equal(h, v_th, out=st)
-        if membrane or t < steps - 1:
-            np.subtract(1.0, st, out=keep)
-            keep *= h
-            vd = np.multiply(st, v_reset, out=v_next)
-            vd += keep
-    return (vd if membrane else None), s
 
 
 def elementwise_or(a, b) -> Tensor:

@@ -24,11 +24,15 @@ VERSION = 1
 def save_tensors(path, arrays: dict, meta: dict | None = None):
     """Write the container atomically: the bytes go to a temporary file
     beside ``path``, which then replaces it, so a crash or failed write
-    leaves any previous file at ``path`` intact."""
+    leaves any previous file at ``path`` intact. A NaN or an infinity,
+    which ``load_tensors`` would refuse, raises ValueError naming its
+    tensor before anything is written."""
     index = {"tensors": {}, "meta": meta or {}}
     payload = bytearray()
     for name, arr in arrays.items():
         arr = np.asarray(arr, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite value in tensor {name}")
         index["tensors"][name] = {"shape": list(arr.shape), "offset": len(payload)}
         payload += arr.astype("<f8").tobytes()
     blob = json.dumps(index, sort_keys=True, separators=(",", ":")).encode("utf-8")

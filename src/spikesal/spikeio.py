@@ -1,4 +1,4 @@
-"""Spike stream container, binary codec, and intensity representations.
+"""Spike stream container, binary codec, and the ISI intensity representation.
 
 A spike stream is a dense (frames, height, width) array of {0,1} produced
 by an integrate-and-fire sensor sampling at ``rate_hz``. On disk the
@@ -216,7 +216,7 @@ def mean_lis(stream: SpikeStream) -> float:
     return float(stream.bits.mean())
 
 
-# -- representations -----------------------------------------------------------
+# -- representation ------------------------------------------------------------
 
 
 @dataclass
@@ -294,16 +294,6 @@ def _frame_index_dtype(frames: int):
     if frames < 1 << 31:
         return np.int32
     return np.int64
-
-
-def spike_count_repr(stream: SpikeStream, window: int,
-                     full_scale: float = DEFAULT_FULL_SCALE) -> SpikeRepr:
-    """Firing-count intensity over the trailing ``window`` frames, scaled
-    by full_scale / window. Alternative encoding, kept for ablation."""
-    if window <= 0 or window > stream.frames:
-        raise ValueError(f"window {window} outside [1, {stream.frames}]")
-    counts = stream.bits[stream.frames - window:].sum(axis=0, dtype=np.float64)
-    return SpikeRepr(counts * (full_scale / window), full_scale)
 
 
 # -- PGM masks -----------------------------------------------------------------

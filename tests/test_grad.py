@@ -179,23 +179,21 @@ def test_conv2d_input_grad_matches_scatter_loop(k, pad):
                                atol=1e-12 * np.abs(ref).max())
 
 
-def test_blur2d_matches_conv2d_and_fd():
+def test_blur_valid_matches_conv2d_and_its_adjoint():
     rng = np.random.default_rng(7)
-    # asymmetric taps, so a missing reversal in the backward pass shows
+    # asymmetric taps, so a missing reversal in the adjoint shows
     taps = rng.uniform(0.1, 1.0, 4)
-    x = G.Tensor(rng.standard_normal((2, 3, 9, 8)), requires_grad=True)
+    x = rng.standard_normal((2, 3, 9, 8))
     kern = np.broadcast_to(np.outer(taps, taps), (1, 1, 4, 4))
     per_channel = np.stack([
-        G.conv2d(G.Tensor(x.data[:, c:c + 1]), G.Tensor(kern)).data[:, 0]
+        G.conv2d(G.Tensor(x[:, c:c + 1]), G.Tensor(kern)).data[:, 0]
         for c in range(3)], axis=1)
-    np.testing.assert_allclose(G.blur2d(x, taps).data, per_channel,
-                               rtol=1e-12, atol=1e-12)
-    r = readout(rng, (2, 3, 6, 5))
-
-    def f():
-        return G.sum_(G.blur2d(x, taps) * r)
-
-    assert G.check_gradients(f, [x], h=H) < TOL
+    blurred = nnops.blur_valid(x, taps)
+    np.testing.assert_allclose(blurred, per_channel, rtol=1e-12, atol=1e-12)
+    # <blur_valid(x), r> = <x, blur_adjoint(r)>
+    r = rng.standard_normal(blurred.shape)
+    np.testing.assert_allclose(np.vdot(x, nnops.blur_adjoint(r, taps)),
+                               np.vdot(blurred, r), rtol=1e-12)
 
 
 def test_maxpool_gradient_and_tie_break():
@@ -1602,10 +1600,12 @@ def test_store_rejects_malformed_index(tmp_path, index, payload):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_store_rejects_non_finite_values(tmp_path, bad):
     """A NaN or an infinity anywhere in any tensor is refused by name."""
-    p = tmp_path / "t.salt"
     w = np.zeros((2, 3))
     w[1, 2] = bad
-    G.save_tensors(p, {"a": np.ones(4), "enc.w": w}, {"epoch": 1})
+    p = write_container(tmp_path / "t.salt", {"tensors": {
+        "a": {"shape": [4], "offset": 0},
+        "enc.w": {"shape": [2, 3], "offset": 32}}, "meta": {"epoch": 1}},
+        np.ones(4).astype("<f8").tobytes() + w.astype("<f8").tobytes())
     with pytest.raises(ValueError, match="non-finite value in tensor enc.w"):
         G.load_tensors(p)
 
@@ -1714,6 +1714,20 @@ def test_module_registration_and_state_dict():
     with pytest.raises(TypeError, match="register_array"):
         net2.head.stat = G.Tensor(np.zeros(4))
     assert "head.stat" not in net2.state_dict()
+
+    # the list is a module: its children are reachable by position and
+    # in order, and a mode switch or a cast reaches them
+    blocks = net2.blocks
+    assert len(blocks) == 2 and list(blocks) == [blocks[0], blocks[1]]
+    assert blocks[-1] is blocks[1] and isinstance(blocks[0], Block)
+    assert list(sd) == ["blocks.0.w", "blocks.1.w", "head.w",
+                        "blocks.0.run_mean", "blocks.1.run_mean",
+                        "head.run_mean"]
+    net2.train(False)
+    assert not any(m.training for m in net2.modules())
+    net2.cast(np.float32)
+    assert all(a.dtype == np.float32 for a in net2.state_dict().values())
+    assert all(blk.w.data.dtype == np.float32 for blk in net2.blocks)
 
 
 def test_kaiming_bounds():

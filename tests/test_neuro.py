@@ -8,6 +8,7 @@ import pytest
 
 from spikesal import grad as G
 from spikesal import neuro, rst
+from spikesal.grad.tensor import _accumulate, _give, make
 from spikesal.neuro import LIFParams, LIFNeuron, CBSBlock, lif_fire, lif_step
 from spikesal.objective import LossConfig, map_loss, multi_step_loss
 from spikesal.optim import AdamW
@@ -234,18 +235,124 @@ def test_fused_scan_graph_free_without_grad(monkeypatch):
     assert_same_array(v.data, want_v.data, "membrane")
 
 
+def recorded_scan(x, steps, p, v=None, membrane=True):
+    """The LIF scan as a recording loop: fresh per-step h and spike arrays,
+    the spikes joined by one concatenate, and the reverse scan over them:
+    the oracle that ``G.lif_scan`` and ``G.lif_fire`` must equal byte for
+    byte, values and layouts, recording or graph-free."""
+    tau, v_th, v_reset, alpha = p.tau, p.v_th, p.v_reset, p.alpha
+    x = G.as_tensor(x)
+    v = None if v is None else G.as_tensor(v)
+    xd, vd = x.data, None if v is None else v.data
+    b = xd.shape[0] // steps
+    soft = G.relaxed_enabled()
+    hs, spikes = [], []
+    for t in range(steps):
+        xt = xd[t * b:(t + 1) * b]
+        if vd is None:
+            h = xt / tau
+            h += v_reset
+        else:
+            h = xt - (vd - v_reset)
+            h /= tau
+            h = vd + h
+        if soft:
+            st = G.soft_gate_value(h, v_th, alpha)
+        else:
+            st = (h >= v_th).astype(h.dtype)
+        if membrane or t < steps - 1:
+            keep = 1.0 - st
+            keep *= h
+            vd = st * v_reset
+            vd += keep
+        spikes.append(st)
+        hs.append(h)
+    s = spikes[0] if steps == 1 else np.concatenate(spikes)
+    carry = [None]
+
+    def vjp(g):
+        gv = carry[0]
+        want_v = v is not None and v.requires_grad
+        gx = np.empty_like(xd) if steps > 1 else None
+        for t in reversed(range(steps)):
+            rows = slice(t * b, (t + 1) * b)
+            gs = g[rows]
+            if soft and gv is not None:
+                gs = gs + gv * (v_reset - hs[t])
+            gh = G.surrogate_slope(hs[t], v_th, alpha)
+            if t == 0 and (steps == 1 or want_v):
+                gh = gs * gh
+            else:
+                gh *= gs
+            if gv is not None:
+                keep = 1.0 - spikes[t]
+                keep *= gv
+                gh += keep
+            if steps == 1:
+                gx = gh / tau
+            else:
+                np.divide(gh, tau, out=gx[rows])
+            gv = None
+            if t or want_v:
+                gv = np.subtract(gh, gx[rows], out=gh)
+        if x.requires_grad:
+            if steps > 1:
+                gx += 0.0
+            _give(x, gx)
+        if want_v:
+            _accumulate(v, gv)
+
+    s_out = make(s, (x,) if v is None else (x, v), vjp)
+    if not membrane:
+        return None, s_out
+
+    def vjp_v(g):
+        carry[0] = g
+        if s_out.grad is None:
+            s_out.grad = np.zeros_like(s)
+
+    return make(vd, (s_out,), vjp_v), s_out
+
+
 def scan_input(steps, layout, dtype, carried, seed=40):
     """A scan case in ``dtype``; "zero-stride" is one image repeated over
     the steps as the read-only view ``neuro.repeat_steps`` gives."""
     batch = 1 if layout == "zero-stride" else 2
-    p, x, v0, _, _ = scan_case(seed + steps, steps, "C" if layout ==
-                               "zero-stride" else layout, batch)
+    p, x, v0, rs, rv = scan_case(seed + steps, steps, "C" if layout ==
+                                 "zero-stride" else layout, batch)
     x = x.astype(dtype, copy=False)
     if layout == "zero-stride":
         x = neuro.repeat_steps(x[:1], steps)
         assert x.strides[0] == 0 or steps == 1
     v0 = v0.astype(dtype, copy=False) if carried else None
-    return p, x, v0
+    return p, x, v0, rs, rv
+
+
+def run_both_scans(scan, fire, x, v0, rs, rv, steps, graph):
+    """Spikes, membrane and the spikes of a fresh one-step fire where the
+    case is one; recording, also the input and membrane gradients of
+    sum(s * rs) + sum(v * rv)."""
+    with contextlib.ExitStack() as ctx:
+        if not graph:
+            ctx.enter_context(G.no_grad())
+        xt = G.Tensor(x, requires_grad=True)
+        vt = None if v0 is None else G.Tensor(v0, requires_grad=True)
+        v, s = scan(vt, xt, steps)
+        fired = fire(xt) if steps == 1 and v0 is None else None
+    assert s.requires_grad == graph
+    out = {"spikes": s.data, "membrane": v.data}
+    if fired is not None:
+        out["fire spikes"] = fired.data
+    if graph:
+        (G.sum_(s * G.Tensor(rs)) + G.sum_(v * G.Tensor(rv))).backward()
+        out["x.grad"] = xt.grad
+        if vt is not None:
+            out["v.grad"] = vt.grad
+        if fired is not None:
+            xf = G.Tensor(x, requires_grad=True)
+            G.sum_(fire(xf) * G.Tensor(rs)).backward()
+            out["fire x.grad"] = xf.grad
+    return out
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -255,31 +362,28 @@ def scan_input(steps, layout, dtype, carried, seed=40):
 @pytest.mark.parametrize("relaxed", [False, True])
 def test_graph_free_scan_equals_recorded_scan(relaxed, steps, carried, layout,
                                               dtype):
-    """The graph-free scan writes into one output and reuses its step
-    buffers; spikes and membrane equal the recorded scan's byte for byte,
-    layout included, and the inputs are left as they were."""
-    p, x, v0 = scan_input(steps, layout, dtype, carried)
+    """The one scan loop, graph-free (one h reused) and recording (one h
+    kept per step), gives the spikes, membrane and gradients of the
+    recording loop with per-step arrays byte for byte, layout included,
+    and leaves its inputs as they were."""
+    p, x, v0, rs, rv = scan_input(steps, layout, dtype, carried)
     x_before = x.copy()
     v_before = None if v0 is None else v0.copy()
-    results = []
-    for graph in (True, False):
-        with contextlib.ExitStack() as ctx:
-            if relaxed:
-                ctx.enter_context(G.relaxed())
-            if not graph:
-                ctx.enter_context(G.no_grad())
-            xt = G.Tensor(x, requires_grad=True)
-            vt = None if v0 is None else G.Tensor(v0, requires_grad=True)
-            v, s = lif_step(vt, xt, p, steps)
-            fired = lif_fire(xt, p) if steps == 1 and v0 is None else None
-        assert s.requires_grad == graph
-        results.append((s.data, v.data, None if fired is None else fired.data))
-    (want_s, want_v, want_f), (got_s, got_v, got_f) = results
-    assert got_s.dtype == dtype and got_v.dtype == dtype
-    assert_same_array(got_s, want_s, "spikes")
-    assert_same_array(got_v, want_v, "membrane")
-    if want_f is not None:
-        assert_same_array(got_f, want_f, "lif_fire spikes")
+    with G.relaxed() if relaxed else contextlib.nullcontext():
+        want = run_both_scans(
+            lambda v, x, n: recorded_scan(x, n, p, v),
+            lambda x: recorded_scan(x, 1, p, membrane=False)[1],
+            x, v0, rs, rv, steps, graph=True)
+        for graph in (True, False):
+            got = run_both_scans(lambda v, x, n: lif_step(v, x, p, n),
+                                 lambda x: lif_fire(x, p),
+                                 x, v0, rs, rv, steps, graph)
+            assert got["spikes"].dtype == dtype
+            assert got["membrane"].dtype == dtype
+            assert got.keys() == (want.keys() if graph else
+                                  {k for k in want if "grad" not in k})
+            for key in got:
+                assert_same_array(got[key], want[key], key)
     assert np.array_equal(x, x_before)
     if v0 is not None:
         assert np.array_equal(v0, v_before)

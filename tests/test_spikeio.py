@@ -333,38 +333,6 @@ def test_isi_rejects_bad_frame():
         sio.isi_repr(s, -1)
 
 
-# -- count representation ----------------------------------------------------------
-
-
-def test_count_all_ones_window():
-    s = sio.SpikeStream(np.ones((10, 4, 4), dtype=np.uint8))
-    r = sio.spike_count_repr(s, window=10)
-    assert np.all(r.values == 255.0)
-
-
-def test_count_bernoulli_half():
-    rng = np.random.default_rng(6)
-    bits = (rng.random((400, 20, 20)) < 0.5).astype(np.uint8)
-    r = sio.spike_count_repr(sio.SpikeStream(bits), window=400)
-    assert r.values.mean() == pytest.approx(127.5, rel=0.02)
-
-
-def test_count_window_validation():
-    s = sio.SpikeStream(np.zeros((5, 2, 2), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        sio.spike_count_repr(s, 6)
-    with pytest.raises(ValueError):
-        sio.spike_count_repr(s, 0)
-
-
-def test_count_uses_trailing_window():
-    bits = np.zeros((8, 1, 1), dtype=np.uint8)
-    bits[:4] = 1  # all spikes in the first half
-    s = sio.SpikeStream(bits)
-    assert sio.spike_count_repr(s, 4).values[0, 0] == 0.0
-    assert sio.spike_count_repr(s, 8).values[0, 0] == pytest.approx(255.0 / 2)
-
-
 # -- slicing -----------------------------------------------------------------------
 
 

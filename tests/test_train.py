@@ -120,6 +120,25 @@ def test_run_config_hash_changes_with_fields():
     assert a.config_hash() == T.RunConfig(manifest="m", model=toy_model_cfg()).config_hash()
 
 
+def test_non_finite_weight_never_replaces_a_loadable_checkpoint(tmp_path):
+    """Saving a checkpoint whose weight holds a NaN raises before anything
+    is written, so the last good ``last.salt`` still loads."""
+    cfg = T.RunConfig(manifest="m", model=toy_model_cfg())
+    model = RSTModel(cfg.model, np.random.default_rng(0))
+    opt = optim.AdamW(model.named_parameters(), lr=cfg.lr_start)
+    path = tmp_path / "last.salt"
+    T.save_checkpoint(path, model, opt, cfg, 0, [])
+    good = path.read_bytes()
+    name, weight = next(iter(model.named_parameters()))
+    weight.data.flat[0] = np.nan
+    with pytest.raises(ValueError,
+                       match=f"non-finite value in tensor param.{name}"):
+        T.save_checkpoint(path, model, opt, cfg, 1, [])
+    assert path.read_bytes() == good
+    assert T.model_from_checkpoint(path)[2]["epoch"] == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["last.salt"]
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         T.RunConfig(lr_start=1e-6, lr_end=1e-5)
