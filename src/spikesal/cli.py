@@ -20,7 +20,8 @@ from . import metrics
 from . import spikeio as sio
 from .simcam import GeneratorConfig, generate_dataset
 from .train import (RunConfig, train_model, model_from_checkpoint,
-                    load_samples, evaluate_model, rate_readout, window_repr)
+                    load_samples, evaluate_model, multi_step_readouts,
+                    rate_readout, window_repr)
 
 
 def _load_generator_config(path, seed=None) -> GeneratorConfig:
@@ -95,12 +96,15 @@ def cmd_infer(args) -> int:
         raise ValueError("stream resolution incompatible with the model")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    mode = "single" if args.continuous else "multi"
+    reprs = (window_repr(stream, w * window, window) for w in range(n))
     written = []
     with G.no_grad():
-        for w in range(n):
-            rep = window_repr(stream, w * window, window)[None]
-            img = rate_readout(net.forward_full(rep, mode))
+        if args.continuous:     # each window reads the last one's membranes
+            imgs = (rate_readout(net.forward_full(rep[None], "single"))
+                    for rep in reprs)
+        else:
+            imgs = multi_step_readouts(net, reprs)
+        for w, img in enumerate(imgs):
             path = out / f"map_{w:04d}.pgm"
             sio.write_pgm(path, np.round(img * 255).astype(np.uint8))
             written.append(path)

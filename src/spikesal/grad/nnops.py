@@ -403,9 +403,14 @@ def lif_scan(x, steps: int, tau: float, v_th: float, v_reset: float,
         gH = gS_t * slope(H) [+ gV * (1 - S_t)],  gX_t = gH / tau,
         gV = gH - gH / tau
 
-    Values and memory layouts equal those the same hard steps give when
-    written as separate elementwise graph ops on per-step slices of the
-    input, joined by ``concat``.
+    Values equal those the same hard steps give when written as separate
+    elementwise graph ops on per-step slices of the input, joined by
+    ``concat``. Layouts follow x alone: H, each step's spikes and the
+    returned membrane take the layout of x's first step slice, whatever the
+    carried membrane's layout. The separate ops give the same layouts when
+    ``v`` is None or shares x's layout; for a ``v`` of another layout they
+    mix the two (a C-ordered ``v`` with a channels-innermost x gives them
+    C-ordered outputs).
 
     Under :class:`relaxed` the gate is the smooth ``soft_gate_value(H)`` and
     the reset keeps its gradient, so the spike gradient gains a reset term:

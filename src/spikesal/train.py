@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -191,11 +192,41 @@ def model_from_checkpoint(path):
 # -- evaluation ---------------------------------------------------------------------
 
 
-def rate_readout(maps) -> np.ndarray:
-    """The (H, W) float64 prediction of the first image of the (T, B, 1,
-    H, W) step maps: their mean, the rate readout (one map in single
-    mode)."""
-    return np.mean(maps.data[:, 0, 0], axis=0, dtype=np.float64)
+# A graph-free multi-step forward of a 64x64 window is bound by per-call
+# overhead, so windows share one forward up to this many pixels; at 128x128
+# sharing measured slower (README, "Batched windows")
+BATCH_PIXELS = 128 * 128
+
+
+def rate_readout(maps, image: int = 0) -> np.ndarray:
+    """The (H, W) float64 prediction of one image of the (T, B, 1, H, W)
+    step maps: their mean, the rate readout (one map in single mode)."""
+    return np.mean(maps.data[:, image, 0], axis=0, dtype=np.float64)
+
+
+def multi_step_readouts(net: RSTModel, reprs):
+    """Yield the rate readout of each (1, H, W) window of ``reprs``, in
+    order, from graph-free multi-step forwards of ``net``, an inference
+    copy. Consecutive windows of one size share a forward while they hold
+    at most ``BATCH_PIXELS`` pixels together: 4 at 64x64, 1 at 128x128.
+    Each map has the bytes of its window's forward alone: the convs run one
+    GEMM per image, attention one per (image, head), and batchnorm, the LIF
+    scan, pooling and the folded compares are elementwise."""
+    batch = []
+    for rep in reprs:
+        if batch and (rep.shape != batch[0].shape
+                      or (len(batch) + 1) * rep.size > BATCH_PIXELS):
+            yield from _batch_readouts(net, batch)
+            batch = []
+        batch.append(rep)
+    if batch:
+        yield from _batch_readouts(net, batch)
+
+
+def _batch_readouts(net: RSTModel, batch: list) -> list:
+    with G.no_grad():
+        maps = net.forward_full(np.stack(batch), "multi")
+    return [rate_readout(maps, i) for i in range(len(batch))]
 
 
 def evaluate_model(model: RSTModel, samples, mode: str = "multi") -> metrics.EvalReport:
@@ -204,18 +235,17 @@ def evaluate_model(model: RSTModel, samples, mode: str = "multi") -> metrics.Eva
     single mode. Runs on ``model.inference_copy()``, so ``model`` is left
     as it is."""
     net = model.inference_copy()
+    if mode == "multi":
+        preds = multi_step_readouts(net, (s.repr for s in samples))
+        return metrics.evaluate([(pred, s.mask, s.seq)
+                                 for pred, s in zip(preds, samples)])
     pairs = []
     with G.no_grad():
-        if mode == "multi":
-            for s in samples:
-                pred = rate_readout(net.forward_full(s.repr[None], "multi"))
-                pairs.append((pred, s.mask, s.seq))
-        else:
-            for seq, chron in _group_by_sequence(samples).items():
-                net.reset_state()
-                for s in chron:
-                    pred = rate_readout(net.forward_full(s.repr[None], "single"))
-                    pairs.append((pred, s.mask, seq))
+        for seq, chron in _group_by_sequence(samples).items():
+            net.reset_state()
+            for s in chron:
+                pred = rate_readout(net.forward_full(s.repr[None], "single"))
+                pairs.append((pred, s.mask, seq))
     return metrics.evaluate(pairs)
 
 
@@ -231,7 +261,17 @@ def _write_log(out_dir: Path, history: list):
                         f"{h['val_mae']:.12g}", f"{h['val_mean_f']:.12g}"])
 
 
-def _epoch_multi(model, opt, samples, cfg, rng) -> float:
+def _finite_loss(loss, mode: str, epoch: int, step: int) -> float:
+    """The loss value, read before backward, so that a non-finite loss
+    stops the run before it reaches any weight."""
+    value = loss.item()
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite loss {value} in {mode} training, "
+                         f"epoch {epoch}, step {step}")
+    return value
+
+
+def _epoch_multi(model, opt, samples, cfg, rng, epoch) -> float:
     loss_cfg = LossConfig(steps=cfg.model.steps)
     order = rng.permutation(len(samples))
     losses = []
@@ -243,14 +283,14 @@ def _epoch_multi(model, opt, samples, cfg, rng) -> float:
             loss = multi_step_loss(maps, G.Tensor(y), loss_cfg)
         else:
             loss = vanilla_loss(maps, G.Tensor(y))
+        losses.append(_finite_loss(loss, "multi", epoch, len(losses)))
         opt.zero_grad()
         loss.backward()
         opt.step()
-        losses.append(loss.item())
     return float(np.mean(losses))
 
 
-def _epoch_single(model, opt, samples, cfg, rng) -> float:
+def _epoch_single(model, opt, samples, cfg, rng, epoch) -> float:
     # sequences stay chronological; only their order shuffles. Loss and
     # update happen per window, membrane state carried and then detached
     # so the graph never spans windows.
@@ -263,11 +303,11 @@ def _epoch_single(model, opt, samples, cfg, rng) -> float:
             x, y = _stack([s])
             maps = model.forward_full(x, "single")
             loss = map_loss(G.reshape(maps, maps.shape[1:]), G.Tensor(y))
+            losses.append(_finite_loss(loss, "single", epoch, len(losses)))
             opt.zero_grad()
             loss.backward()
             opt.step()
             model.detach_state()
-            losses.append(loss.item())
         model.reset_state()
     return float(np.mean(losses))
 
@@ -299,9 +339,9 @@ def train_model(cfg: RunConfig, out_dir, resume=None, log=None) -> list:
         rng = np.random.default_rng([cfg.seed, epoch])
         model.train()
         if cfg.mode == "multi":
-            loss = _epoch_multi(model, opt, data["train"], cfg, rng)
+            loss = _epoch_multi(model, opt, data["train"], cfg, rng, epoch)
         else:
-            loss = _epoch_single(model, opt, data["train"], cfg, rng)
+            loss = _epoch_single(model, opt, data["train"], cfg, rng, epoch)
         # the last step's membranes hold its graph, which nothing reads again
         model.reset_state()
         val_samples = data["val"] or data["train"]

@@ -9,8 +9,9 @@ from spikesal import grad as G
 from spikesal import spikeio as sio
 from spikesal.cli import main
 from spikesal.rst import RSTConfig, RSTModel
+from spikesal.simcam import GeneratorConfig, generate_dataset
 from spikesal.train import (RunConfig, load_samples, model_from_checkpoint,
-                            window_repr)
+                            rate_readout, window_repr)
 
 
 GEN = {"train_sequences": 1, "val_sequences": 1, "labels_per_sequence": 3,
@@ -197,10 +198,42 @@ def test_infer_is_graph_free_and_matches_grad_run(workspace, tmp_path,
     argv = ["infer", "--ckpt", str(ckpt), "--stream", str(stream),
             "--out", str(out)]
     assert main(argv + (["--continuous"] if continuous else [])) == 0
-    assert seen == [False] * len(want)
+    # the three 32x32 windows share one multi-step forward
+    assert seen == [False] * (len(want) if continuous else 1)
     assert G.grad_enabled()
     got = [p.read_bytes() for p in sorted(out.glob("map_*.pgm"))]
     assert got == want
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "stream_model.salt"
+
+
+def test_infer_batches_64x64_windows_byte_identically(tmp_path, monkeypatch):
+    """Five 64x64 windows run as forwards of 4 and 1, and the PGMs are
+    those of one window per forward, byte for byte."""
+    cfg = GeneratorConfig(train_sequences=0, val_sequences=1,
+                          labels_per_sequence=5, width=64, height=64,
+                          seed=908)
+    generate_dataset(cfg, tmp_path / "data")
+    stream_path = tmp_path / "data" / "val_000.spk"
+    net = model_from_checkpoint(FIXTURE)[0].inference_copy()
+    stream = sio.read_stream(stream_path)
+    want = []
+    with G.no_grad():
+        for w in range(5):
+            rep = window_repr(stream, w * 400, 400)[None]
+            img = np.round(rate_readout(net.forward_full(rep)) * 255)
+            want.append(b"P5\n64 64\n255\n" + img.astype(np.uint8).tobytes())
+    assert len(set(want)) == 5
+    sizes = []
+    forward_full = RSTModel.forward_full
+    monkeypatch.setattr(RSTModel, "forward_full", lambda self, x, mode:
+                        sizes.append(x.shape[0]) or forward_full(self, x, mode))
+    out = tmp_path / "maps"
+    assert main(["infer", "--ckpt", str(FIXTURE), "--stream", str(stream_path),
+                 "--out", str(out)]) == 0
+    assert sizes == [4, 1]
+    assert [p.read_bytes() for p in sorted(out.glob("map_*.pgm"))] == want
 
 
 def test_infer_resolution_mismatch(workspace, tmp_path, capsys):

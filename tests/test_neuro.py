@@ -2,6 +2,7 @@
 composed graph ops it replaces, and CBS block behaviour."""
 
 import contextlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spikesal.grad.tensor import _accumulate, _give, make
 from spikesal.neuro import LIFParams, LIFNeuron, CBSBlock, lif_fire, lif_step
 from spikesal.objective import LossConfig, map_loss, multi_step_loss
 from spikesal.optim import AdamW
+from spikesal.train import model_from_checkpoint
 
 
 def lif_oracle(xs, tau, v_th, v_reset):
@@ -389,6 +391,25 @@ def test_graph_free_scan_equals_recorded_scan(relaxed, steps, carried, layout,
         assert np.array_equal(v0, v_before)
 
 
+@pytest.mark.parametrize("graph", [True, False])
+@pytest.mark.parametrize("steps", [1, 5])
+def test_scan_outputs_take_the_layout_of_x_alone(steps, graph):
+    """A channels-innermost x with a C-ordered carried membrane: the scan
+    gives the recording loop's spikes and membrane values, laid out as x,
+    where the loop's separate ops turn out C-ordered arrays."""
+    p, x, v0, _, _ = scan_case(46, steps, "channels-innermost")
+    v0 = np.ascontiguousarray(v0)
+    want_v, want_s = recorded_scan(x, steps, p, v0)
+    assert want_s.data.flags.c_contiguous and want_v.data.flags.c_contiguous
+    with contextlib.nullcontext() if graph else G.no_grad():
+        v, s = lif_step(G.Tensor(v0, requires_grad=True),
+                        G.Tensor(x, requires_grad=True), p, steps)
+    assert s.requires_grad == graph
+    for got, want in ((s.data, want_s.data), (v.data, want_v.data)):
+        assert got.strides == x.strides
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
 def test_repeated_input_reaches_the_scan_as_a_zero_stride_view(monkeypatch):
     """A graph-free eval forward of one image hands the stateful scan the
     batchnorm output of the first step as a view repeated over the steps,
@@ -740,6 +761,43 @@ def test_fire_thresholds_refuse_non_finite_lif_parameters():
     for p in (LIFParams(v_th=np.inf), LIFParams(v_reset=np.nan),
               LIFParams(tau=1e300)):
         assert not neuro.fire_thresholds(*stats, p)[2].any()
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "stream_model.salt"
+
+
+def whole_order_thresholds(stats, p):
+    """Every channel's t by bisection over the whole float32 order, probed
+    through ``bn_fire``: the search the solver once fell back to on a side
+    where its first bracket missed."""
+    sign = np.where(stats[0] > 0, F32(1), F32(-1))
+    lo = np.full(sign.shape, neuro._KEY_NEG_INF)
+    hi = np.full(sign.shape, neuro._KEY_POS_INF)
+    while (hi - lo > 1).any():
+        mid = lo + (hi - lo) // 2
+        f = bn_fire((sign * neuro._of_key(mid))[None], *stats, p)[0]
+        hi, lo = np.where(f, mid, hi), np.where(f, lo, mid)
+    return sign * neuro._of_key(hi)
+
+
+def test_fixture_thresholds_widen_a_missed_bracket(monkeypatch):
+    """Some channel of the benchmark fixture has its boundary outside the
+    first bracket. Widening that side finds every t bit for bit as a search
+    of the whole order does, in at most 20 probes (32 for a whole-order
+    fallback)."""
+    model = model_from_checkpoint(FIXTURE)[0]
+    stats = [np.concatenate(col).astype(F32) for col in
+             zip(*(u.norm_arrays() for u in model.stateless_units()))]
+    p = model.cfg.lif()
+    probes = []
+    with monkeypatch.context() as m:
+        real = G.batchnorm
+        m.setattr(G, "batchnorm",
+                  lambda *a, **k: probes.append(1) or real(*a, **k))
+        t, _, ok = neuro.fire_thresholds(*stats, p)
+    assert ok.all() and 13 < len(probes) <= 20
+    want = whole_order_thresholds(stats, p)
+    assert t.tobytes() == want.tobytes()
 
 
 def frozen_block(seed, pool, signs, p=LIFParams()):

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spikesal import grad as G
+from spikesal.cli import main
 from spikesal.grad import Tensor
 from spikesal import metrics, optim
 from spikesal import train as T
@@ -322,3 +325,113 @@ def test_evaluate_model_modes(tmp_path, dataset):
     single = T.evaluate_model(model, data["val"], mode="single")
     assert multi.count == single.count == 3
     assert 0.0 <= multi.mae <= 1.0 and 0.0 <= single.mae <= 1.0
+
+
+def nan_from_epoch_1(monkeypatch):
+    """Make the head's sigmoid emit NaN from the start of epoch 1 on;
+    returns the list of optimizer steps taken, by epoch."""
+    epochs, steps = [], []
+    real_lr, real_sigmoid, real_step = T.linear_lr, G.sigmoid, optim.AdamW.step
+    monkeypatch.setattr(T, "linear_lr", lambda epoch, *a:
+                        epochs.append(epoch) or real_lr(epoch, *a))
+    monkeypatch.setattr(G, "sigmoid", lambda x: G.mul(real_sigmoid(x), np.nan)
+                        if 1 in epochs else real_sigmoid(x))
+    monkeypatch.setattr(optim.AdamW, "step", lambda self:
+                        steps.append(epochs[-1]) or real_step(self))
+    return steps
+
+
+def assert_only_epoch_0_written(out: Path):
+    assert sorted(f.name for f in out.iterdir()) == [
+        "epoch_000.salt", "last.salt", "train_log.csv"]
+    assert (out / "last.salt").read_bytes() == \
+        (out / "epoch_000.salt").read_bytes()
+    assert T.model_from_checkpoint(out / "last.salt")[2]["epoch"] == 0
+    assert len((out / "train_log.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("mode", ["multi", "single"])
+def test_non_finite_loss_stops_the_run_before_any_update(tmp_path, dataset,
+                                                         monkeypatch, mode):
+    """A loss that turns NaN in epoch 1 stops the run at its first step,
+    named in the error, before backward: no optimizer step of epoch 1
+    runs, and epoch 0's checkpoint and log stay as they were written."""
+    steps = nan_from_epoch_1(monkeypatch)
+    with pytest.raises(ValueError, match=f"non-finite loss nan in {mode} "
+                       "training, epoch 1, step 0$"):
+        T.train_model(run_cfg(dataset, mode=mode), tmp_path)
+    assert steps and set(steps) == {0}
+    assert_only_epoch_0_written(tmp_path)
+
+
+def test_train_command_exits_1_on_a_non_finite_loss(tmp_path, dataset,
+                                                    monkeypatch, capsys):
+    nan_from_epoch_1(monkeypatch)
+    run_cfg(dataset).save(tmp_path / "run.json")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(tmp_path / "run.json"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: non-finite loss nan in multi training, epoch 1, step 0\n"
+    assert_only_epoch_0_written(out)
+
+
+# -- batched multi-step windows ---------------------------------------------------
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "stream_model.salt"
+
+
+def forward_batches(monkeypatch) -> list:
+    """Record the batch size of every ``RSTModel.forward_full`` call."""
+    sizes = []
+    real = RSTModel.forward_full
+    monkeypatch.setattr(RSTModel, "forward_full", lambda self, x, mode="multi":
+                        sizes.append(x.shape[0]) or real(self, x, mode))
+    return sizes
+
+
+@pytest.fixture(scope="module")
+def val64(tmp_path_factory):
+    """Ten labelled 64x64 windows of the fixture's 400 frames."""
+    cfg = GeneratorConfig(train_sequences=0, val_sequences=2,
+                          labels_per_sequence=5, width=64, height=64,
+                          seed=907)
+    manifest = generate_dataset(cfg, tmp_path_factory.mktemp("val64"))
+    return T.load_samples(manifest, 400)["val"]
+
+
+def test_multi_step_evaluation_batches_64x64_windows_byte_identically(
+        monkeypatch, val64):
+    """The fixture scores ten 64x64 windows in forwards of 4, 4 and 2; each
+    map, and the report, has the bytes of one window per forward."""
+    model = T.model_from_checkpoint(FIXTURE)[0]
+    net = model.inference_copy()
+    with G.no_grad():
+        want = [T.rate_readout(net.forward_full(s.repr[None], "multi"))
+                for s in val64]
+    assert len({w.tobytes() for w in want}) == 10
+    sizes = forward_batches(monkeypatch)
+    got = list(T.multi_step_readouts(net, [s.repr for s in val64]))
+    assert sizes == [4, 4, 2]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    sizes.clear()
+    report = T.evaluate_model(model, val64, mode="multi")
+    assert sizes == [4, 4, 2]
+    assert report.to_json() == metrics.evaluate(
+        [(w, s.mask, s.seq) for w, s in zip(want, val64)]).to_json()
+    with pytest.raises(ValueError, match="no samples"):
+        T.evaluate_model(model, [], mode="multi")
+
+
+def test_multi_step_readouts_batch_by_frame_size(monkeypatch):
+    """Windows share a forward up to 128x128 pixels: 128x128 windows run
+    one per forward, and a change of size starts a new forward."""
+    net = RSTModel(toy_model_cfg(), np.random.default_rng(8)).inference_copy()
+    rng = np.random.default_rng(9)
+    reprs = [rng.random((1, n, n)) for n in (128, 128, 32, 32, 64, 32)]
+    sizes = forward_batches(monkeypatch)
+    maps = list(T.multi_step_readouts(net, reprs))
+    assert sizes == [1, 1, 2, 1, 1]
+    assert [m.shape for m in maps] == [r.shape[1:] for r in reprs]
+    assert all(m.dtype == np.float64 for m in maps)
+    assert G.grad_enabled()
