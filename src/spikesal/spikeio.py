@@ -5,11 +5,16 @@ by an integrate-and-fire sensor sampling at ``rate_hz``. On disk the
 stream is bit-packed frame-major then row-major, LSB-first within each
 byte, each frame padded up to a whole byte count.
 
-``open_stream`` checks a file and keeps its payload packed, one row of
-bytes per frame; ``read_stream`` is that reader plus one unpack of every
-frame. Both stream types hand out frames through ``frame_bits``, so the
-ISI decoder reads a packed stream by unpacking only the 16-frame chunks
-its outward scan visits.
+``open_stream`` checks a file's header against its size and maps the
+file read-only, keeping the payload packed, one row of bytes per frame;
+``read_stream`` is that reader plus one unpack of every frame. Both
+stream types hand out frames through ``frame_bits``, so the ISI decoder
+reads a packed stream by unpacking only the 16-frame chunks its outward
+scan visits, and only the file pages around those frames are read. A
+mapped file that another program truncates in place can kill the
+reading process with SIGBUS; ``write_stream`` therefore never rewrites
+a file in place but replaces it, so a stream mapped earlier keeps its
+old frames.
 
 File header (little-endian): magic ``SPKS``, u16 version, u32 width,
 u32 height, u64 frames, u32 rate_hz. 26 bytes total.
@@ -18,6 +23,8 @@ u32 height, u64 frames, u32 rate_hz. 26 bytes total.
 from __future__ import annotations
 
 import json
+import mmap
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,14 +77,9 @@ class SpikeStream:
         bits = np.asarray(self.bits)
         if bits.ndim != 3:
             raise ValueError("spike stream must be (frames, height, width)")
-        if bits.dtype != np.uint8:
-            # a cast alone would turn 0.5 into 0 or 257 into 1
-            if bits.dtype != np.bool_ and not np.isin(bits, (0, 1)).all():
-                raise NonBinaryStreamError("spike stream values must be 0/1")
-            bits = bits.astype(np.uint8)
-        elif bits.max(initial=0) > 1:
+        self.bits = _binary_uint8(bits)
+        if self.bits is None:
             raise NonBinaryStreamError("spike stream values must be 0/1")
-        self.bits = bits
 
     @classmethod
     def _of_binary(cls, bits: np.ndarray, rate_hz: int) -> "SpikeStream":
@@ -113,7 +115,8 @@ class PackedStream:
     """A spike stream held as its file payload: ``packed`` is a read-only
     (frames, frame_bytes) uint8 array, each row one frame's bits packed
     LSB-first and padded to whole bytes. ``frame_bits`` unpacks only the
-    frames it is asked for. Made by ``open_stream``."""
+    frames it is asked for. Made by ``open_stream``, whose ``packed`` is a
+    view of the read-only mapped file."""
 
     packed: np.ndarray
     height: int
@@ -151,47 +154,78 @@ class Mask:
     timestamp_frame: int
 
     def __post_init__(self):
-        self.values = np.asarray(self.values).astype(np.uint8)
-        if not np.isin(self.values, (0, 1)).all():
+        self.values = _binary_uint8(np.asarray(self.values))
+        if self.values is None:
             raise ValueError("mask values must be 0/1")
 
 
+def _binary_uint8(values: np.ndarray) -> np.ndarray | None:
+    """``values`` as uint8 if every value is 0 or 1, else None. The raw
+    values are checked before any cast, which would turn 0.5 into 0 and
+    257 or 1.9 into 1; uint8 input is returned as it is."""
+    if values.dtype != np.uint8:
+        if values.dtype != np.bool_ and not np.isin(values, (0, 1)).all():
+            return None
+        return values.astype(np.uint8)
+    return values if values.max(initial=0) <= 1 else None
+
+
 def write_stream(path, stream: SpikeStream):
+    """Write ``stream`` as a .spk file. The bytes go to a temporary file
+    beside ``path``, which then replaces it: a failed write leaves any
+    previous file at ``path`` intact, and a reader that mapped that file
+    keeps reading its old frames instead of dying with SIGBUS, as it could
+    if the file were truncated in place. There is no fsync, so a power
+    loss soon after the write can still lose or cut the new file."""
     f, h, w = stream.frames, stream.height, stream.width
     if w >= 1 << 32 or h >= 1 << 32 or f >= 1 << 64 or f * h * w > MAX_TOTAL_BITS:
         raise DimensionOverflowError(f"stream dims {f}x{h}x{w} overflow the format")
     flat = stream.bits.reshape(f, h * w)
     packed = np.packbits(flat, axis=1, bitorder="little")
-    with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, VERSION, w, h, f, stream.rate_hz))
-        fh.write(packed.tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(HEADER.pack(MAGIC, VERSION, w, h, f, stream.rate_hz))
+            fh.write(packed.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def open_stream(path) -> PackedStream:
-    """Read and check a .spk file, keeping its payload packed. Raises
+    """Check a .spk file's header against the file size, then map the
+    file read-only; the stream's ``packed`` rows are a view of that
+    mapping, so only the file pages around the frames that are unpacked
+    get read. The mapping lives as long as any array viewing it. Raises
     MalformedHeaderError, DimensionOverflowError or TruncatedPayloadError
-    for a file that does not hold exactly one valid stream."""
+    for a file that does not hold exactly one valid stream. Another
+    program that truncates the file in place while it is mapped can make
+    a later read raise SIGBUS; ``write_stream`` replaces files instead."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < HEADER.size:
-        raise MalformedHeaderError(f"{path}: too short for a header")
-    magic, version, w, h, f, rate = HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise MalformedHeaderError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise MalformedHeaderError(f"{path}: unsupported version {version}")
-    if w == 0 or h == 0 or f == 0:
-        raise MalformedHeaderError(f"{path}: zero dimension in header")
-    if f * h * w > MAX_TOTAL_BITS:
-        raise DimensionOverflowError(f"{path}: {f}x{h}x{w} exceeds the size cap")
-    frame_bytes = (h * w + 7) // 8
-    expected = HEADER.size + f * frame_bytes
-    if len(raw) < expected:
-        raise TruncatedPayloadError(f"{path}: payload ends early "
-                                    f"({len(raw)} of {expected} bytes)")
-    if len(raw) > expected:
-        raise MalformedHeaderError(f"{path}: trailing bytes after payload")
-    packed = np.frombuffer(raw, dtype=np.uint8, offset=HEADER.size)
+        head = fh.read(HEADER.size)
+        if len(head) < HEADER.size:
+            raise MalformedHeaderError(f"{path}: too short for a header")
+        magic, version, w, h, f, rate = HEADER.unpack(head)
+        if magic != MAGIC:
+            raise MalformedHeaderError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise MalformedHeaderError(f"{path}: unsupported version {version}")
+        if w == 0 or h == 0 or f == 0:
+            raise MalformedHeaderError(f"{path}: zero dimension in header")
+        if f * h * w > MAX_TOTAL_BITS:
+            raise DimensionOverflowError(f"{path}: {f}x{h}x{w} exceeds the size cap")
+        frame_bytes = (h * w + 7) // 8
+        expected = HEADER.size + f * frame_bytes
+        size = os.fstat(fh.fileno()).st_size
+        if size < expected:
+            raise TruncatedPayloadError(f"{path}: payload ends early "
+                                        f"({size} of {expected} bytes)")
+        if size > expected:
+            raise MalformedHeaderError(f"{path}: trailing bytes after payload")
+        mapped = mmap.mmap(fh.fileno(), expected, access=mmap.ACCESS_READ)
+    packed = np.frombuffer(mapped, dtype=np.uint8, offset=HEADER.size)
     return PackedStream(packed.reshape(f, frame_bytes), h, w, rate)
 
 
@@ -273,6 +307,7 @@ def _nearest_spike(stream, cut: int, end: int, dtype, weight, need=None):
     spike; pixels outside it may then read 0 where a full scan would not."""
     step = 1 if end > cut else -1
     best = np.zeros((stream.height, stream.width), dtype=dtype)
+    skip = None if need is None else ~need
     a = cut if step > 0 else cut - 1
     while a != end:
         b = a + step * _ISI_CHUNK
@@ -281,7 +316,7 @@ def _nearest_spike(stream, cut: int, end: int, dtype, weight, need=None):
         w = weight(np.arange(lo, hi, dtype=np.int64)).astype(dtype)
         np.maximum(best, np.max(stream.frame_bits(lo, hi) * w[:, None, None],
                                 axis=0), out=best)
-        if (best if need is None else best[need]).all():
+        if (best if skip is None else np.logical_or(best, skip)).all():
             break
         a = b
     return best

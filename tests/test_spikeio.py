@@ -1,6 +1,7 @@
 """Codec round-trips, intensity statistics, and representation oracles."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -137,6 +138,76 @@ def test_error_types_are_distinct():
     assert len(kinds) == 3
     for k in kinds:
         assert issubclass(k, sio.SpikeIOError)
+
+
+def test_failed_write_keeps_the_previous_stream(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    p = tmp_path / "s.spk"
+    sio.write_stream(p, random_stream(rng, 5, 6, 7))
+    before = p.read_bytes()
+    real_open = open
+
+    class HalfWrite:
+        """File that writes half of its first chunk, then fails."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(sio, "open", HalfWrite, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        sio.write_stream(p, random_stream(rng, 9, 6, 7))
+    monkeypatch.undo()
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["s.spk"]
+
+
+def test_open_stream_keeps_its_frames_when_the_path_is_rewritten(tmp_path):
+    # an in-place writer would show the new bits through the old mapping
+    # (or kill the reader with SIGBUS when the new file is shorter)
+    rng = np.random.default_rng(12)
+    old, new = random_stream(rng, 8, 5, 6), random_stream(rng, 8, 5, 6)
+    p = tmp_path / "s.spk"
+    sio.write_stream(p, old)
+    packed = sio.open_stream(p)
+    sio.write_stream(p, new)
+    assert np.array_equal(packed.frame_bits(0, 8), old.bits)
+    assert np.array_equal(sio.read_stream(p).bits, new.bits)
+    assert [f.name for f in tmp_path.iterdir()] == ["s.spk"]
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="needs /proc/self/statm")
+def test_open_stream_reads_only_the_frames_a_window_decodes(tmp_path):
+    """A ~200 MB stream of 128x128 frames whose payload is a hole (no disk
+    blocks): decoding one 400-frame window must not make the whole payload
+    resident, as reading the file into memory would."""
+    frames, h, w = 100_000, 128, 128
+    payload = frames * (h * w // 8)
+    p = tmp_path / "long.spk"
+    with open(p, "wb") as fh:
+        fh.write(sio.HEADER.pack(sio.MAGIC, sio.VERSION, w, h, frames, 20000))
+        fh.truncate(sio.HEADER.size + payload)
+    before = _resident_bytes()
+    stream = sio.open_stream(p)
+    rep = window_repr(stream, frames // 2, 400)
+    grown = _resident_bytes() - before
+    assert stream.frames == frames and not rep.any()
+    assert grown < payload // 20, f"resident set grew by {grown} bytes"
 
 
 # -- lis --------------------------------------------------------------------------
@@ -441,6 +512,18 @@ def test_mask_roundtrip_and_binarization(tmp_path):
     back = sio.read_mask(p, 400)
     assert np.array_equal(back.values, m.values)
     assert set(np.unique(sio.read_pgm(p))) <= {0, 255}
+
+
+def test_mask_refuses_values_a_cast_would_hide():
+    # a uint8 cast reads 0.5 as 0, and 257 and 1.9 as 1
+    for bad in ([[0.5]], [[257]], [[1.9]]):
+        with pytest.raises(ValueError, match="mask values must be 0/1"):
+            sio.Mask(np.array(bad), 0)
+    with pytest.raises(ValueError, match="mask values must be 0/1"):
+        sio.Mask(np.array([[0, 2]], dtype=np.uint8), 0)
+    for ok in ([[True, False]], [[1.0, 0.0]], [[1, 0]]):
+        m = sio.Mask(np.array(ok), 0)
+        assert m.values.dtype == np.uint8 and m.values.tolist() == [[1, 0]]
 
 
 def test_pgm_with_comment(tmp_path):
