@@ -43,7 +43,7 @@ def save_tensors(path, arrays: dict, meta: dict | None = None):
             fh.write(MAGIC)
             fh.write(struct.pack("<HQ", VERSION, len(blob)))
             fh.write(blob)
-            fh.write(bytes(payload))
+            fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -16,8 +16,10 @@ that window.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -133,10 +135,10 @@ def simulate(scene: Scene, params: CameraParams, steps: int,
                 raise ValueError("noise_std > 0 requires an rng")
             acc += rng.normal(0.0, params.noise_std * phi, acc.shape)
             np.maximum(acc, 0.0, out=acc)
-        fired = acc >= phi
-        acc[fired] -= phi
-        bits[t] = fired
-    return sio.SpikeStream(bits, rate_hz=params.rate_hz)
+        fired = bits[t].view(np.bool_)
+        np.greater_equal(acc, phi, out=fired)
+        np.subtract(acc, phi, out=acc, where=fired)
+    return sio.SpikeStream._of_binary(bits, params.rate_hz)
 
 
 def firing_rate_oracle(intensity: float, threshold: float, steps: int) -> int:
@@ -219,6 +221,11 @@ def generate_dataset(cfg: GeneratorConfig, out_dir) -> Path:
     manifest path. Fully determined by ``cfg.seed``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # streams are written before the whole dataset exists: a run that fails
+    # part way into an old dataset must not leave its manifest naming a mix
+    # of old and new files
+    manifest_path = out / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     specs = []
     for split, count in (("train", cfg.train_sequences), ("val", cfg.val_sequences)):
         for i, light in enumerate(_light_plan(count, cfg.high_light_fraction)):
@@ -238,16 +245,7 @@ def generate_dataset(cfg: GeneratorConfig, out_dir) -> Path:
                  for k in range(cfg.labels_per_sequence)]
         return split, i, light, stream, masks
 
-    workers = worker_threads()
-    jobs = list(zip(specs, seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(build, jobs))
-    else:
-        built = [build(j) for j in jobs]
-
-    entries = []
-    for split, i, light, stream, masks in built:
+    def write(split, i, light, stream, masks) -> sio.StreamEntry:
         name = f"{split}_{i:03d}"
         sio.write_stream(out / f"{name}.spk", stream)
         refs = []
@@ -255,9 +253,25 @@ def generate_dataset(cfg: GeneratorConfig, out_dir) -> Path:
             mp = f"{name}_f{frame:06d}.pgm"
             sio.write_mask(out / mp, mask)
             refs.append(sio.MaskRef(mp, frame))
-        entries.append(sio.StreamEntry(f"{name}.spk", split, light, refs))
+        return sio.StreamEntry(f"{name}.spk", split, light, refs)
 
-    manifest_path = out / "manifest.json"
+    # each sequence is written as soon as it is built and then dropped, so
+    # memory holds one dense stream per worker, not the whole dataset;
+    # with threads, at most ``workers`` builds are out, taken in job order
+    workers = worker_threads()
+    jobs = zip(specs, seeds)
+    if workers == 1:
+        entries = [write(*build(j)) for j in jobs]
+    else:
+        entries = []
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pending = deque(pool.submit(build, j)
+                            for j in itertools.islice(jobs, workers))
+            while pending:
+                entries.append(write(*pending.popleft().result()))
+                for j in itertools.islice(jobs, 1):
+                    pending.append(pool.submit(build, j))
+
     sio.save_manifest(manifest_path, sio.DatasetManifest(entries, out))
     with open(out / "generator_config.json", "w", encoding="utf-8") as fh:
         json.dump(asdict(cfg), fh, indent=1, sort_keys=True)

@@ -22,6 +22,7 @@ u32 height, u64 frames, u32 rate_hz. 26 bytes total.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import mmap
 import os
@@ -182,12 +183,21 @@ def write_stream(path, stream: SpikeStream):
         raise DimensionOverflowError(f"stream dims {f}x{h}x{w} overflow the format")
     flat = stream.bits.reshape(f, h * w)
     packed = np.packbits(flat, axis=1, bitorder="little")
+    with _replacing(path, "wb") as fh:
+        fh.write(HEADER.pack(MAGIC, VERSION, w, h, f, stream.rate_hz))
+        fh.write(packed)
+
+
+@contextlib.contextmanager
+def _replacing(path, mode: str, **kw):
+    """A file opened at a temporary name beside ``path``, which replaces
+    ``path`` when the block ends; if the block raises, the temporary file
+    is removed and any previous file at ``path`` stays as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(HEADER.pack(MAGIC, VERSION, w, h, f, stream.rate_hz))
-            fh.write(packed.tobytes())
+        with open(tmp, mode, **kw) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -417,11 +427,13 @@ class DatasetManifest:
 
 
 def save_manifest(path, manifest: DatasetManifest):
+    """Write the manifest through a temporary file beside ``path``, which
+    then replaces it, so a failed write never leaves a partial manifest."""
     doc = {"streams": [
         {"path": s.path, "split": s.split, "light": s.light,
          "masks": [{"path": m.path, "frame": m.frame} for m in s.masks]}
         for s in manifest.streams]}
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

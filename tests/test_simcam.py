@@ -1,5 +1,12 @@
 """Camera model: rate law, determinism, and dataset generation."""
 
+import importlib.util
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -124,6 +131,50 @@ def test_scene_intensity_pattern():
     assert np.all(img[~mask] == 0.02)
 
 
+def simulate_reference(scene, params, steps, rng=None):
+    """The earlier per-frame loop of ``simulate``: a boolean temporary,
+    a gathered subtract and a copy into the frame. A byte oracle for the
+    loop that compares and subtracts in place."""
+    phi = params.threshold
+    bits = np.empty((steps, scene.height, scene.width), dtype=np.uint8)
+    acc = np.zeros((scene.height, scene.width), dtype=np.float64)
+    for t in range(steps):
+        if t % scene.frames_per_label == 0:
+            cur = scene.intensity(t)
+        acc += cur
+        if params.noise_std > 0:
+            acc += rng.normal(0.0, params.noise_std * phi, acc.shape)
+            np.maximum(acc, 0.0, out=acc)
+        fired = acc >= phi
+        acc[fired] -= phi
+        bits[t] = fired
+    return bits
+
+
+@pytest.mark.parametrize("light", ["high", "low"])
+@pytest.mark.parametrize("threshold", [1.0, 0.07])
+def test_simulate_matches_reference_loop_with_noise(light, threshold):
+    cfg = sc.GeneratorConfig(width=40, height=24, frames_per_label=150)
+    params = sc.CameraParams(threshold, noise_std=0.05)
+    streams = []
+    for run in (sc.simulate, simulate_reference):
+        rng = np.random.default_rng(11)
+        scene = sc._random_scene(cfg, rng, light)
+        streams.append(run(scene, params, 450, rng))
+    got, want = streams
+    assert got.bits.dtype == np.uint8 and want.any()
+    assert np.array_equal(got.bits, want)
+
+
+def test_simulate_matches_reference_loop_at_exact_threshold():
+    # dyadic luminances fill the accumulator to exactly phi, where a
+    # strict comparison would fire a step late
+    scene = ConstantField(np.array([[0.25, 0.5, 0.125], [1.0, 0.0, 0.375]]))
+    got = sc.simulate(scene, sc.CameraParams(), steps=64)
+    assert np.array_equal(got.bits,
+                          simulate_reference(scene, sc.CameraParams(), 64))
+
+
 # -- dataset generation ----------------------------------------------------------
 
 
@@ -189,3 +240,102 @@ def test_generate_dataset_thread_invariant(tmp_path, monkeypatch):
     m1, m2 = sio.load_manifest(p1), sio.load_manifest(p2)
     for e1, e2 in zip(m1.streams, m2.streams):
         assert (m1.root / e1.path).read_bytes() == (m2.root / e2.path).read_bytes()
+
+
+def logged_generation(monkeypatch, tmp_path, threads: str):
+    """Generate a 6-sequence dataset with simulate and write_stream
+    patched to log events; returns the log and the largest number of
+    sequences built but not yet written at any time."""
+    monkeypatch.setenv("SPIKESAL_THREADS", threads)
+    log, lock, live = [], threading.Lock(), [0, 0]
+    simulate, write_stream = sc.simulate, sio.write_stream
+
+    def logged_simulate(*args, **kw):
+        stream = simulate(*args, **kw)
+        with lock:
+            log.append("simulate")
+            live[0] += 1
+            live[1] = max(live)
+        return stream
+
+    def logged_write(path, stream):
+        write_stream(path, stream)
+        with lock:
+            log.append("write")
+            live[0] -= 1
+
+    monkeypatch.setattr(sc, "simulate", logged_simulate)
+    monkeypatch.setattr(sio, "write_stream", logged_write)
+    sc.generate_dataset(tiny_cfg(train_sequences=4, val_sequences=2,
+                                 labels_per_sequence=1), tmp_path / threads)
+    assert log.count("simulate") == log.count("write") == 6
+    return log, live[1]
+
+
+def test_generate_dataset_writes_each_sequence_before_the_next(
+        tmp_path, monkeypatch):
+    log, most = logged_generation(monkeypatch, tmp_path, "1")
+    assert log == ["simulate", "write"] * 6
+    assert most == 1
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_generate_dataset_holds_at_most_one_sequence_per_worker(
+        tmp_path, monkeypatch, threads):
+    _, most = logged_generation(monkeypatch, tmp_path, str(threads))
+    assert 1 <= most <= threads
+
+
+def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
+    out = tmp_path / "d"
+    man_path = sc.generate_dataset(tiny_cfg(), out)
+    assert sio.load_manifest(man_path).streams
+    simulate, calls = sc.simulate, []
+
+    def fail_second(*args, **kw):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("simulated failure")
+        return simulate(*args, **kw)
+
+    monkeypatch.setattr(sc, "simulate", fail_second)
+    with pytest.raises(RuntimeError, match="simulated failure"):
+        sc.generate_dataset(tiny_cfg(seed=8), out)
+    # the first sequence was rewritten from seed 8, the rest are seed 7's:
+    # no manifest may list that mix
+    with pytest.raises(FileNotFoundError):
+        sio.load_manifest(man_path)
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+MEMORY_PROBE = """
+import resource, sys, tempfile
+from spikesal import simcam as sc
+scale = 1 if sys.platform == "darwin" else 1024   # ru_maxrss: bytes or KiB
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale
+cfg = sc.GeneratorConfig(train_sequences=6, val_sequences=2,
+                         labels_per_sequence=2, width=128, height=128)
+base = peak()
+with tempfile.TemporaryDirectory() as d:
+    sc.generate_dataset(cfg, d)
+print(peak() - base)
+"""
+
+
+@pytest.mark.skipif(importlib.util.find_spec("resource") is None,
+                    reason="needs the resource module")
+def test_generate_dataset_memory_does_not_grow_with_the_dataset():
+    """8 sequences of 800 frames at 128x128, 12.5 MiB of dense bits each:
+    the peak resident set of a fresh process may grow by less than three
+    sequences, where holding every sequence until the end grows by eight."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, SPIKESAL_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    one_sequence = 800 * 128 * 128
+    grown = int(run.stdout)
+    assert grown < 3 * one_sequence, (
+        f"peak grew {grown / one_sequence:.1f} sequences")

@@ -621,6 +621,22 @@ def test_manifest_roundtrip(tmp_path):
     assert len(back.entries("val")) == 1
 
 
+def test_failed_manifest_write_keeps_the_old_manifest(tmp_path):
+    rng = np.random.default_rng(13)
+    man = make_dataset(tmp_path, rng)
+    mp = tmp_path / "manifest.json"
+    sio.save_manifest(mp, man)
+    before = sorted(f.name for f in tmp_path.iterdir())
+    old = mp.read_bytes()
+    # json cannot encode the last mask's frame, so the dump fails after
+    # writing part of the document
+    man.streams[-1].masks[-1].frame = object()
+    with pytest.raises(TypeError):
+        sio.save_manifest(mp, man)
+    assert mp.read_bytes() == old
+    assert sorted(f.name for f in tmp_path.iterdir()) == before
+
+
 def test_manifest_missing_file(tmp_path):
     rng = np.random.default_rng(11)
     man = make_dataset(tmp_path, rng)
