@@ -1,4 +1,9 @@
-"""numpy-backed reverse-mode autodiff with the op set the network needs."""
+"""numpy-backed reverse-mode autodiff with the op set the network needs.
+
+A graph is single-use: ``Tensor.backward`` frees each op node's gradient,
+saved arrays and parent links as it walks the graph, leaves (parameters and
+inputs made with ``requires_grad=True``) keep their ``.grad``, and a second
+backward through the same graph raises ``RuntimeError``."""
 
 from .tensor import (
     Tensor, no_grad, grad_enabled, relaxed, relaxed_enabled, as_tensor,

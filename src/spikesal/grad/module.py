@@ -38,9 +38,6 @@ class Module:
         for name, child in self._children.items():
             yield from child.named_parameters(prefix + name + ".")
 
-    def parameters(self):
-        return [p for _, p in self.named_parameters()]
-
     def named_buffers(self, prefix: str = ""):
         for name, arr in self._buffers.items():
             yield prefix + name, arr
@@ -78,10 +75,6 @@ class Module:
         for child in self._children.values():
             child.cast(dtype)
         return self
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
 
     def state_dict(self) -> dict:
         out = {name: p.data for name, p in self.named_parameters()}

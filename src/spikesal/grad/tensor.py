@@ -4,7 +4,8 @@ A ``Tensor`` wraps a float64 or float32 ndarray plus an optional backward
 closure.
 Calling :meth:`Tensor.backward` on a scalar walks the graph in reverse
 topological order and accumulates vector-Jacobian products into ``.grad``
-of every tensor created with ``requires_grad=True``.
+of every tensor created with ``requires_grad=True``, freeing the graph as
+it goes: a graph is single-use.
 
 Gradients accumulate additively, so a tensor consumed by several ops
 receives the sum of all downstream contributions regardless of traversal
@@ -109,6 +110,15 @@ class Tensor:
     # -- graph machinery ----------------------------------------------------
 
     def backward(self, grad=None):
+        """Accumulate d(self)/d(leaf) into ``.grad`` of every leaf (a tensor
+        made with ``requires_grad=True``) that ``self`` depends on; ``grad``
+        is the upstream gradient, required unless ``self`` is a scalar.
+
+        The graph is consumed as it is walked: once an op node's
+        vector-Jacobian product has run, the node drops its gradient, its
+        backward closure (and with it the arrays saved for backward) and its
+        parent links. Leaves keep ``.grad``. A second backward through a
+        consumed node raises ``RuntimeError``."""
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar")
@@ -118,9 +128,17 @@ class Tensor:
 
         order = _toposort(self)
         _accumulate(self, grad)
-        for node in reversed(order):
-            if node._vjp is not None and node.grad is not None:
+        while order:                    # reverse topological order
+            node = order.pop()
+            if node._vjp is None:       # a leaf keeps its gradient
+                continue
+            if node.grad is not None:
                 node._vjp(node.grad)
+            # every consumer has run, so nothing reads this node again:
+            # its saved arrays and gradient go now, not with the graph
+            node.grad = None
+            node._vjp = _consumed
+            node._parents = ()
 
     # -- operator sugar -----------------------------------------------------
 
@@ -179,6 +197,11 @@ def _toposort(root: Tensor):
             if id(p) not in seen:
                 stack.append((p, False))
     return order
+
+
+def _consumed(g):
+    raise RuntimeError("backward through a graph that an earlier backward "
+                       "already consumed; build the graph again")
 
 
 def _accumulate(t: Tensor, g: np.ndarray):

@@ -222,10 +222,12 @@ def generate_dataset(cfg: GeneratorConfig, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # streams are written before the whole dataset exists: a run that fails
-    # part way into an old dataset must not leave its manifest naming a mix
-    # of old and new files
+    # part way into an old dataset must leave neither its manifest naming a
+    # mix of old and new files nor a config describing the old ones
     manifest_path = out / "manifest.json"
+    config_path = out / "generator_config.json"
     manifest_path.unlink(missing_ok=True)
+    config_path.unlink(missing_ok=True)
     specs = []
     for split, count in (("train", cfg.train_sequences), ("val", cfg.val_sequences)):
         for i, light in enumerate(_light_plan(count, cfg.high_light_fraction)):
@@ -272,8 +274,9 @@ def generate_dataset(cfg: GeneratorConfig, out_dir) -> Path:
                 for j in itertools.islice(jobs, 1):
                     pending.append(pool.submit(build, j))
 
-    sio.save_manifest(manifest_path, sio.DatasetManifest(entries, out))
-    with open(out / "generator_config.json", "w", encoding="utf-8") as fh:
+    # the manifest is written last: a directory holding one is complete
+    with sio.replacing(config_path, "w", encoding="utf-8") as fh:
         json.dump(asdict(cfg), fh, indent=1, sort_keys=True)
         fh.write("\n")
+    sio.save_manifest(manifest_path, sio.DatasetManifest(entries, out))
     return manifest_path

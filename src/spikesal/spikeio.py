@@ -183,13 +183,13 @@ def write_stream(path, stream: SpikeStream):
         raise DimensionOverflowError(f"stream dims {f}x{h}x{w} overflow the format")
     flat = stream.bits.reshape(f, h * w)
     packed = np.packbits(flat, axis=1, bitorder="little")
-    with _replacing(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, VERSION, w, h, f, stream.rate_hz))
         fh.write(packed)
 
 
 @contextlib.contextmanager
-def _replacing(path, mode: str, **kw):
+def replacing(path, mode: str, **kw):
     """A file opened at a temporary name beside ``path``, which replaces
     ``path`` when the block ends; if the block raises, the temporary file
     is removed and any previous file at ``path`` stays as it was."""
@@ -433,7 +433,7 @@ def save_manifest(path, manifest: DatasetManifest):
         {"path": s.path, "split": s.split, "light": s.light,
          "masks": [{"path": m.path, "frame": m.frame} for m in s.masks]}
         for s in manifest.streams]}
-    with _replacing(path, "w", encoding="utf-8") as fh:
+    with replacing(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

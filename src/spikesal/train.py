@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -271,23 +272,37 @@ def _finite_loss(loss, mode: str, epoch: int, step: int) -> float:
     return value
 
 
+def _train_step(model, opt, batch, mode: str, loss_fn, epoch: int,
+                step: int) -> float:
+    """One forward, loss, backward and update on ``batch``; returns the loss
+    value. The step's graph lives only in this frame and its backward frees
+    it, so no step's graph is alive while the next one's forward runs."""
+    x, y = _stack(batch)
+    loss = loss_fn(model.forward_full(x, mode), G.Tensor(y))
+    value = _finite_loss(loss, mode, epoch, step)
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+    return value
+
+
 def _epoch_multi(model, opt, samples, cfg, rng, epoch) -> float:
-    loss_cfg = LossConfig(steps=cfg.model.steps)
+    if cfg.loss_mode == "multi":
+        loss_fn = partial(multi_step_loss,
+                          cfg=LossConfig(steps=cfg.model.steps))
+    else:
+        loss_fn = vanilla_loss
     order = rng.permutation(len(samples))
     losses = []
     for lo in range(0, len(order), cfg.batch_size):
         batch = [samples[i] for i in order[lo:lo + cfg.batch_size]]
-        x, y = _stack(batch)
-        maps = model.forward_full(x, "multi")
-        if cfg.loss_mode == "multi":
-            loss = multi_step_loss(maps, G.Tensor(y), loss_cfg)
-        else:
-            loss = vanilla_loss(maps, G.Tensor(y))
-        losses.append(_finite_loss(loss, "multi", epoch, len(losses)))
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
+        losses.append(_train_step(model, opt, batch, "multi", loss_fn,
+                                  epoch, len(losses)))
     return float(np.mean(losses))
+
+
+def _single_map_loss(maps, y):
+    return map_loss(G.reshape(maps, maps.shape[1:]), y)
 
 
 def _epoch_single(model, opt, samples, cfg, rng, epoch) -> float:
@@ -300,13 +315,8 @@ def _epoch_single(model, opt, samples, cfg, rng, epoch) -> float:
         chron = groups[gi]
         model.reset_state()
         for s in chron:
-            x, y = _stack([s])
-            maps = model.forward_full(x, "single")
-            loss = map_loss(G.reshape(maps, maps.shape[1:]), G.Tensor(y))
-            losses.append(_finite_loss(loss, "single", epoch, len(losses)))
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+            losses.append(_train_step(model, opt, [s], "single",
+                                      _single_map_loss, epoch, len(losses)))
             model.detach_state()
         model.reset_state()
     return float(np.mean(losses))
@@ -342,7 +352,9 @@ def train_model(cfg: RunConfig, out_dir, resume=None, log=None) -> list:
             loss = _epoch_multi(model, opt, data["train"], cfg, rng, epoch)
         else:
             loss = _epoch_single(model, opt, data["train"], cfg, rng, epoch)
-        # the last step's membranes hold its graph, which nothing reads again
+        # backward freed the last step's graph except the encoder's final
+        # membranes, which no loss read; drop them and the spikes they link
+        # to, so evaluation and the next epoch start from rest
         model.reset_state()
         val_samples = data["val"] or data["train"]
         report = evaluate_model(model, val_samples, mode=cfg.mode)

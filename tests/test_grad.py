@@ -1,8 +1,9 @@
 """Finite-difference verification of every differentiable op, plus engine
-bookkeeping (accumulation, graph reuse, serialization)."""
+bookkeeping (accumulation, graph reuse, single-use graphs, serialization)."""
 
 import json
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1479,6 +1480,57 @@ def test_backward_on_deep_chain():
         y = y * 1.0001
     G.sum_(y).backward()
     assert t.grad is not None and np.isfinite(t.grad).all()
+
+
+def test_backward_frees_op_nodes_and_keeps_leaf_gradients():
+    a = G.Tensor([1.0, 2.0], requires_grad=True)
+    b = G.Tensor([3.0, -1.0], requires_grad=True)
+    c = G.exp(a * b)
+    y = G.sum_(c * a)
+    nodes = [y, c, c._parents[0]]
+    closures = [weakref.ref(n._vjp) for n in nodes]
+    y.backward()
+    for n in nodes:
+        assert n.grad is None and n._parents == ()
+        with pytest.raises(RuntimeError, match="consumed"):
+            n._vjp(np.ones_like(n.data))
+    # the closures, and with them the arrays saved for backward, are gone
+    assert [ref() for ref in closures] == [None, None, None]
+    e = np.exp(a.data * b.data)
+    np.testing.assert_array_equal(a.grad, e * a.data * b.data + e)
+    np.testing.assert_array_equal(b.grad, e * a.data * a.data)
+
+
+def test_backward_frees_each_node_before_its_parents_run():
+    # when a node's closure runs, every consumer's closure is already freed
+    x = G.Tensor([0.5, -0.25], requires_grad=True)
+    mid = G.exp(x)
+    top = G.exp(mid)
+    y = G.sum_(top)
+    consumers = [weakref.ref(top._vjp), weakref.ref(y._vjp)]
+    inner, seen = mid._vjp, []
+
+    def vjp(g):
+        seen.append([ref() for ref in consumers])
+        inner(g)
+    mid._vjp = vjp
+    y.backward()
+    assert seen == [[None, None]]
+    np.testing.assert_array_equal(x.grad, np.exp(mid.data) * mid.data)
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    t = G.Tensor([1.0, -2.0], requires_grad=True)
+    mid = G.sigmoid(t)
+    y = G.sum_(mid * mid)
+    y.backward()
+    grad = t.grad.copy()
+    with pytest.raises(RuntimeError, match="consumed"):
+        y.backward()
+    # a new graph over a consumed node fails too, instead of stopping there
+    with pytest.raises(RuntimeError, match="consumed"):
+        G.sum_(mid * 2.0).backward()
+    np.testing.assert_array_equal(t.grad, grad)
 
 
 def test_store_roundtrip(tmp_path):

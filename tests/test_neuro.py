@@ -223,6 +223,30 @@ def test_fused_scan_carries_state_across_calls(carry_grad, layout):
         assert_same_array(got[key], want[key], key)
 
 
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("stateful", [False, True])
+def test_membrane_only_gradient_equals_composed_ops(stateful, steps):
+    # no loss term reads the spikes: the membrane's closure hands the scan
+    # a zero spike gradient, so the scan still runs and carries the
+    # membrane gradient back to x and v
+    p, x, v0, _, rv = scan_case(steps * 10 + stateful + 300, steps, "C")
+    v0 = v0 if stateful else None
+    results = []
+    for step in (composed_lif_step, lif_step):
+        xt = G.Tensor(x, requires_grad=True)
+        vt = None if v0 is None else G.Tensor(v0, requires_grad=True)
+        v, _ = step(vt, xt, p, steps)
+        G.sum_(v * G.Tensor(rv)).backward()
+        results.append({"x.grad": xt.grad}
+                       | ({} if vt is None else {"v.grad": vt.grad}))
+    want, got = results
+    assert got.keys() == want.keys()
+    assert np.abs(got["x.grad"]).max() > 0.0
+    for key in want:    # one step's zero gradients may differ in sign
+        assert got[key].strides == want[key].strides, key
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
 def test_fused_scan_graph_free_without_grad(monkeypatch):
     def refuse(*_args):
         raise AssertionError("surrogate slope computed for a graph-free scan")

@@ -302,9 +302,10 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="simulated failure"):
         sc.generate_dataset(tiny_cfg(seed=8), out)
     # the first sequence was rewritten from seed 8, the rest are seed 7's:
-    # no manifest may list that mix
+    # no manifest may list that mix, and no config may describe it
     with pytest.raises(FileNotFoundError):
         sio.load_manifest(man_path)
+    assert not (out / "generator_config.json").exists()
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from spikesal import grad as G
 from spikesal.cli import main
 from spikesal.grad import Tensor
+from spikesal.grad.tensor import _toposort
 from spikesal import metrics, optim
 from spikesal import train as T
 from spikesal.rst import RSTConfig, RSTModel
@@ -294,6 +296,19 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, dataset):
     assert a == c
 
 
+def test_resume_reproduces_uninterrupted_single_mode_run(tmp_path, dataset):
+    # the carried membranes are detached after every window and reset per
+    # sequence, so epoch 1 replays from the epoch-0 checkpoint alone
+    cfg = run_cfg(dataset, mode="single", batch_size=1, epochs=2)
+    full = T.train_model(cfg, tmp_path / "a")
+    resumed = T.train_model(cfg, tmp_path / "c",
+                            resume=tmp_path / "a" / "epoch_000.salt")
+    assert resumed == full
+    a = (tmp_path / "a" / "epoch_001.salt").read_bytes()
+    c = (tmp_path / "c" / "epoch_001.salt").read_bytes()
+    assert a == c
+
+
 def test_resume_rejects_config_mismatch(tmp_path, dataset):
     cfg = run_cfg(dataset, epochs=1)
     T.train_model(cfg, tmp_path / "run")
@@ -325,6 +340,80 @@ def test_evaluate_model_modes(tmp_path, dataset):
     single = T.evaluate_model(model, data["val"], mode="single")
     assert multi.count == single.count == 3
     assert 0.0 <= multi.mae <= 1.0 and 0.0 <= single.mae <= 1.0
+
+
+def toy_step_setup(dataset):
+    model = RSTModel(toy_model_cfg(), np.random.default_rng(0))
+    opt = optim.AdamW(model.named_parameters(), lr=1e-3)
+    samples = T.load_samples(dataset, window=80)["train"]
+    return model, opt, samples
+
+
+def test_skipping_detach_state_between_single_windows_raises(dataset):
+    # a membrane carried without detach_state() links the next window's
+    # graph to the previous one, which its backward has already consumed
+    model, opt, samples = toy_step_setup(dataset)
+
+    def train_window(i):
+        T._train_step(model, opt, [samples[i]], "single", T._single_map_loss,
+                      0, i)
+
+    model.reset_state()
+    train_window(0)
+    model.detach_state()
+    train_window(1)
+    with pytest.raises(RuntimeError, match="consumed"):
+        train_window(2)
+
+
+def test_training_step_frees_its_graph(dataset):
+    """Traced memory returns to its level before a step once the step has
+    finished; right after backward the graph is gone; and the step's peak
+    stays below the graph plus every op node's gradient, which an engine
+    that keeps the graph holds at the end of backward. Measured with this
+    model on two 32x32 windows (graph 2.2 MB): 7 KB left after the step,
+    0.11 graphs alive after backward, and a peak of 1.24 graphs against
+    1.32 for graph plus gradients; the SSIM term's backward temporaries,
+    allocated while the whole graph is still alive, set that peak."""
+    model, opt, samples = toy_step_setup(dataset)
+    loss_cfg = T.LossConfig(steps=toy_model_cfg().steps)
+    marks = {}
+
+    def traced():
+        return tracemalloc.get_traced_memory()[0] - marks.get("base", 0)
+
+    def loss_fn(maps, y):
+        loss = T.multi_step_loss(maps, y, loss_cfg)
+        marks["graph"] = traced()
+        marks["grads"] = sum(n.data.nbytes for n in _toposort(loss)
+                             if n._vjp is not None)
+        return loss
+
+    real_step = opt.step
+
+    def step():
+        marks["after_backward"] = traced()
+        real_step()
+    opt.step = step
+
+    def train_step():
+        T._train_step(model, opt, samples[:2], "multi", loss_fn, 0, 0)
+        model.reset_state()
+
+    tracemalloc.start()
+    try:
+        train_step()        # the optimizer allocates its moments once
+        marks["base"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        train_step()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    graph = marks["graph"]
+    assert graph > 1_000_000
+    assert current - marks["base"] < 64 * 1024
+    assert marks["after_backward"] < 0.25 * graph
+    assert peak - marks["base"] < graph + marks["grads"]
 
 
 def nan_from_epoch_1(monkeypatch):
