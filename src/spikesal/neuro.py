@@ -253,17 +253,18 @@ class FiringInterval:
 
 
 def fold_thresholds(units, p: LIFParams):
-    """Set ``unit.fold`` of every stateless unit in ``units`` (each firing
-    with ``p``, its statistics read through ``norm_arrays()``) to its
-    :class:`FiringInterval`, with all channels of all units solved in one
-    :func:`fire_thresholds` call. A unit with a channel that has no
-    threshold form gets ``fold = None`` and keeps its batchnorm. Folds are
-    read only by graph-free eval forwards, and are a snapshot: they do not
-    follow later changes to the statistics."""
+    """Set ``unit.fold`` of every stateless :class:`CBSBlock` in ``units``
+    (each firing with ``p``; its ``gamma``, ``beta`` and running statistics
+    are read) to its :class:`FiringInterval`, with all channels of all
+    units solved in one :func:`fire_thresholds` call. A unit with a channel
+    that has no threshold form gets ``fold = None`` and keeps its batchnorm.
+    Folds are read only by graph-free eval forwards, and are a snapshot:
+    they do not follow later changes to the statistics."""
     units = list(units)
     if not units:
         return
-    stats = [u.norm_arrays() for u in units]
+    stats = [(u.gamma.data, u.beta.data, u.running_mean, u.running_var)
+             for u in units]
     t, up, ok = fire_thresholds(*(np.concatenate(col) for col in zip(*stats)),
                                 p)
     cuts = np.cumsum([s[0].size for s in stats])[:-1]
@@ -307,7 +308,8 @@ def repeat_steps(a: np.ndarray, steps: int) -> np.ndarray:
 
 
 class CBSBlock(G.Module):
-    """conv 3x3 stride 1 (no bias) -> batchnorm -> spike -> optional 2x2 maxpool.
+    """conv kxk stride 1 (no bias) -> batchnorm -> spike -> optional 2x2 maxpool;
+    3x3 by default, 1x1 for the token projections and the concat fuses.
 
     Input is (steps*batch, C, H, W) with the step axis folded into the
     batch, so batchnorm statistics cover steps x batch x spatial. The
@@ -352,11 +354,6 @@ class CBSBlock(G.Module):
 
     def detach_state(self):
         self.lif.detach_state()
-
-    def norm_arrays(self):
-        """(gamma, beta, running_mean, running_var) data arrays."""
-        return (self.gamma.data, self.beta.data, self.running_mean,
-                self.running_var)
 
     def _conv(self, x: Tensor) -> Tensor:
         if self.upsample:

@@ -7,7 +7,8 @@ Pipeline, all-binary between modules:
   resolution each block; channels grow to the model dim D.
 * aggregation: the deepest feature map passes a stack of recurrent
   spiking attention blocks and stays a (T*B, D, h, w) map: its h*w
-  positions are the tokens, projected by 1x1 conv-BN-spike layers.
+  positions are the tokens, projected by 1x1 conv-BN-spike blocks, the
+  same ``CBSBlock`` unit every other stage is built from.
   Queries come from the current step; keys and values from an adjacent
   step selected by the recurrent mode (reverse: next step, forward:
   previous, vanilla: same). The final step has no neighbour and attends
@@ -20,7 +21,7 @@ Pipeline, all-binary between modules:
 
 Residual fusion is element-OR by default, keeping every inter-module
 tensor in {0,1}; 'add' reproduces integer-residual variants and 'concat'
-concatenates then projects back through a spiking layer.
+concatenates then projects back through a 1x1 conv-BN-spike block.
 """
 
 from __future__ import annotations
@@ -132,59 +133,18 @@ def spiking_attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     return lif_fire(att, lif)
 
 
-class _TokenNorm(G.Module):
-    """The batchnorm parameters and running statistics of one token
-    projection, checkpointed as ``<proj>.norm.*``."""
-
-    def __init__(self, dim: int):
-        super().__init__()
-        self.gamma = Tensor(np.ones(dim), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim), requires_grad=True)
-        self.register_array("running_mean", np.zeros(dim))
-        self.register_array("running_var", np.ones(dim))
-
-
-class _SpikeProjection(G.Module):
-    """1x1 conv -> BN -> fresh-membrane spike over a (B, d_in, h, w) token
-    map; traced under ``name`` with d_out synapses per input element. The
-    weight is stored as the (d_out, d_in) matrix. Like a stateless
-    ``CBSBlock``, a graph-free eval forward fires through its ``fold``
-    when it has one."""
-
-    def __init__(self, rng, d_in: int, d_out: int, lif: LIFParams, name: str):
-        super().__init__()
-        self.weight = G.kaiming_uniform(rng, (d_out, d_in), fan_in=d_in)
-        self.norm = _TokenNorm(d_out)
-        self.lif = lif
-        self.name = name
-        self.fold = None
-
-    def norm_arrays(self):
-        bn = self.norm
-        return bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var
-
-    def forward(self, x: Tensor) -> Tensor:
-        _emit_layer(self.name, x.data, self.weight.shape[0])
-        y = G.conv2d(x, G.reshape(self.weight, self.weight.shape + (1, 1)))
-        if self.fold is not None and not self.training \
-                and not G.grad_enabled():
-            return self.fold.fire(y)
-        bn = self.norm
-        y = G.batchnorm(y, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
-                        training=self.training)
-        return lif_fire(y, self.lif)
-
-
 class Fuse(G.Module):
     """Residual combiner. 'or' and 'add' merge elementwise; 'concat' joins
-    the channel axes and restores width through the spiking projection
-    ``make_proj()`` builds, so downstream shapes stay fixed."""
+    the channel axes and restores the ``ch`` channels through a 1x1
+    conv-BN-spike ``proj`` traced as ``name``, so downstream shapes stay
+    fixed."""
 
-    def __init__(self, op: str, make_proj):
+    def __init__(self, op: str, rng, ch: int, lif: LIFParams, name: str):
         super().__init__()
         self.op = op
         if op == "concat":
-            self.proj = make_proj()
+            self.proj = CBSBlock(rng, 2 * ch, ch, lif, pool=False, kernel=1,
+                                 name=name)
 
     def forward(self, a: Tensor, b: Tensor) -> Tensor:
         if self.op == "or":
@@ -203,14 +163,18 @@ class RFABlock(G.Module):
         d, lif = cfg.dim, cfg.lif()
         self.cfg = cfg
         self.name = name
-        self.q_proj = _SpikeProjection(rng, d, d, lif, name + ".q")
-        self.k_proj = _SpikeProjection(rng, d, d, lif, name + ".k")
-        self.v_proj = _SpikeProjection(rng, d, d, lif, name + ".v")
-        self.out_proj = _SpikeProjection(rng, d, d, lif, name + ".proj")
-        self.fuse_att = Fuse(cfg.residual_op, lambda: _SpikeProjection(
-            rng, 2 * d, d, lif, name + ".fuse_att.proj"))
-        self.fuse_mlp = Fuse(cfg.residual_op, lambda: _SpikeProjection(
-            rng, 2 * d, d, lif, name + ".fuse_mlp.proj"))
+        self.q_proj = CBSBlock(rng, d, d, lif, pool=False, kernel=1,
+                               name=name + ".q")
+        self.k_proj = CBSBlock(rng, d, d, lif, pool=False, kernel=1,
+                               name=name + ".k")
+        self.v_proj = CBSBlock(rng, d, d, lif, pool=False, kernel=1,
+                               name=name + ".v")
+        self.out_proj = CBSBlock(rng, d, d, lif, pool=False, kernel=1,
+                                 name=name + ".proj")
+        self.fuse_att = Fuse(cfg.residual_op, rng, d, lif,
+                             name + ".fuse_att.proj")
+        self.fuse_mlp = Fuse(cfg.residual_op, rng, d, lif,
+                             name + ".fuse_mlp.proj")
         self.mlp1 = CBSBlock(rng, d, d, lif, pool=False, name=name + ".mlp1")
         self.mlp2 = CBSBlock(rng, d, d, lif, pool=False, name=name + ".mlp2")
 
@@ -282,18 +246,13 @@ class Refine(G.Module):
 
     def __init__(self, rng, cfg: RSTConfig):
         super().__init__()
-        d, lif = cfg.dim, cfg.lif()
-
-        def fuse(ch, name):
-            return Fuse(cfg.residual_op, lambda: CBSBlock(
-                rng, 2 * ch, ch, lif, pool=False, kernel=1, name=name))
-
+        d, lif, op = cfg.dim, cfg.lif(), cfg.residual_op
         self.up1 = CBSBlock(rng, d, d // 2, lif, pool=False, upsample=True,
                             name="refine.up1")
-        self.fuse1 = fuse(d // 2, "refine.fuse1.proj")
+        self.fuse1 = Fuse(op, rng, d // 2, lif, "refine.fuse1.proj")
         self.up2 = CBSBlock(rng, d // 2, d // 4, lif, pool=False,
                             upsample=True, name="refine.up2")
-        self.fuse2 = fuse(d // 4, "refine.fuse2.proj")
+        self.fuse2 = Fuse(op, rng, d // 4, lif, "refine.fuse2.proj")
         self.out = CBSBlock(rng, d // 4, d, lif, pool=False, name="refine.out")
 
     def forward(self, f_agg: Tensor, f3: Tensor, f2: Tensor) -> Tensor:
@@ -365,10 +324,9 @@ class RSTModel(G.Module):
 
     def stateless_units(self) -> list:
         """The conv-BN-spike units that fire from a fresh membrane: every
-        ``_SpikeProjection`` and every ``CBSBlock`` outside the encoder."""
+        ``CBSBlock`` outside the encoder."""
         return [m for m in self.modules()
-                if isinstance(m, _SpikeProjection)
-                or (isinstance(m, CBSBlock) and not m.stateful)]
+                if isinstance(m, CBSBlock) and not m.stateful]
 
     def forward_steps(self, x: np.ndarray, steps: int) -> Tensor:
         """Run ``steps`` copies of (B,1,H,W) input through the stack, in
@@ -389,12 +347,16 @@ class RSTModel(G.Module):
         return G.reshape(maps, (steps, b) + maps.shape[1:])
 
     def forward_full(self, x: np.ndarray, mode: str = "multi") -> Tensor:
-        """multi: fresh state, the configured step count, T maps out.
+        """multi: fresh state, the configured step count, T maps out; the
+        final membranes are dropped again on return, since nothing reads
+        them and they would hold the last step's spikes alive.
         single: one step per call, membrane state carried across calls.
         The maps come as one (T, B, 1, H, W) tensor, T = 1 in single mode."""
         if mode == "multi":
             self.reset_state()
-            return self.forward_steps(x, self.cfg.steps)
+            maps = self.forward_steps(x, self.cfg.steps)
+            self.reset_state()
+            return maps
         if mode == "single":
             return self.forward_steps(x, 1)
         raise ValueError(f"unknown mode {mode!r}")

@@ -177,10 +177,26 @@ def _load_model_arrays(model: RSTModel, arrays: dict):
                            if k.startswith((_PARAM, _BUF))})
 
 
+def _read_checkpoint(path):
+    """``load_tensors`` of a checkpoint, in the current layout. Files
+    written while the token projections were separate modules keep their
+    batchnorm under ``<proj>.norm.*`` and their weights as (d_out, d_in)
+    matrices; their keys lose ``.norm.`` and a 2-D ``*.weight`` is read as
+    the 1x1 kernel it is, for model and optimizer entries alike. A current
+    file passes unchanged."""
+    arrays, meta = load_tensors(path)
+    out = {}
+    for name, arr in arrays.items():
+        if name.endswith(".weight") and arr.ndim == 2:
+            arr = arr.reshape(arr.shape + (1, 1))
+        out[name.replace(".norm.", ".")] = arr
+    return out, meta
+
+
 def model_from_checkpoint(path):
     """Rebuild the model, in eval mode, and its RunConfig from a
     checkpoint file."""
-    arrays, meta = load_tensors(path)
+    arrays, meta = _read_checkpoint(path)
     if meta.get("kind") != "checkpoint":
         raise ValueError("not a training checkpoint")
     cfg = RunConfig.from_json_dict(meta["config"])
@@ -336,7 +352,7 @@ def train_model(cfg: RunConfig, out_dir, resume=None, log=None) -> list:
     history: list = []
     start_epoch = 0
     if resume is not None:
-        arrays, meta = load_tensors(resume)
+        arrays, meta = _read_checkpoint(resume)
         if meta.get("config_hash") != cfg.config_hash():
             raise ValueError("checkpoint was produced by a different config")
         _load_model_arrays(model, arrays)
@@ -352,10 +368,6 @@ def train_model(cfg: RunConfig, out_dir, resume=None, log=None) -> list:
             loss = _epoch_multi(model, opt, data["train"], cfg, rng, epoch)
         else:
             loss = _epoch_single(model, opt, data["train"], cfg, rng, epoch)
-        # backward freed the last step's graph except the encoder's final
-        # membranes, which no loss read; drop them and the spikes they link
-        # to, so evaluation and the next epoch start from rest
-        model.reset_state()
         val_samples = data["val"] or data["train"]
         report = evaluate_model(model, val_samples, mode=cfg.mode)
         entry = {"epoch": epoch, "loss": loss, "val_mae": report.mae,

@@ -827,23 +827,21 @@ def test_eval_forward_flips_no_spike_with_gather_conv(monkeypatch):
 # the maps, come out the same.
 
 
-def token_norm_forward(self, x):
-    y = G.transpose(x, (0, 2, 1))
-    y = G.batchnorm(y, self.gamma, self.beta, self.running_mean,
-                    self.running_var, training=self.training)
-    return G.transpose(y, (0, 2, 1))
-
-
-def token_projection_forward(self, x):
-    rst._emit_layer(self.name, x.data, self.weight.shape[0])
-    y = G.linear(x, self.weight)
-    y = self.norm.forward(y)
-    return rst.lif_fire(y, self.lif)
+def token_projection(unit, x):
+    """A 1x1 ``CBSBlock`` over (n, N, d_in) tokens: its weight as the
+    (d_out, d_in) matrix of ``G.linear``, batchnorm between two transposes,
+    then a fresh-membrane spike."""
+    rst._emit_layer(unit.name, x.data, unit.weight.shape[0])
+    y = G.linear(x, G.reshape(unit.weight, unit.weight.shape[:2]))
+    y = G.transpose(y, (0, 2, 1))
+    y = G.batchnorm(y, unit.gamma, unit.beta, unit.running_mean,
+                    unit.running_var, training=unit.training)
+    return rst.lif_fire(G.transpose(y, (0, 2, 1)), unit.lif.params)
 
 
 def token_fuse(fuse, a, b):
     if fuse.op == "concat":
-        return fuse.proj.forward(G.concat([a, b], axis=-1))
+        return token_projection(fuse.proj, G.concat([a, b], axis=-1))
     return fuse.forward(a, b)
 
 
@@ -852,9 +850,9 @@ def token_block_forward(self, e, steps, batch):
     n_tok, heads, dh = h * w, self.cfg.heads, d // self.cfg.heads
     e = G.transpose(G.reshape(e, (n, d, n_tok)), (0, 2, 1))
     kv_src = self._shift_steps(e, steps, batch)
-    q = self.q_proj.forward(e)
-    k = self.k_proj.forward(kv_src)
-    v = self.v_proj.forward(kv_src)
+    q = token_projection(self.q_proj, e)
+    k = token_projection(self.k_proj, kv_src)
+    v = token_projection(self.v_proj, kv_src)
 
     def split(x):
         return G.transpose(G.reshape(x, (n, n_tok, heads, dh)), (0, 2, 1, 3))
@@ -862,7 +860,7 @@ def token_block_forward(self, e, steps, batch):
     att = rst.spiking_attention(split(q), split(k), split(v), self.cfg.scale,
                                 self.cfg.lif(), trace_name=self.name + ".att.")
     att = G.reshape(G.transpose(att, (0, 2, 1, 3)), (n, n_tok, d))
-    z = token_fuse(self.fuse_att, e, self.out_proj.forward(att))
+    z = token_fuse(self.fuse_att, e, token_projection(self.out_proj, att))
     zmap = G.reshape(G.transpose(z, (0, 2, 1)), (n, d, h, w))
     m = self.mlp2.forward(self.mlp1.forward(zmap))
     m = G.transpose(G.reshape(m, (n, d, n_tok)), (0, 2, 1))
@@ -871,8 +869,6 @@ def token_block_forward(self, e, steps, batch):
 
 
 def use_token_layout(m):
-    m.setattr(rst._TokenNorm, "forward", token_norm_forward, raising=False)
-    m.setattr(rst._SpikeProjection, "forward", token_projection_forward)
     m.setattr(rst.RFABlock, "forward", token_block_forward)
 
 

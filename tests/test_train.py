@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from spikesal import grad as G
 from spikesal.cli import main
 from spikesal.grad import Tensor
+from spikesal.grad.store import load_tensors, save_tensors
 from spikesal.grad.tensor import _toposort
 from spikesal import metrics, optim
 from spikesal import train as T
@@ -309,6 +311,61 @@ def test_resume_reproduces_uninterrupted_single_mode_run(tmp_path, dataset):
     assert a == c
 
 
+# the RFA projections of checkpoints written while they were separate
+# modules: batchnorm under ``<proj>.norm.*``, weights as (d_out, d_in)
+OLD_PROJ = re.compile(r"rfa\.\d+\.(q_proj|k_proj|v_proj|out_proj|fuse_att\.proj"
+                      r"|fuse_mlp\.proj)\.")
+
+
+def write_old_layout(src: Path, dst: Path):
+    """Rewrite checkpoint ``src`` at ``dst`` in the layout of those files,
+    in its ``param.``, ``buf.`` and ``adam.m/v.`` entries alike."""
+    arrays, meta = load_tensors(src)
+    old = {}
+    for name, arr in arrays.items():
+        found = OLD_PROJ.search(name)
+        if found:
+            if name.endswith(".weight"):
+                arr = arr.reshape(arr.shape[:2])
+            else:
+                name = name[:found.end()] + "norm." + name[found.end():]
+        old[name] = arr
+    save_tensors(dst, old, meta)
+    return old
+
+
+def test_old_checkpoint_layout_loads_and_resumes(tmp_path, dataset):
+    """A checkpoint in the old projection layout loads to the same model
+    and resumes to the bytes of the uninterrupted run; new checkpoints
+    store every projection as a 4-D 1x1 kernel with its block's keys."""
+    cfg = run_cfg(dataset, epochs=2, model=RSTConfig(
+        dim=16, heads=2, steps=2, rfa_blocks=1, residual_op="concat"))
+    T.train_model(cfg, tmp_path / "a")
+    new = tmp_path / "a" / "epoch_000.salt"
+    old = write_old_layout(new, tmp_path / "old.salt")
+    renamed = [k for k in old if ".norm." in k]
+    assert {k.split(".", 1)[0] for k in renamed} == {"param", "buf", "adam"}
+    assert "adam.m.rfa.0.fuse_mlp.proj.norm.gamma" in renamed
+    assert old["adam.v.rfa.0.q_proj.weight"].shape == (16, 16)
+
+    want = T.model_from_checkpoint(new)[0].state_dict()
+    got = T.model_from_checkpoint(tmp_path / "old.salt")[0].state_dict()
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        assert got[name].shape == arr.shape, name
+        assert got[name].tobytes() == arr.tobytes(), name
+
+    T.train_model(cfg, tmp_path / "c", resume=tmp_path / "old.salt")
+    last = (tmp_path / "a" / "last.salt").read_bytes()
+    assert (tmp_path / "c" / "last.salt").read_bytes() == last
+
+    arrays, _ = load_tensors(tmp_path / "a" / "last.salt")
+    assert not [k for k in arrays if ".norm." in k]
+    weights = [a for k, a in arrays.items() if k.endswith(".weight")]
+    assert len(weights) == 3 * 18      # 18 weights, each with adam m and v
+    assert all(a.ndim == 4 for a in weights)
+
+
 def test_resume_rejects_config_mismatch(tmp_path, dataset):
     cfg = run_cfg(dataset, epochs=1)
     T.train_model(cfg, tmp_path / "run")
@@ -366,14 +423,31 @@ def test_skipping_detach_state_between_single_windows_raises(dataset):
         train_window(2)
 
 
+def test_multi_step_training_step_leaves_no_membrane(dataset):
+    """A multi-step forward drops the encoder's final membranes as it
+    returns, so they and the spikes they hold do not live through the
+    step's backward and update, nor after it."""
+    model, opt, samples = toy_step_setup(dataset)
+    loss_cfg = T.LossConfig(steps=toy_model_cfg().steps)
+    seen = []
+
+    def loss_fn(maps, y):
+        seen.append([b.lif.state for b in model.encoder.blocks])
+        return T.multi_step_loss(maps, y, loss_cfg)
+
+    T._train_step(model, opt, samples[:2], "multi", loss_fn, 0, 0)
+    assert seen == [[None] * 4]
+    assert all(b.lif.state is None for b in model.encoder.blocks)
+
+
 def test_training_step_frees_its_graph(dataset):
     """Traced memory returns to its level before a step once the step has
     finished; right after backward the graph is gone; and the step's peak
     stays below the graph plus every op node's gradient, which an engine
     that keeps the graph holds at the end of backward. Measured with this
-    model on two 32x32 windows (graph 2.2 MB): 7 KB left after the step,
-    0.11 graphs alive after backward, and a peak of 1.24 graphs against
-    1.32 for graph plus gradients; the SSIM term's backward temporaries,
+    model on two 32x32 windows (graph 2.1 MB): 7 KB left after the step,
+    0.02 graphs alive after backward, and a peak of 1.25 graphs against
+    1.33 for graph plus gradients; the SSIM term's backward temporaries,
     allocated while the whole graph is still alive, set that peak."""
     model, opt, samples = toy_step_setup(dataset)
     loss_cfg = T.LossConfig(steps=toy_model_cfg().steps)
@@ -398,7 +472,6 @@ def test_training_step_frees_its_graph(dataset):
 
     def train_step():
         T._train_step(model, opt, samples[:2], "multi", loss_fn, 0, 0)
-        model.reset_state()
 
     tracemalloc.start()
     try:
