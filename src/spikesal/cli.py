@@ -15,13 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import grad as G
 from . import metrics
 from . import spikeio as sio
 from .simcam import GeneratorConfig, generate_dataset
 from .train import (RunConfig, train_model, model_from_checkpoint,
                     load_samples, evaluate_model, multi_step_readouts,
-                    rate_readout, window_repr)
+                    single_step_readouts, window_repr)
 
 
 def _load_generator_config(path, seed=None) -> GeneratorConfig:
@@ -58,13 +57,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, cfg, _ = model_from_checkpoint(args.ckpt)
+    net, cfg, _ = model_from_checkpoint(args.ckpt)
     mode = args.mode or cfg.mode
     data = load_samples(args.manifest, cfg.window)
     samples = data[args.split]
     if not samples:
         raise ValueError(f"no {args.split} samples in manifest")
-    report = evaluate_model(model, samples, mode=mode)
+    report = evaluate_model(net, samples, mode=mode)
     print(report.to_table())
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
@@ -87,9 +86,8 @@ def _stream_windows(stream: sio.PackedStream, window: int):
 
 
 def cmd_infer(args) -> int:
-    model, cfg, _ = model_from_checkpoint(args.ckpt)
+    net, cfg, _ = model_from_checkpoint(args.ckpt)
     window = _window(args, cfg)
-    net = model.inference_copy()
     stream = sio.open_stream(args.stream)
     n = _stream_windows(stream, window)
     if stream.height % 16 or stream.width % 16:
@@ -97,28 +95,24 @@ def cmd_infer(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     reprs = (window_repr(stream, w * window, window) for w in range(n))
+    # --continuous: each window reads the last one's membranes
+    readouts = single_step_readouts if args.continuous else multi_step_readouts
     written = []
-    with G.no_grad():
-        if args.continuous:     # each window reads the last one's membranes
-            imgs = (rate_readout(net.forward_full(rep[None], "single"))
-                    for rep in reprs)
-        else:
-            imgs = multi_step_readouts(net, reprs)
-        for w, img in enumerate(imgs):
-            path = out / f"map_{w:04d}.pgm"
-            sio.write_pgm(path, np.round(img * 255).astype(np.uint8))
-            written.append(path)
+    for w, img in enumerate(readouts(net, reprs)):
+        path = out / f"map_{w:04d}.pgm"
+        sio.write_pgm(path, np.round(img * 255).astype(np.uint8))
+        written.append(path)
     print("\n".join(str(p) for p in written))
     return 0
 
 
 def cmd_energy(args) -> int:
-    model, cfg, _ = model_from_checkpoint(args.ckpt)
+    net, cfg, _ = model_from_checkpoint(args.ckpt)
     window = _window(args, cfg)
     stream = sio.open_stream(args.stream)
     _stream_windows(stream, window)
     rep = window_repr(stream, 0, window)[None]
-    report = metrics.estimate_energy(model, rep, mode="multi")
+    report = metrics.estimate_energy(net, rep, mode="multi")
     print(report.to_table())
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grad as G
-from .rst import trace_activity
+from .rst import require_eval, trace_activity
 
 F_BETA_SQ = 0.3
 N_THRESHOLDS = 256
@@ -304,11 +304,11 @@ def energy_from_trace(layers) -> EnergyReport:
                         per_layer=per_layer)
 
 
-def estimate_energy(model, repr_batch: np.ndarray, mode: str = "multi") -> EnergyReport:
-    """Trace one inference of ``model.inference_copy()``, the eval-mode
-    float32 model, and price its synaptic operations; ``model`` is left as
-    it is."""
-    net = model.inference_copy()
+def estimate_energy(net, repr_batch: np.ndarray, mode: str = "multi") -> EnergyReport:
+    """Trace one graph-free inference of ``net``, an eval net
+    (``rst.eval_net``; a training-mode net raises ``ValueError``), from
+    fresh membranes, and price its synaptic operations."""
+    require_eval(net).reset_state()
     with trace_activity() as tr, G.no_grad():
         net.forward_full(repr_batch, mode=mode)
     return energy_from_trace(tr.layers)

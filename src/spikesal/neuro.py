@@ -349,12 +349,6 @@ class CBSBlock(G.Module):
         self.name = name
         self.fold = None
 
-    def reset_state(self):
-        self.lif.reset_state()
-
-    def detach_state(self):
-        self.lif.detach_state()
-
     def _conv(self, x: Tensor) -> Tensor:
         if self.upsample:
             return G.upsample_conv2d(x, self.weight)

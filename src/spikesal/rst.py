@@ -26,15 +26,14 @@ concatenates then projects back through a 1x1 conv-BN-spike block.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import grad as G
 from .grad import Tensor
-from .neuro import (LIFParams, CBSBlock, lif_fire, fold_thresholds,
-                    repeat_steps, _emit_layer, _emit_tensor)
+from .neuro import (LIFParams, LIFNeuron, CBSBlock, lif_fire,
+                    fold_thresholds, repeat_steps, _emit_layer, _emit_tensor)
 # re-exported: rst.trace_activity for callers, rst.lif_step for the
 # benchmark tracer, which patches it here
 from .neuro import trace_activity, lif_step
@@ -100,16 +99,6 @@ class RSTConfig:
         for k, v in doc.items():
             merged[rename.get(k, k)] = v
         return cls(**merged)
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "RSTConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 # -- attention core --------------------------------------------------------------
@@ -220,14 +209,6 @@ class Encoder(G.Module):
                      stateful=True, name=f"encoder.conv{i + 1}")
             for i in range(4)])
 
-    def reset_state(self):
-        for b in self.blocks:
-            b.reset_state()
-
-    def detach_state(self):
-        for b in self.blocks:
-            b.detach_state()
-
     def forward(self, x: Tensor, steps: int):
         """x holds ``steps`` copies of the same images, one per step, so
         ``conv1`` gets them as ``repeated`` (see ``CBSBlock.forward``)."""
@@ -301,26 +282,14 @@ class RSTModel(G.Module):
         self.head = Head(rng, cfg)
 
     def reset_state(self):
-        self.encoder.reset_state()
+        for m in self.modules():
+            if isinstance(m, LIFNeuron):
+                m.reset_state()
 
     def detach_state(self):
-        self.encoder.detach_state()
-
-    def inference_copy(self) -> "RSTModel":
-        """An eval-mode float32 copy of this model's weights and running
-        statistics, with fresh membranes, for graph-free forwards under
-        ``G.no_grad()``. Spikes, pooled spikes and attention counts are
-        exact in float32; only the real-valued conv, batchnorm and head
-        values round. Every stateless conv-BN-spike unit of the copy gets
-        its batchnorm and spike folded into per-channel thresholds on the
-        raw conv output, which fire exactly where the float32 batchnorm
-        path does (``neuro.fold_thresholds``). This model, its mode and its
-        membranes are left as they are."""
-        twin = RSTModel(self.cfg, None)
-        twin.load_state_dict(self.state_dict())
-        twin.cast(np.float32).eval()
-        fold_thresholds(twin.stateless_units(), self.cfg.lif())
-        return twin
+        for m in self.modules():
+            if isinstance(m, LIFNeuron):
+                m.detach_state()
 
     def stateless_units(self) -> list:
         """The conv-BN-spike units that fire from a fresh membrane: every
@@ -360,3 +329,28 @@ class RSTModel(G.Module):
         if mode == "single":
             return self.forward_steps(x, 1)
         raise ValueError(f"unknown mode {mode!r}")
+
+
+def eval_net(cfg: RSTConfig, state: dict) -> RSTModel:
+    """The eval-mode float32 network holding the model arrays ``state`` (a
+    ``state_dict``), with fresh membranes, for graph-free forwards under
+    ``G.no_grad()``. Spikes, pooled spikes and attention counts are exact
+    in float32; only the real-valued conv, batchnorm and head values
+    round. Every stateless conv-BN-spike unit gets its batchnorm and spike
+    folded into per-channel thresholds on the raw conv output, which fire
+    exactly where the float32 batchnorm path does
+    (``neuro.fold_thresholds``). ``state`` is copied, never kept."""
+    net = RSTModel(cfg, None)
+    net.load_state_dict(state)
+    net.cast(np.float32).eval()
+    fold_thresholds(net.stateless_units(), cfg.lif())
+    return net
+
+
+def require_eval(net: RSTModel) -> RSTModel:
+    """``net``, if in eval mode: a training-mode forward would overwrite
+    its batchnorm running statistics."""
+    if net.training:
+        raise ValueError("a training-mode net would update its batchnorm "
+                         "statistics; evaluate eval_net(cfg, state_dict())")
+    return net

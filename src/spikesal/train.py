@@ -24,7 +24,7 @@ from . import spikeio as sio
 from .grad.store import save_tensors, load_tensors
 from .objective import LossConfig, map_loss, multi_step_loss, vanilla_loss
 from .optim import AdamW, linear_lr
-from .rst import RSTConfig, RSTModel
+from .rst import RSTConfig, RSTModel, eval_net, require_eval
 
 REPR_SCALE = 1.0 / sio.DEFAULT_FULL_SCALE
 
@@ -70,6 +70,10 @@ class RunConfig:
     def from_json_dict(cls, doc: dict) -> "RunConfig":
         doc = dict(doc)
         opt = dict(doc.pop("optimizer", {}))
+        extra = set(opt) - {"kind", "lr_start", "lr_end", "epochs",
+                            "batch_size", "weight_decay"}
+        if extra:
+            raise ValueError(f"unknown optimizer config keys: {sorted(extra)}")
         kind = opt.pop("kind", "adamw")
         if kind != "adamw":
             raise ValueError(f"unsupported optimizer kind {kind!r}")
@@ -171,10 +175,15 @@ def save_checkpoint(path, model: RSTModel, opt: AdamW, cfg: RunConfig,
     save_tensors(path, arrays, meta)
 
 
+def _model_state(arrays: dict) -> dict:
+    """The model entries of checkpoint ``arrays``, as a ``state_dict``."""
+    return {k.split(".", 1)[1]: v for k, v in arrays.items()
+            if k.startswith((_PARAM, _BUF))}
+
+
 def _load_model_arrays(model: RSTModel, arrays: dict):
     """Load the model entries of checkpoint ``arrays`` into ``model``."""
-    model.load_state_dict({k.split(".", 1)[1]: v for k, v in arrays.items()
-                           if k.startswith((_PARAM, _BUF))})
+    model.load_state_dict(_model_state(arrays))
 
 
 def _read_checkpoint(path):
@@ -194,16 +203,13 @@ def _read_checkpoint(path):
 
 
 def model_from_checkpoint(path):
-    """Rebuild the model, in eval mode, and its RunConfig from a
-    checkpoint file."""
+    """The eval net (``rst.eval_net``) of a checkpoint file, its RunConfig
+    and its metadata. No float64 model is built."""
     arrays, meta = _read_checkpoint(path)
     if meta.get("kind") != "checkpoint":
         raise ValueError("not a training checkpoint")
     cfg = RunConfig.from_json_dict(meta["config"])
-    model = RSTModel(cfg.model, None)
-    _load_model_arrays(model, arrays)
-    model.eval()
-    return model, cfg, meta
+    return eval_net(cfg.model, _model_state(arrays)), cfg, meta
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -223,8 +229,8 @@ def rate_readout(maps, image: int = 0) -> np.ndarray:
 
 def multi_step_readouts(net: RSTModel, reprs):
     """Yield the rate readout of each (1, H, W) window of ``reprs``, in
-    order, from graph-free multi-step forwards of ``net``, an inference
-    copy. Consecutive windows of one size share a forward while they hold
+    order, from graph-free multi-step forwards of ``net``, an eval net.
+    Consecutive windows of one size share a forward while they hold
     at most ``BATCH_PIXELS`` pixels together: 4 at 64x64, 1 at 128x128.
     Each map has the bytes of its window's forward alone: the convs run one
     GEMM per image, attention one per (image, head), and batchnorm, the LIF
@@ -246,23 +252,31 @@ def _batch_readouts(net: RSTModel, batch: list) -> list:
     return [rate_readout(maps, i) for i in range(len(batch))]
 
 
-def evaluate_model(model: RSTModel, samples, mode: str = "multi") -> metrics.EvalReport:
-    """Saliency metrics over samples; the prediction is the rate readout
-    (mean map over steps) in multi mode, the per-window map in stateful
-    single mode. Runs on ``model.inference_copy()``, so ``model`` is left
-    as it is."""
-    net = model.inference_copy()
+def single_step_readouts(net: RSTModel, reprs):
+    """Yield the map of each (1, H, W) window of ``reprs``, in order, from
+    graph-free single-step forwards of ``net``, an eval net. The membranes
+    start fresh and each window's forward carries them to the next."""
+    net.reset_state()
+    for rep in reprs:
+        with G.no_grad():
+            maps = net.forward_full(rep[None], "single")
+        yield rate_readout(maps)
+
+
+def evaluate_model(net: RSTModel, samples, mode: str = "multi") -> metrics.EvalReport:
+    """Saliency metrics over samples, predicted by ``net``, an eval net
+    (``rst.eval_net``; a training-mode net raises ``ValueError``): the rate
+    readout (mean map over steps) in multi mode, the per-window map in
+    single mode, membranes carried through each sequence in order."""
+    require_eval(net)
     if mode == "multi":
         preds = multi_step_readouts(net, (s.repr for s in samples))
         return metrics.evaluate([(pred, s.mask, s.seq)
                                  for pred, s in zip(preds, samples)])
     pairs = []
-    with G.no_grad():
-        for seq, chron in _group_by_sequence(samples).items():
-            net.reset_state()
-            for s in chron:
-                pred = rate_readout(net.forward_full(s.repr[None], "single"))
-                pairs.append((pred, s.mask, seq))
+    for seq, chron in _group_by_sequence(samples).items():
+        preds = single_step_readouts(net, (s.repr for s in chron))
+        pairs.extend((pred, s.mask, seq) for pred, s in zip(preds, chron))
     return metrics.evaluate(pairs)
 
 
@@ -369,7 +383,8 @@ def train_model(cfg: RunConfig, out_dir, resume=None, log=None) -> list:
         else:
             loss = _epoch_single(model, opt, data["train"], cfg, rng, epoch)
         val_samples = data["val"] or data["train"]
-        report = evaluate_model(model, val_samples, mode=cfg.mode)
+        report = evaluate_model(eval_net(cfg.model, model.state_dict()),
+                                val_samples, mode=cfg.mode)
         entry = {"epoch": epoch, "loss": loss, "val_mae": report.mae,
                  "val_mean_f": report.mean_f_beta, "lr": opt.lr}
         history.append(entry)

@@ -1,6 +1,5 @@
 import json
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from spikesal.rst import RSTConfig, RSTModel
 from spikesal.simcam import GeneratorConfig, generate_dataset
 from spikesal.train import (RunConfig, load_samples, model_from_checkpoint,
                             rate_readout, window_repr)
+
+from checkpoint_models import FIXTURE, float64_model
 
 
 GEN = {"train_sequences": 1, "val_sequences": 1, "labels_per_sequence": 3,
@@ -164,14 +165,15 @@ def test_infer_continuous(workspace, tmp_path):
     assert len(list(out.glob("map_*.pgm"))) == 3
 
 
-def grad_enabled_maps(ckpt, stream_path, continuous):
-    """PGM bytes of each window, computed with the autodiff graph recorded."""
-    model, cfg, _ = model_from_checkpoint(ckpt)
+def grad_enabled_maps(ckpt, stream_path, continuous, window=80):
+    """PGM bytes of each window of the workspace run, computed by the
+    float64 model with the autodiff graph recorded."""
+    model = float64_model(ckpt)
     stream = sio.read_stream(stream_path)
     model.reset_state()
     out = []
-    for w in range(stream.frames // cfg.window):
-        rep = window_repr(stream, w * cfg.window, cfg.window)[None]
+    for w in range(stream.frames // window):
+        rep = window_repr(stream, w * window, window)[None]
         maps = model.forward_full(rep, "single" if continuous else "multi")
         assert maps.requires_grad
         img = np.round(np.mean(maps.data[:, 0, 0], axis=0) * 255)
@@ -205,9 +207,6 @@ def test_infer_is_graph_free_and_matches_grad_run(workspace, tmp_path,
     assert got == want
 
 
-FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "stream_model.salt"
-
-
 def test_infer_batches_64x64_windows_byte_identically(tmp_path, monkeypatch):
     """Five 64x64 windows run as forwards of 4 and 1, and the PGMs are
     those of one window per forward, byte for byte."""
@@ -216,7 +215,7 @@ def test_infer_batches_64x64_windows_byte_identically(tmp_path, monkeypatch):
                           seed=908)
     generate_dataset(cfg, tmp_path / "data")
     stream_path = tmp_path / "data" / "val_000.spk"
-    net = model_from_checkpoint(FIXTURE)[0].inference_copy()
+    net = model_from_checkpoint(FIXTURE)[0]
     stream = sio.read_stream(stream_path)
     want = []
     with G.no_grad():
@@ -310,6 +309,52 @@ def test_energy_report(workspace, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["ac_ops"] >= 0 and doc["mac_ops"] > 0
     assert doc["ratio"] > 1.0
+
+
+@pytest.fixture(scope="module")
+def stream64(tmp_path_factory):
+    """One labelled 64x64 stream of two 400-frame windows, the fixture's
+    window."""
+    cfg = GeneratorConfig(train_sequences=0, val_sequences=1,
+                          labels_per_sequence=2, width=64, height=64,
+                          seed=909)
+    return generate_dataset(cfg, tmp_path_factory.mktemp("stream64"))
+
+
+@pytest.mark.parametrize("command", ["infer", "infer --continuous", "eval",
+                                     "energy"])
+def test_inference_commands_build_one_model(stream64, tmp_path, monkeypatch,
+                                            command):
+    """The checkpoint's arrays go straight into the float32 eval net: no
+    float64 model is built next to it."""
+    built = []
+    init = RSTModel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RSTModel, "__init__", counting)
+    name, *flags = command.split()
+    source = (["--manifest", str(stream64)] if name == "eval" else
+              ["--stream", str(stream64.parent / "val_000.spk")])
+    out = ["--out", str(tmp_path / ("maps" if name == "infer" else "r.json"))]
+    assert main([name, "--ckpt", str(FIXTURE)] + source + out + flags) == 0
+    assert len(built) == 1
+    assert not built[0].training
+    assert all(arr.dtype == np.float32
+               for arr in built[0].state_dict().values())
+
+
+def test_train_unknown_optimizer_key_is_an_error(workspace, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"optimizer": {"momentum": 0.9}}))
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+               "--manifest", str(workspace / "data" / "manifest.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown optimizer config keys: ['momentum']")
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_checkpoint_errors(workspace, tmp_path, capsys):

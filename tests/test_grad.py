@@ -4,7 +4,6 @@ bookkeeping (accumulation, graph reuse, single-use graphs, serialization)."""
 import json
 import struct
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +22,8 @@ from spikesal.optim import AdamW
 from spikesal.rst import RSTConfig, RSTModel
 from spikesal.simcam import GeneratorConfig, generate_dataset
 from spikesal.train import model_from_checkpoint, rate_readout, window_repr
+
+from checkpoint_models import FIXTURE, float64_model
 
 TOL = 1e-4
 H = 1e-3
@@ -588,7 +589,6 @@ def test_training_steps_byte_identical_to_earlier_kernels(monkeypatch):
 
 CONV_TOL = 1e-13     # relative to the largest magnitude of each array
 TRAIN_TOL = 1e-10    # per parameter / statistic after 3 AdamW steps
-FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "stream_model.salt"
 
 
 def conv2d_rows_first(x, weight, bias=None, padding=0):
@@ -705,10 +705,10 @@ def traced_forward(monkeypatch, model, x, mode="multi"):
 
 
 def fixture_eval_forward(monkeypatch):
-    """An eval-mode forward of a trained model (the benchmark's committed
-    128x128 fixture, whose layers fire at 0.03-1.0) on a 64x64 input; it
-    traces 24 layers."""
-    return traced_forward(monkeypatch, model_from_checkpoint(FIXTURE)[0],
+    """An eval-mode forward of a trained float64 model (the benchmark's
+    committed 128x128 fixture, whose layers fire at 0.03-1.0) on a 64x64
+    input; it traces 24 layers."""
+    return traced_forward(monkeypatch, float64_model(FIXTURE),
                           np.random.default_rng(6).random((2, 1, 64, 64)))
 
 
@@ -919,8 +919,8 @@ def test_concat_fuse_matches_token_layout(monkeypatch):
 
 # -- float32 inference --------------------------------------------------------
 #
-# evaluate_model, infer and energy run model.inference_copy(): float32
-# weights and statistics, and float32 compute. Spikes, pooled spikes and
+# eval, infer and energy run the eval net model_from_checkpoint builds
+# (rst.eval_net): float32 weights and statistics, and float32 compute. Spikes, pooled spikes and
 # the attention's integer counts are exact in float32; the conv, batchnorm
 # and head values round, so a spike flips only where a membrane lies within
 # that rounding of the threshold. Measured on the fixture over the 8
@@ -956,8 +956,8 @@ def test_float32_copy_flips_no_spike(monkeypatch, fixture_streams, mode):
     spikes and counts, window after window (membranes carried in single
     mode); its first layer sees the input rounded to float32, and its maps
     agree within F32_MAP_TOL."""
-    model = model_from_checkpoint(FIXTURE)[0]
-    net = model.inference_copy()
+    model = float64_model(FIXTURE)
+    net = model_from_checkpoint(FIXTURE)[0]
     flips, worst = {}, 0.0
     for path in fixture_streams:
         model.reset_state()
@@ -980,13 +980,12 @@ def test_float32_copy_flips_no_spike(monkeypatch, fixture_streams, mode):
 
 @pytest.mark.parametrize("mode", ["multi", "single"])
 def test_threshold_fold_flips_no_spike(monkeypatch, fixture_streams, mode):
-    """The copy ``inference_copy`` returns fires its 15 stateless units
-    through per-channel thresholds; the same float32 copy with the
-    thresholds cleared runs their batchnorm and spike. Every traced layer
+    """The eval net ``model_from_checkpoint`` returns fires its 15
+    stateless units through per-channel thresholds; the same float32 net
+    with the thresholds cleared runs their batchnorm and spike. Every traced layer
     sees the same spikes, window after window (membranes carried in single
     mode), and the maps are equal."""
-    model = model_from_checkpoint(FIXTURE)[0]
-    folded, plain = model.inference_copy(), model.inference_copy()
+    folded, plain = (model_from_checkpoint(FIXTURE)[0] for _ in range(2))
     units = plain.stateless_units()
     assert len(units) == 15 and all(u.fold is not None for u in units)
     for unit in units:
@@ -1023,7 +1022,7 @@ def float64_pgms(model, path, continuous):
 @pytest.mark.parametrize("continuous", [False, True])
 def test_float32_infer_writes_the_float64_maps(fixture_streams, tmp_path,
                                                continuous):
-    model = model_from_checkpoint(FIXTURE)[0]
+    model = float64_model(FIXTURE)
     for path in fixture_streams:
         out = tmp_path / f"{path.stem}-{continuous}"
         argv = ["infer", "--ckpt", str(FIXTURE), "--stream", str(path),
@@ -1034,14 +1033,15 @@ def test_float32_infer_writes_the_float64_maps(fixture_streams, tmp_path,
 
 
 def test_float32_energy_report_is_the_float64_one(fixture_streams):
-    model = model_from_checkpoint(FIXTURE)[0]
+    model = float64_model(FIXTURE)
+    net = model_from_checkpoint(FIXTURE)[0]
     for path in fixture_streams:
         rep = stream_windows(path)[0]
         with neuro.trace_activity() as tr, G.no_grad():
             model.forward_full(rep, "multi")
         want = metrics.energy_from_trace(tr.layers)
         assert want.ac_ops > 0
-        assert metrics.estimate_energy(model, rep).to_json() == want.to_json()
+        assert metrics.estimate_energy(net, rep).to_json() == want.to_json()
 
 
 # -- upsample-conv at low resolution ---------------------------------------------
@@ -1052,7 +1052,7 @@ def test_float32_energy_report_is_the_float64_one(fixture_streams):
 # kernel sums two or four taps of the 3x3 kernel, which rounds once more.
 # Measured with 1 BLAS thread (OpenBLAS 0.3.31): up to 4.0e-7 (float32) and
 # 8.4e-16 (float64) of the largest magnitude at the model's shapes; on the
-# fixture's float32 copy no spike flips in any traced layer and the maps,
+# fixture's float32 eval net no spike flips in any traced layer and the maps,
 # infer PGMs and energy reports come out byte-identical.
 
 UPCONV_TOL = {np.float32: 1e-6, np.float64: 1e-13}   # of the largest magnitude
@@ -1093,10 +1093,10 @@ def test_training_steps_match_composed_upsample(mode, monkeypatch):
 @pytest.mark.parametrize("mode", ["multi", "single"])
 def test_upsample_conv2d_flips_no_spike_on_the_fixture(monkeypatch,
                                                        fixture_streams, mode):
-    """The fixture's float32 copy sees the same spikes in every traced
+    """The fixture's float32 eval net sees the same spikes in every traced
     layer with Refine's upsample-convs in either form, window after window,
     and its maps are equal."""
-    net = model_from_checkpoint(FIXTURE)[0].inference_copy()
+    net = model_from_checkpoint(FIXTURE)[0]
     runs = []
     for form in (G.upsample_conv2d, upsample_conv2d_composed):
         monkeypatch.setattr(G, "upsample_conv2d", form)
@@ -1141,11 +1141,11 @@ def test_upsample_layers_trace_the_upsampled_map(residual_op):
 
 def test_energy_report_is_that_of_the_composed_upsample(fixture_streams,
                                                         monkeypatch):
-    model = model_from_checkpoint(FIXTURE)[0]
+    net = model_from_checkpoint(FIXTURE)[0]
     rep = stream_windows(fixture_streams[0])[0]
-    new = metrics.estimate_energy(model, rep).to_json()
+    new = metrics.estimate_energy(net, rep).to_json()
     monkeypatch.setattr(G, "upsample_conv2d", upsample_conv2d_composed)
-    assert new == metrics.estimate_energy(model, rep).to_json()
+    assert new == metrics.estimate_energy(net, rep).to_json()
 
 
 def f32_param(shape, seed=0):
@@ -1196,9 +1196,9 @@ def test_tensor_keeps_float32_data_uncopied():
     assert G.Tensor(a).data is a
 
 
-def test_inference_copy_holds_float32_weights_and_statistics():
-    model = model_from_checkpoint(FIXTURE)[0].train()
-    net = model.inference_copy()
+def test_eval_net_holds_float32_weights_and_statistics():
+    model = float64_model(FIXTURE).train()
+    net = rst.eval_net(model.cfg, model.state_dict())
     assert model.training and not net.training
     new, old = net.state_dict(), model.state_dict()
     assert new.keys() == old.keys()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spikesal import metrics as M
-from spikesal.rst import RSTConfig, RSTModel
+from spikesal import train as T
+from spikesal.rst import RSTConfig, RSTModel, eval_net
 
 
 rng = np.random.default_rng(99)
@@ -321,11 +322,16 @@ def test_energy_zero_spikes_sentinel():
     assert rep.ratio == M.RATIO_SENTINEL
 
 
+def fresh_eval_net(seed=0):
+    """The eval net of a freshly initialised toy model."""
+    cfg = RSTConfig(dim=16, heads=2, steps=2, rfa_blocks=1)
+    return eval_net(cfg, RSTModel(cfg, np.random.default_rng(seed)).state_dict())
+
+
 def test_estimate_energy_on_model():
-    model = RSTModel(RSTConfig(dim=16, heads=2, steps=2, rfa_blocks=1),
-                     np.random.default_rng(0))
+    net = fresh_eval_net()
     x = (np.random.default_rng(1).random((1, 1, 32, 32)) < 0.3).astype(float)
-    rep = M.estimate_energy(model, x, mode="multi")
+    rep = M.estimate_energy(net, x, mode="multi")
     assert rep.ac_ops > 0 and rep.mac_ops > 0
     # independent recount from the per-layer records
     assert rep.ac_ops == sum(r["ac"] for r in rep.per_layer)
@@ -346,25 +352,29 @@ def test_estimate_energy_silent_model():
 
 
 def test_estimate_energy_deterministic():
-    model = RSTModel(RSTConfig(dim=16, heads=2, steps=2, rfa_blocks=1),
-                     np.random.default_rng(0))
+    net = fresh_eval_net()
     x = (np.random.default_rng(2).random((1, 1, 32, 32)) < 0.3).astype(float)
-    r1 = M.estimate_energy(model, x)
-    r2 = M.estimate_energy(model, x)
+    r1 = M.estimate_energy(net, x)
+    r2 = M.estimate_energy(net, x)
     assert r1.ac_ops == r2.ac_ops and r1.ratio == r2.ratio
 
 
-def test_estimate_energy_prices_eval_mode_and_restores_it():
+@pytest.mark.parametrize("float32", [False, True])
+def test_evaluation_refuses_a_training_mode_net(float32):
+    """A training-mode forward would overwrite the running statistics, so
+    estimate_energy and evaluate_model refuse such a net before any
+    forward, and its arrays stay as they were."""
     model = RSTModel(RSTConfig(dim=16, heads=2, steps=2, rfa_blocks=1),
                      np.random.default_rng(0))
+    net = fresh_eval_net().train() if float32 else model
     x = (np.random.default_rng(3).random((1, 1, 32, 32)) < 0.3).astype(float)
-    stats = {k: v.copy() for k, v in model.named_buffers()}
-    model.train()
-    in_train = M.estimate_energy(model, x)
-    assert model.training
-    for name, buf in model.named_buffers():
-        assert buf.tobytes() == stats[name].tobytes(), name
-    model.eval()
-    in_eval = M.estimate_energy(model, x)
-    assert not model.training
-    assert in_train.to_json() == in_eval.to_json()
+    sample = T.Sample(x[0], (x[0, 0] > 0.5).astype(float), "seq", 0)
+    stats = {k: v.copy() for k, v in net.state_dict().items()}
+    for run in (lambda: M.estimate_energy(net, x),
+                lambda: T.evaluate_model(net, [sample], mode="multi"),
+                lambda: T.evaluate_model(net, [sample], mode="single")):
+        with pytest.raises(ValueError, match="training-mode"):
+            run()
+    assert net.training
+    for name, arr in net.state_dict().items():
+        assert arr.tobytes() == stats[name].tobytes(), name

@@ -2,7 +2,6 @@
 composed graph ops it replaces, and CBS block behaviour."""
 
 import contextlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +12,8 @@ from spikesal.grad.tensor import _accumulate, _give, make
 from spikesal.neuro import LIFParams, LIFNeuron, CBSBlock, lif_fire, lif_step
 from spikesal.objective import LossConfig, map_loss, multi_step_loss
 from spikesal.optim import AdamW
-from spikesal.train import model_from_checkpoint
+
+from checkpoint_models import FIXTURE, float64_model
 
 
 def lif_oracle(xs, tau, v_th, v_reset):
@@ -671,7 +671,7 @@ def test_cbs_state_survives_calls_until_reset():
     blk.eval()  # freeze BN stats so both calls see the same normalization
     first = blk.forward(x).data.copy()
     second = blk.forward(x).data.copy()
-    blk.reset_state()
+    blk.lif.reset_state()
     again = blk.forward(x).data.copy()
     assert np.array_equal(first, again)
     assert not np.array_equal(first, second)
@@ -787,7 +787,6 @@ def test_fire_thresholds_refuse_non_finite_lif_parameters():
         assert not neuro.fire_thresholds(*stats, p)[2].any()
 
 
-FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "stream_model.salt"
 
 
 def whole_order_thresholds(stats, p):
@@ -809,7 +808,7 @@ def test_fixture_thresholds_widen_a_missed_bracket(monkeypatch):
     first bracket. Widening that side finds every t bit for bit as a search
     of the whole order does, in at most 20 probes (32 for a whole-order
     fallback)."""
-    model = model_from_checkpoint(FIXTURE)[0]
+    model = float64_model(FIXTURE)
     stats = [np.concatenate(col).astype(F32) for col in
              zip(*((u.gamma.data, u.beta.data, u.running_mean, u.running_var)
                    for u in model.stateless_units()))]

@@ -44,14 +44,12 @@ def test_config_validation():
         RSTConfig(residual_op="xor")
 
 
-def test_config_json_roundtrip(tmp_path):
+def test_config_json_roundtrip():
     cfg = tiny_cfg(recurrent_mode="forward", residual_op="add", tau=3.0)
-    p = tmp_path / "model.json"
-    cfg.save(p)
-    doc = json.loads(p.read_text())
+    doc = json.loads(json.dumps(cfg.to_json_dict()))
     # serialized under the documented key names
     assert doc["D"] == 16 and doc["T"] == 3 and doc["rfa_blocks"] == 2
-    assert RSTConfig.load(p) == cfg
+    assert RSTConfig.from_json_dict(doc) == cfg
 
 
 def test_config_rejects_unknown_keys():

@@ -13,8 +13,10 @@ from spikesal.grad.store import load_tensors, save_tensors
 from spikesal.grad.tensor import _toposort
 from spikesal import metrics, optim
 from spikesal import train as T
-from spikesal.rst import RSTConfig, RSTModel
+from spikesal.rst import RSTConfig, RSTModel, eval_net
 from spikesal.simcam import GeneratorConfig, generate_dataset
+
+from checkpoint_models import FIXTURE, float64_model
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -157,6 +159,21 @@ def test_run_config_validation():
         T.RunConfig.from_json_dict({"submarine": 1})
 
 
+@pytest.mark.parametrize("doc", [
+    {"optimizer": {"momentum": 0.9}},
+    {"optimizer": {"window": 5}},
+    {"window": 80, "optimizer": {"window": 5}},
+])
+def test_run_config_rejects_unknown_optimizer_keys(doc):
+    """Only the optimizer's own keys may sit in its block: a stray key is
+    neither passed to the config nor allowed to set a run-level field."""
+    key = next(iter(doc["optimizer"]))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"unknown optimizer config keys: "
+                                       f"['{key}']")):
+        T.RunConfig.from_json_dict(doc)
+
+
 # -- data loading -----------------------------------------------------------------
 
 
@@ -225,8 +242,8 @@ def test_checkpoint_reload_reproduces_eval(tmp_path, dataset):
 
 
 def test_rebuilt_models_draw_no_random_numbers(tmp_path, monkeypatch):
-    """model_from_checkpoint and inference_copy overwrite every weight of
-    the model they build, so they build it without drawing any."""
+    """model_from_checkpoint, eval_net and a float64 reload overwrite every
+    weight of the model they build, so they build it without drawing any."""
     cfg = T.RunConfig(model=RSTConfig(dim=16, heads=2, steps=2,
                                       rfa_blocks=1))
     model = RSTModel(cfg.model, np.random.default_rng(5))
@@ -239,14 +256,17 @@ def test_rebuilt_models_draw_no_random_numbers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     legacy = np.random.get_state()
-    loaded = T.model_from_checkpoint(tmp_path / "m.salt")[0]
-    twin = loaded.inference_copy()
+    loaded = float64_model(tmp_path / "m.salt")
+    twin = T.model_from_checkpoint(tmp_path / "m.salt")[0]
+    live = eval_net(cfg.model, model.state_dict())
     after = np.random.get_state()
     assert after[1].tobytes() == legacy[1].tobytes() and after[2] == legacy[2]
     for name, arr in model.state_dict().items():
         assert loaded.state_dict()[name].tobytes() == arr.tobytes(), name
         assert twin.state_dict()[name].tobytes() == \
             arr.astype(np.float32).tobytes(), name
+        assert live.state_dict()[name].tobytes() == \
+            twin.state_dict()[name].tobytes(), name
 
 
 @pytest.mark.parametrize("mode", ["multi", "single"])
@@ -263,8 +283,9 @@ def test_reloaded_last_checkpoint_scores_the_logged_val_metrics(tmp_path,
 
 @pytest.mark.parametrize("training", [True, False])
 def test_evaluation_leaves_the_live_model_as_it_is(dataset, training):
-    """evaluate_model and estimate_energy run a float32 copy: the model
-    they are given keeps its float64 arrays, its mode and its membranes."""
+    """Validation builds an eval net from the live model's state_dict()
+    and evaluates that: the live model keeps its float64 arrays, its mode
+    and its membranes, and shares no array with the net."""
     model = RSTModel(RSTConfig(dim=16, heads=2, steps=2, rfa_blocks=1),
                      np.random.default_rng(3)).train(training)
     val = T.load_samples(dataset, 80)["val"]
@@ -272,9 +293,12 @@ def test_evaluation_leaves_the_live_model_as_it_is(dataset, training):
     states = [b.lif.state for b in model.encoder.blocks]
     state_bytes = [v.data.tobytes() for v in states]
     before = {k: v.copy() for k, v in model.state_dict().items()}
+    net = eval_net(model.cfg, model.state_dict())
     for mode in ("multi", "single"):
-        T.evaluate_model(model, val, mode=mode)
-        metrics.estimate_energy(model, val[0].repr[None], mode=mode)
+        T.evaluate_model(net, val, mode=mode)
+        metrics.estimate_energy(net, val[0].repr[None], mode=mode)
+    for name, arr in net.state_dict().items():
+        assert not np.shares_memory(arr, model.state_dict()[name]), name
     assert model.training == training
     for name, arr in model.state_dict().items():
         assert arr.dtype == np.float64
@@ -348,8 +372,8 @@ def test_old_checkpoint_layout_loads_and_resumes(tmp_path, dataset):
     assert "adam.m.rfa.0.fuse_mlp.proj.norm.gamma" in renamed
     assert old["adam.v.rfa.0.q_proj.weight"].shape == (16, 16)
 
-    want = T.model_from_checkpoint(new)[0].state_dict()
-    got = T.model_from_checkpoint(tmp_path / "old.salt")[0].state_dict()
+    want = float64_model(new).state_dict()
+    got = float64_model(tmp_path / "old.salt").state_dict()
     assert list(got) == list(want)
     for name, arr in want.items():
         assert got[name].shape == arr.shape, name
@@ -540,7 +564,6 @@ def test_train_command_exits_1_on_a_non_finite_loss(tmp_path, dataset,
 
 # -- batched multi-step windows ---------------------------------------------------
 
-FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "stream_model.salt"
 
 
 def forward_batches(monkeypatch) -> list:
@@ -566,8 +589,7 @@ def test_multi_step_evaluation_batches_64x64_windows_byte_identically(
         monkeypatch, val64):
     """The fixture scores ten 64x64 windows in forwards of 4, 4 and 2; each
     map, and the report, has the bytes of one window per forward."""
-    model = T.model_from_checkpoint(FIXTURE)[0]
-    net = model.inference_copy()
+    net = T.model_from_checkpoint(FIXTURE)[0]
     with G.no_grad():
         want = [T.rate_readout(net.forward_full(s.repr[None], "multi"))
                 for s in val64]
@@ -577,18 +599,19 @@ def test_multi_step_evaluation_batches_64x64_windows_byte_identically(
     assert sizes == [4, 4, 2]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
     sizes.clear()
-    report = T.evaluate_model(model, val64, mode="multi")
+    report = T.evaluate_model(net, val64, mode="multi")
     assert sizes == [4, 4, 2]
     assert report.to_json() == metrics.evaluate(
         [(w, s.mask, s.seq) for w, s in zip(want, val64)]).to_json()
     with pytest.raises(ValueError, match="no samples"):
-        T.evaluate_model(model, [], mode="multi")
+        T.evaluate_model(net, [], mode="multi")
 
 
 def test_multi_step_readouts_batch_by_frame_size(monkeypatch):
     """Windows share a forward up to 128x128 pixels: 128x128 windows run
     one per forward, and a change of size starts a new forward."""
-    net = RSTModel(toy_model_cfg(), np.random.default_rng(8)).inference_copy()
+    net = eval_net(toy_model_cfg(),
+                   RSTModel(toy_model_cfg(), np.random.default_rng(8)).state_dict())
     rng = np.random.default_rng(9)
     reprs = [rng.random((1, n, n)) for n in (128, 128, 32, 32, 64, 32)]
     sizes = forward_batches(monkeypatch)
