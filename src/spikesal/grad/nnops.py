@@ -181,8 +181,10 @@ def blur_valid(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     count.
     """
     taps = np.ascontiguousarray(taps, dtype=np.float64)
-    rows = _blur_rows(x, taps)
-    cols = _blur_rows(np.ascontiguousarray(np.swapaxes(rows, -1, -2)), taps)
+    # the H pass's output goes as soon as its transposed copy exists
+    rows = np.ascontiguousarray(np.swapaxes(_blur_rows(x, taps), -1, -2))
+    cols = _blur_rows(rows, taps)
+    del rows
     return np.ascontiguousarray(np.swapaxes(cols, -1, -2))
 
 
@@ -295,23 +297,24 @@ def linear(x, weight, bias=None) -> Tensor:
 BN_EPS = 1e-5
 
 
-def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
-              training: bool, momentum: float = 0.1, eps: float = BN_EPS) -> Tensor:
-    """Batch normalization over axis 1 (channels); statistics over every
-    other axis. Callers fold any step/time dimension into the batch axis
-    before calling, so statistics cover steps x batch x spatial.
+def _channel_axes(x: np.ndarray):
+    # the axes batchnorm reduces over (all but axis 1), and the shape that
+    # broadcasts a per-channel vector over x
+    return ((0,) + tuple(range(2, x.ndim)),
+            (1, x.shape[1]) + (1,) * (x.ndim - 2))
 
-    ``running_mean``/``running_var`` are plain arrays mutated in place when
-    ``training`` (exponential update, unbiased variance), read otherwise.
-    """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    c = x.data.shape[1]
-    axes = (0,) + tuple(range(2, x.data.ndim))
-    bshape = (1, c) + (1,) * (x.data.ndim - 2)
 
-    m = x.data.size // c
-    mu = x.data.mean(axis=axes) if training else running_mean
-    xhat = x.data - mu.reshape(bshape)
+def _normalize(xd: np.ndarray, running_mean: np.ndarray,
+               running_var: np.ndarray, training: bool, momentum: float,
+               eps: float, out=None):
+    """batchnorm's (xhat, inv): ``xd`` centred by its batch mean (training,
+    which also updates the running statistics in place) or by the running
+    mean, then scaled by inv = 1 / sqrt(var + eps). ``out`` takes xhat; it
+    may be ``xd`` itself."""
+    axes, bshape = _channel_axes(xd)
+    m = xd.size // xd.shape[1]
+    mu = xd.mean(axis=axes) if training else running_mean
+    xhat = np.subtract(xd, mu.reshape(bshape), out=out)
     if training:
         # the sum np.var takes, over the same centred values
         var = np.square(xhat).sum(axis=axes) / m
@@ -324,6 +327,23 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
 
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv.reshape(bshape)
+    return xhat, inv
+
+
+def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
+              training: bool, momentum: float = 0.1, eps: float = BN_EPS) -> Tensor:
+    """Batch normalization over axis 1 (channels); statistics over every
+    other axis. Callers fold any step/time dimension into the batch axis
+    before calling, so statistics cover steps x batch x spatial.
+
+    ``running_mean``/``running_var`` are plain arrays mutated in place when
+    ``training`` (exponential update, unbiased variance), read otherwise.
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    axes, bshape = _channel_axes(x.data)
+    m = x.data.size // x.data.shape[1]
+    xhat, inv = _normalize(x.data, running_mean, running_var, training,
+                           momentum, eps)
     out = xhat * gamma.data.reshape(bshape)
     out += beta.data.reshape(bshape)
 
@@ -347,10 +367,39 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
     return make(out, (x, gamma, beta), vjp)
 
 
-def surrogate_slope(x: np.ndarray, v_th: float, alpha: float) -> np.ndarray:
-    """Arctangent-family surrogate derivative alpha / (2*(1 + (pi*alpha*(x-v_th)/2)^2))."""
+def _normalized_vjp(g, x, xhat, inv, gamma, beta, scratch):
+    # training batchnorm's backward for the gradient g of its output, with
+    # the expressions and operand order of ``batchnorm``'s, in place: g
+    # takes g - gmean, and xhat, whose values are not needed again, takes
+    # xhat * gxhat and then the input gradient, which keeps the layout that
+    # (g - gmean) - xhat * gxhat gave for any g when xhat is C-ordered. The
+    # product g * xhat goes into ``scratch`` where that has its layout.
+    axes, bshape = _channel_axes(xhat)
+    m = xhat.size // xhat.shape[1]
+    gsum = g.sum(axis=axes)
+    if beta.requires_grad:
+        _accumulate(beta, gsum)
+    fits = scratch.dtype == g.dtype and scratch.strides == g.strides \
+        == xhat.strides
+    gx = np.multiply(g, xhat, out=scratch if fits else None).sum(axis=axes)
+    if gamma.requires_grad:
+        _accumulate(gamma, gx)
+    if x.requires_grad:
+        gi = gamma.data.reshape(bshape) * inv.reshape(bshape)
+        gmean = (gsum / m).reshape(bshape)
+        gxhat = gx.reshape(bshape) / m
+        g -= gmean
+        xhat *= gxhat
+        np.subtract(g, xhat, out=xhat)
+        _give(x, np.multiply(gi, xhat, out=xhat))
+
+
+def surrogate_slope(x: np.ndarray, v_th: float, alpha: float,
+                    out=None) -> np.ndarray:
+    """Arctangent-family surrogate derivative alpha / (2*(1 + (pi*alpha*(x-v_th)/2)^2)),
+    written into ``out`` when given (which may be ``x`` itself)."""
     # pi*alpha*(x-v_th)/2, then alpha/(2*(1+u*u)), in one buffer
-    u = x - v_th
+    u = np.subtract(x, v_th, out=out)
     u *= np.pi * alpha
     u /= 2.0
     u *= u
@@ -427,14 +476,42 @@ def lif_fire(x, tau: float, v_th: float, v_reset: float, alpha: float) -> Tensor
     return _scan(x, 1, tau, v_th, v_reset, alpha, None, membrane=False)[1]
 
 
-def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool):
+def batchnorm_lif(y, gamma, beta, running_mean: np.ndarray,
+                  running_var: np.ndarray, steps: int, tau: float, v_th: float,
+                  v_reset: float, alpha: float, v=None, membrane: bool = True):
+    """Training-mode ``batchnorm(y, gamma, beta, ...)``, with its default
+    momentum and eps, followed by ``lif_scan`` (or, without ``membrane``, by ``lif_fire``, and the
+    returned membrane is None) as one graph node. Spikes, membrane,
+    running statistics and the gradients of y, gamma, beta and v are the
+    bytes the two separate calls give.
+
+    The node keeps fewer arrays than the two. It centres y in place, so
+    y's data is overwritten (it holds the normalized values afterwards and
+    is the buffer of y's gradient): pass only a y that nothing else reads,
+    such as a fresh conv output. Each step's gamma * xhat + beta is written
+    straight into that step's charge H, so no batchnorm output exists. The
+    backward turns each saved H into its surrogate slope in place, as
+    every recording scan does, then runs batchnorm's backward in place
+    over the scan's gradient and xhat, with the spikes' gradient as the
+    scratch of the gamma gradient's product."""
+    norm = (as_tensor(gamma), as_tensor(beta), running_mean, running_var)
+    return _scan(y, steps, tau, v_th, v_reset, alpha, v, membrane=membrane,
+                 norm=norm)
+
+
+def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool,
+          norm=None):
     # ``membrane``: compute and return the final membrane, else return None
     # in its place and skip the last step's reset. Every step's spikes go
     # into one output, laid out as the concatenated steps; one keep and one
     # membrane buffer serve all steps, each op writing in place. The
     # caller's membrane is read, never written, and x may be a zero-stride
     # view that repeats one image over the steps. A graph-free scan reuses
-    # one h; a recording one keeps each step's h for its backward.
+    # one h; a recording one keeps each step's h for its backward, which
+    # turns it into its surrogate slope in place.
+    # ``norm``: (gamma, beta, running_mean, running_var) of a training-mode
+    # batchnorm, with its default momentum and eps, that x passes first
+    # (``batchnorm_lif``).
     x = as_tensor(x)
     v = None if v is None else as_tensor(v)
     xd = x.data
@@ -443,23 +520,37 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool):
         raise ValueError("folded batch not divisible by steps")
     b = n // steps
     vd = None if v is None else v.data
-    record = grad_enabled() and (x.requires_grad
-                                 or (v is not None and v.requires_grad))
+    parents = (x,)
+    if norm is not None:
+        gamma, beta, running_mean, running_var = norm
+        parents = (x, gamma, beta)      # the order batchnorm's node had
+        _, bshape = _channel_axes(xd)
+        xd, inv = _normalize(xd, running_mean, running_var, True, 0.1, BN_EPS,
+                             out=xd)
+        gb = gamma.data.reshape(bshape)
+        bb = beta.data.reshape(bshape)
+    if v is not None:
+        parents += (v,)
+    record = grad_enabled() and any(p.requires_grad for p in parents)
     soft = relaxed_enabled()
     first = xd[:b]
     # h takes the dtype separate ops would give it, and x's layout
-    dtype = np.result_type(first, tau) if vd is None \
-        else np.result_type(first, vd)
+    kind = first.dtype if norm is None else np.result_type(first, gb)
+    dtype = np.result_type(kind, tau) if vd is None \
+        else np.result_type(kind, vd)
     keep = np.empty_like(first, dtype=dtype)
     s = np.empty_like(keep, shape=xd.shape)
     v_next = np.empty_like(keep) if membrane or steps > 1 else None
     hs = []
     for t in range(steps):
         if record or not hs:
-            hs.append(np.empty_like(first, dtype=dtype))
+            hs.append(np.empty_like(keep))
         h = hs[-1]
         xt = xd[t * b:(t + 1) * b]
         st = s[t * b:(t + 1) * b]
+        if norm is not None:            # the batchnorm output, into h
+            xt = np.multiply(xt, gb, out=h)
+            xt += bb
         if vd is None:
             np.divide(xt, tau, out=h)
             h += v_reset
@@ -487,18 +578,19 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool):
         # several steps: every row is written, and the result gets the
         # input's layout, as summing one zero-padded gradient per step gave
         gx = np.empty_like(xd) if steps > 1 else None
+        keep = None
         for t in reversed(range(steps)):
             rows = slice(t * b, (t + 1) * b)
             gs = g[rows]
             if soft and gv is not None:     # the relaxed reset's gate term
                 gs = gs + gv * (v_reset - hs[t])
-            gh = surrogate_slope(hs[t], v_th, alpha)
-            if t == 0 and (steps == 1 or want_v):
+            gh = surrogate_slope(hs[t], v_th, alpha, out=hs[t])
+            if t == 0 and (steps == 1 or want_v) and gs.strides != gh.strides:
                 gh = gs * gh            # the layout the separate ops gave
             else:
                 gh *= gs
             if gv is not None:
-                keep = 1.0 - s[rows]
+                keep = np.subtract(1.0, s[rows], out=keep)
                 keep *= gv
                 gh += keep
             if steps == 1:
@@ -508,14 +600,17 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool):
             gv = None
             if t or want_v:
                 gv = np.subtract(gh, gx[rows], out=gh)
-        if x.requires_grad:
-            if steps > 1:
-                gx += 0.0       # -0.0 -> +0.0, as adding the zero padding did
-            _give(x, gx)
+        if steps > 1:
+            gx += 0.0       # -0.0 -> +0.0, as adding the zero padding did
         if want_v:
             _accumulate(v, gv)
+        if norm is not None:
+            # g, the spikes' gradient, is read no more
+            _normalized_vjp(gx, x, xd, inv, gamma, beta, g)
+        elif x.requires_grad:
+            _give(x, gx)
 
-    s_out = make(s, (x,) if v is None else (x, v), vjp)
+    s_out = make(s, parents, vjp)
     if not membrane:
         return None, s_out
 

@@ -18,6 +18,16 @@ a fresh membrane that returns only the spikes. Under ``G.relaxed()`` the
 same scan fires through the smooth surrogate gate and keeps the reset's
 gradient; that is the form the finite-difference checks differentiate.
 
+A training-mode :class:`CBSBlock` (outside ``G.relaxed()``) hands both its
+raw conv output and its batchnorm to them, and they run
+``G.batchnorm_lif``: one graph node from the conv output to the spikes,
+which centres the conv output in place and charges each step's membrane
+straight from gamma * xhat + beta. It keeps the normalized map and each
+step's H, where the separate ``G.batchnorm`` and scan nodes keep the conv
+output, the normalized map, the batchnorm output and each step's H; its
+spikes, membranes, running statistics and gradients are the bytes of
+those two nodes. Eval mode and ``G.relaxed()`` run the separate nodes.
+
 Synaptic layers report their own input activity to an active
 :class:`trace_activity`, so energy accounting needs no hand-placed calls.
 
@@ -99,23 +109,33 @@ def _emit_tensor(name: str, x: np.ndarray):
 # -- neurons -------------------------------------------------------------------
 
 
-def lif_step(v, x, p: LIFParams, steps: int = 1):
+def lif_step(v, x, p: LIFParams, steps: int = 1, bn=None):
     """LIF membrane updates over the ``steps`` slices of the folded
     (steps*batch, ...) input, as one ``G.lif_scan`` node. ``v`` is the
     (batch, ...) membrane carried in, or None for a fresh (v_reset) state.
+
+    With ``bn``, a unit's (gamma, beta, running_mean, running_var), x is
+    the unit's raw conv output, and a training-mode batchnorm runs first,
+    in the same node (``G.batchnorm_lif``), which overwrites x's data.
 
     Returns (v_next, spikes). Under ``G.relaxed()`` the scan fires through
     the smooth surrogate gate and its reset keeps a gradient path, which
     makes the whole scan differentiable for finite-difference checks.
     """
-    return G.lif_scan(x, steps, p.tau, p.v_th, p.v_reset, p.alpha, v)
+    if bn is None:
+        return G.lif_scan(x, steps, p.tau, p.v_th, p.v_reset, p.alpha, v)
+    return G.batchnorm_lif(x, *bn, steps, p.tau, p.v_th, p.v_reset, p.alpha,
+                           v)
 
 
-def lif_fire(x, p: LIFParams) -> Tensor:
+def lif_fire(x, p: LIFParams, bn=None) -> Tensor:
     """Spikes of one LIF step of every element from a fresh (v_reset)
-    membrane: the spikes of ``lif_step(None, x, p)``, without computing
-    the membrane that call also returns."""
-    return G.lif_fire(x, p.tau, p.v_th, p.v_reset, p.alpha)
+    membrane: the spikes of ``lif_step(None, x, p, bn=bn)``, without
+    computing the membrane that call also returns."""
+    if bn is None:
+        return G.lif_fire(x, p.tau, p.v_th, p.v_reset, p.alpha)
+    return G.batchnorm_lif(x, *bn, 1, p.tau, p.v_th, p.v_reset, p.alpha,
+                           membrane=False)[1]
 
 
 # -- threshold form of eval-mode batchnorm + one fresh LIF step -------------------
@@ -293,8 +313,8 @@ class LIFNeuron(G.Module):
         if self.state is not None:
             object.__setattr__(self, "state", self.state.detach())
 
-    def step(self, x, steps: int = 1) -> Tensor:
-        v, s = lif_step(self.state, x, self.params, steps)
+    def step(self, x, steps: int = 1, bn=None) -> Tensor:
+        v, s = lif_step(self.state, x, self.params, steps, bn)
         object.__setattr__(self, "state", v)
         return s
 
@@ -327,7 +347,10 @@ class CBSBlock(G.Module):
     Each forward reports its conv's input to an active trace under
     ``name``, with C_out * kernel^2 synapses per input element. A
     graph-free eval forward of a stateless block with a ``fold`` (see
-    :func:`fold_thresholds`) fires through it instead of the batchnorm.
+    :func:`fold_thresholds`) fires through it instead of the batchnorm. A
+    training-mode forward outside ``G.relaxed()`` passes its batchnorm to
+    :func:`lif_step` / :func:`lif_fire`, which run it and the spikes as one
+    ``G.batchnorm_lif`` node.
     """
 
     def __init__(self, rng, in_ch: int, out_ch: int, lif: LIFParams,
@@ -375,13 +398,14 @@ class CBSBlock(G.Module):
             if tile > 1:
                 x = Tensor(x.data[:x.shape[0] // tile])
             y = self._conv(x)
-            y = G.batchnorm(y, self.gamma, self.beta,
-                            self.running_mean, self.running_var,
-                            training=self.training)
+            bn = (self.gamma, self.beta, self.running_mean, self.running_var)
+            if not self.training or G.relaxed_enabled():
+                y = G.batchnorm(y, *bn, training=self.training)
+                bn = None
             if tile > 1:
                 y = Tensor(repeat_steps(y.data, tile))
             if self.stateful:
-                s = self.lif.step(y, steps)
+                s = self.lif.step(y, steps, bn)
             else:
-                s = lif_fire(y, self.lif.params)
+                s = lif_fire(y, self.lif.params, bn)
         return G.maxpool2d(s) if self.pool else s

@@ -38,11 +38,23 @@ class AdamW:
                 p.data *= 1.0 - self.lr * self.weight_decay
             m = self.m[name]
             v = self.v[name]
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and
+            # p -= lr (m / bias1) / (sqrt(v / bias2) + eps), every term
+            # rounded as written there, in two scratch arrays
+            step = np.multiply(1.0 - b1, g)
             m *= b1
-            m += (1.0 - b1) * g
+            m += step
+            np.multiply(1.0 - b2, g, out=step)
+            step *= g
             v *= b2
-            v += (1.0 - b2) * g * g
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            v += step
+            den = np.divide(v, bias2)
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(m, bias1, out=step)
+            np.multiply(self.lr, step, out=step)
+            step /= den
+            p.data -= step
 
     def zero_grad(self):
         for _, p in self.params:

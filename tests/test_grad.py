@@ -24,6 +24,7 @@ from spikesal.simcam import GeneratorConfig, generate_dataset
 from spikesal.train import model_from_checkpoint, rate_readout, window_repr
 
 from checkpoint_models import FIXTURE, float64_model
+from test_neuro import separate_lif_fire, separate_lif_step
 
 TOL = 1e-4
 H = 1e-3
@@ -530,7 +531,8 @@ def test_training_steps_byte_identical_to_earlier_kernels(monkeypatch):
     graph-free forward, give the same bytes with the earlier kernels. The
     model upsamples through ``G.nearest_upsample2d`` only in its head; run
     once more with Refine's upsample-convs in the composed form, the x2
-    upsample is swapped as well."""
+    upsample is swapped as well. The earlier kernels' run trains each unit
+    through its own batchnorm node, so the earlier batchnorm runs there."""
     rng = np.random.default_rng(40)
     xs = rng.random((3, 2, 1, 32, 32))
     ys = (rng.random((3, 2, 1, 32, 32)) > 0.6).astype(float)
@@ -569,6 +571,8 @@ def test_training_steps_byte_identical_to_earlier_kernels(monkeypatch):
             m.setattr(G, "maxpool2d", maxpool2d_argmax)
             m.setattr(G, "nearest_upsample2d", upsample2d_two_repeats)
             m.setattr(G, "batchnorm", batchnorm_four_pass)
+            m.setattr(neuro, "lif_step", separate_lif_step)
+            m.setattr(neuro, "lif_fire", separate_lif_fire)
             old_state, old_losses, old_maps = run()
         assert new_state.keys() == old_state.keys()
         for name in new_state:

@@ -2,6 +2,7 @@
 composed graph ops it replaces, and CBS block behaviour."""
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,10 +126,18 @@ def test_soft_mode_full_step_is_differentiable():
 # -- fused scan against the composed ops ------------------------------------------
 
 
-def composed_lif_step(v, x, p, steps=1):
+def separate_batchnorm(x, bn):
+    """A training-mode unit's batchnorm ``bn`` (gamma, beta, running_mean,
+    running_var) applied to x as its own ``G.batchnorm`` node; x itself
+    when ``bn`` is None."""
+    return x if bn is None else G.batchnorm(x, *bn, training=True)
+
+
+def composed_lif_step(v, x, p, steps=1, bn=None):
     """The hard LIF step as separate graph ops on per-step slices of the
-    folded input: the reference ``G.lif_scan`` must equal byte for byte."""
-    x = G.as_tensor(x)
+    folded input: the reference ``G.lif_scan`` must equal byte for byte.
+    With a unit's ``bn``, x first passes the separate ``G.batchnorm``."""
+    x = G.as_tensor(separate_batchnorm(x, bn))
     if steps > 1:
         b = x.shape[0] // steps
         spikes = []
@@ -451,8 +460,8 @@ def test_repeated_input_reaches_the_scan_as_a_zero_stride_view(monkeypatch):
     assert seen and seen[0][0] == 0
 
 
-def composed_lif_fire(x, p):
-    return composed_lif_step(None, x, p)[1]
+def composed_lif_fire(x, p, bn=None):
+    return composed_lif_step(None, x, p, bn=bn)[1]
 
 
 @pytest.mark.parametrize("layout", ["C", "channels-innermost"])
@@ -602,14 +611,34 @@ def train_small_model(mode):
     return {k: np.array(a, copy=True) for k, a in model.state_dict().items()}
 
 
+def count_calls(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name)
+                        or real(*a, **k))
+
+
 @pytest.mark.parametrize("mode", ["multi", "single"])
 def test_training_with_fused_scan_equals_composed_ops(mode, monkeypatch):
-    fused = train_small_model(mode)
-    monkeypatch.setattr(neuro, "lif_step", composed_lif_step)
-    monkeypatch.setattr(rst, "lif_step", composed_lif_step)
-    monkeypatch.setattr(neuro, "lif_fire", composed_lif_fire)
-    monkeypatch.setattr(rst, "lif_fire", composed_lif_fire)
-    composed = train_small_model(mode)
+    """Training through one ``G.batchnorm_lif`` node per conv-BN-spike unit
+    gives the bytes of training through ``G.batchnorm`` and the composed
+    LIF ops. Both runs count the nodes they record, so neither comparison
+    can pass by running the same path twice."""
+    calls = []
+    with monkeypatch.context() as m:
+        for name in ("batchnorm", "batchnorm_lif"):
+            count_calls(m, G, name, calls)
+        fused = train_small_model(mode)
+        assert calls.count("batchnorm") == 0
+        units = calls.count("batchnorm_lif")
+        assert units > 0
+        calls.clear()
+        m.setattr(neuro, "lif_step", composed_lif_step)
+        m.setattr(rst, "lif_step", composed_lif_step)
+        m.setattr(neuro, "lif_fire", composed_lif_fire)
+        m.setattr(rst, "lif_fire", composed_lif_fire)
+        composed = train_small_model(mode)
+    assert calls.count("batchnorm_lif") == 0
+    assert calls.count("batchnorm") == units
     assert fused.keys() == composed.keys()
     for key in composed:
         assert fused[key].tobytes() == composed[key].tobytes(), key
@@ -683,6 +712,147 @@ def test_cbs_param_names_stable():
     assert names == ["beta", "gamma", "weight"]
     buffers = sorted(n for n, _ in blk.named_buffers())
     assert buffers == ["running_mean", "running_var"]
+
+
+# -- one graph node per training-mode unit ----------------------------------------
+
+
+def separate_lif_step(v, x, p, steps=1, bn=None):
+    """``neuro.lif_step`` as the separate chain: ``G.batchnorm`` and then
+    ``G.lif_scan``, two graph nodes."""
+    return G.lif_scan(separate_batchnorm(x, bn), steps, p.tau, p.v_th,
+                      p.v_reset, p.alpha, v)
+
+
+def separate_lif_fire(x, p, bn=None):
+    return G.lif_fire(separate_batchnorm(x, bn), p.tau, p.v_th, p.v_reset,
+                      p.alpha)
+
+
+UNIT_SHAPES = {"pool": dict(pool=True), "no-pool": dict(pool=False),
+               "upsample": dict(pool=False, upsample=True)}
+
+
+def run_unit(shape, membrane, steps, readout, separate, monkeypatch):
+    """Two training-mode forwards of one conv-BN-spike unit (a second one
+    carries the membrane of the first, with its graph) and a backward of
+    random readouts of the spikes and the final membrane. The loss reads
+    the spikes through a transpose with ``readout`` "transposed", so their
+    gradient arrives channels-innermost."""
+    p = LIFParams(tau=3.0, v_th=1.0, v_reset=0.5)
+    rng = np.random.default_rng(steps * 7 + len(shape) + len(membrane))
+    blk = CBSBlock(np.random.default_rng(50), 3, 4, p,
+                   stateful=membrane != "stateless", **UNIT_SHAPES[shape])
+    blk.gamma.data[:] = rng.uniform(-1.5, 2.0, 4)
+    blk.beta.data[:] = rng.standard_normal(4)
+    blk.running_mean[:] = rng.standard_normal(4)
+    blk.running_var[:] = rng.uniform(0.5, 2.0, 4)
+    calls = (1, 2) if membrane == "carried" else (1,)
+    xs = [G.Tensor(rng.uniform(-1, 3, (steps * 2, 3, 6, 8)),
+                   requires_grad=True) for _ in calls]
+    with monkeypatch.context() as m:
+        if separate:
+            m.setattr(neuro, "lif_step", separate_lif_step)
+            m.setattr(neuro, "lif_fire", separate_lif_fire)
+        outs = [blk.forward(x, steps) for x in xs]
+    loss = G.Tensor(0.0)
+    for out in outs:
+        r = rng.standard_normal(out.shape)
+        r[rng.random(out.shape) < 0.1] = -0.0
+        if readout == "transposed":
+            loss = loss + G.sum_(G.transpose(out, (0, 2, 3, 1))
+                                 * G.Tensor(r.transpose(0, 2, 3, 1).copy()))
+        else:
+            loss = loss + G.sum_(out * G.Tensor(r))
+    got = {f"spikes{i}": o.data for i, o in enumerate(outs)}
+    if blk.stateful:
+        got["membrane"] = blk.lif.state.data
+        loss = loss + G.sum_(blk.lif.state
+                             * G.Tensor(rng.standard_normal(
+                                 blk.lif.state.shape)))
+    loss.backward()
+    got |= {f"x{i}.grad": x.grad for i, x in enumerate(xs)}
+    got |= {name + ".grad": t.grad for name, t in blk.named_parameters()}
+    got |= {name: np.array(a) for name, a in blk.named_buffers()}
+    return got
+
+
+@pytest.mark.parametrize("readout", ["C", "transposed"])
+@pytest.mark.parametrize("membrane", ["stateless", "fresh", "carried"])
+@pytest.mark.parametrize("steps", [1, 5])
+@pytest.mark.parametrize("shape", list(UNIT_SHAPES))
+def test_fused_unit_equals_separate_chain(shape, steps, membrane, readout,
+                                          monkeypatch):
+    """A training-mode unit's one ``G.batchnorm_lif`` node gives the spikes,
+    membrane, running statistics and the input, weight, gamma and beta
+    gradients of ``G.batchnorm`` followed by the LIF scan, byte for byte
+    and layout included."""
+    want = run_unit(shape, membrane, steps, readout, True, monkeypatch)
+    got = run_unit(shape, membrane, steps, readout, False, monkeypatch)
+    assert got.keys() == want.keys()
+    assert 0.0 < got["spikes0"].mean() < 1.0
+    for key in want:
+        assert_same_array(got[key], want[key], key)
+
+
+@pytest.mark.parametrize("stateful", [False, True])
+def test_fused_unit_graph_free_and_relaxed_follow_the_separate_chain(
+        stateful, monkeypatch):
+    """Under ``no_grad`` a training-mode unit still runs the fused node and
+    gives the separate chain's spikes and statistics; under ``G.relaxed()``
+    it runs the separate chain itself."""
+    calls = []
+    for name in ("batchnorm", "batchnorm_lif"):
+        count_calls(monkeypatch, G, name, calls)
+    x = np.random.default_rng(51).uniform(-1, 3, (6, 2, 6, 6))
+    results = []
+    for fused in (True, False):
+        blk = CBSBlock(np.random.default_rng(52), 2, 3, LIFParams(),
+                       stateful=stateful)
+        with monkeypatch.context() as m, G.no_grad():
+            if not fused:
+                m.setattr(neuro, "lif_step", separate_lif_step)
+                m.setattr(neuro, "lif_fire", separate_lif_fire)
+            out = blk.forward(G.Tensor(x), steps=3)
+        results.append([out.data, blk.running_mean, blk.running_var])
+    for got, want in zip(*results):
+        assert_same_array(got, want, "graph-free")
+    assert calls == ["batchnorm_lif", "batchnorm"]
+    calls.clear()
+    with G.relaxed():
+        blk.forward(G.Tensor(x), steps=3)
+    blk.eval()
+    blk.forward(G.Tensor(x), steps=3)
+    assert calls == ["batchnorm", "batchnorm"]
+
+
+def test_fused_units_shrink_the_training_graph(monkeypatch):
+    """By tracemalloc, a small model's multi-step training forward holds
+    clearly fewer bytes with one node per unit than with the separate
+    batchnorm and scan nodes."""
+    cfg = rst.RSTConfig(dim=16, heads=2, steps=3, rfa_blocks=1)
+    x = np.random.default_rng(53).random((2, 1, 32, 32)) * 3.0
+
+    def graph_bytes():
+        model = rst.RSTModel(cfg, np.random.default_rng(54))
+        model.forward_full(x, "multi")          # warm every code path
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            maps = model.forward_full(x, "multi")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert maps.requires_grad
+        return held
+
+    fused = graph_bytes()
+    with monkeypatch.context() as m:
+        for mod in (neuro, rst):
+            m.setattr(mod, "lif_step", separate_lif_step)
+            m.setattr(mod, "lif_fire", separate_lif_fire)
+        separate = graph_bytes()
+    assert fused <= 0.85 * separate, (fused, separate)
 
 
 # -- threshold form of eval-mode batchnorm + fresh spike ------------------------
@@ -862,18 +1032,17 @@ def test_fold_is_used_only_by_graph_free_eval_forwards(monkeypatch):
     blk = frozen_block(11, False, [1, -1, 1])
     neuro.fold_thresholds([blk], LIFParams())
     calls = []
-    real = G.batchnorm
-    monkeypatch.setattr(G, "batchnorm",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    for name in ("batchnorm", "batchnorm_lif"):
+        count_calls(monkeypatch, G, name, calls)
     x = G.Tensor(np.ones((2, 3, 6, 6), np.float32))
     with G.no_grad():
         blk.forward(x)
     assert calls == []
     blk.forward(x)                       # a graph is recorded
-    blk.train()
+    blk.train()                          # training fuses batchnorm and spike
     with G.no_grad():
         blk.forward(x)
-    assert calls == [1, 1]
+    assert calls == ["batchnorm", "batchnorm_lif"]
 
 
 def test_fold_keeps_batchnorm_for_a_zero_gamma():

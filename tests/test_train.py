@@ -41,6 +41,54 @@ def test_adamw_matches_scalar_oracle():
         assert p.data[0] == pytest.approx(x, rel=1e-12)
 
 
+def adamw_step_expression(opt):
+    """One AdamW step as whole-array expressions, each allocating its
+    result: the oracle the in-place ``AdamW.step`` must equal byte for
+    byte."""
+    opt.t += 1
+    b1, b2 = opt.beta1, opt.beta2
+    bias1 = 1.0 - b1 ** opt.t
+    bias2 = 1.0 - b2 ** opt.t
+    for name, p in opt.params:
+        if p.grad is None:
+            continue
+        g = p.grad
+        if opt.weight_decay:
+            p.data *= 1.0 - opt.lr * opt.weight_decay
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p.data -= opt.lr * (m / bias1) / (np.sqrt(v / bias2) + opt.eps)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_adamw_in_place_step_equals_its_expression(weight_decay):
+    rng = np.random.default_rng(5)
+    shapes = [(4, 3, 3, 3), (7,), (2, 5)]
+    start = [rng.standard_normal(s) for s in shapes]
+    grads = [[rng.standard_normal(s) * 10.0 ** rng.integers(-6, 2)
+              for s in shapes] for _ in range(6)]
+    results = []
+    for step in (optim.AdamW.step, adamw_step_expression):
+        params = [(f"p{i}", Tensor(a.copy(), requires_grad=True))
+                  for i, a in enumerate(start)]
+        opt = optim.AdamW(params, lr=3e-3, weight_decay=weight_decay)
+        for gs in grads:
+            for (_, p), g in zip(params, gs):
+                p.grad = g.copy()
+            params[1][1].grad = None        # a parameter without gradient
+            step(opt)
+        results.append([p.data for _, p in params]
+                       + list(opt.state_arrays().values()))
+    got, want = results
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_adamw_skips_gradless_params():
     p = Tensor(np.ones(3), requires_grad=True)
     opt = optim.AdamW([("p", p)], lr=0.1)
@@ -469,10 +517,11 @@ def test_training_step_frees_its_graph(dataset):
     finished; right after backward the graph is gone; and the step's peak
     stays below the graph plus every op node's gradient, which an engine
     that keeps the graph holds at the end of backward. Measured with this
-    model on two 32x32 windows (graph 2.1 MB): 7 KB left after the step,
-    0.02 graphs alive after backward, and a peak of 1.25 graphs against
-    1.33 for graph plus gradients; the SSIM term's backward temporaries,
-    allocated while the whole graph is still alive, set that peak."""
+    model on two 32x32 windows (graph 1.7 MB, one node per conv-BN-spike
+    unit): 6 KB left after the step, 0.02 graphs alive after backward, and
+    a peak of 1.25 graphs against 1.30 for graph plus gradients; the SSIM
+    term's backward temporaries, allocated while the whole graph is still
+    alive, set that peak."""
     model, opt, samples = toy_step_setup(dataset)
     loss_cfg = T.LossConfig(steps=toy_model_cfg().steps)
     marks = {}
