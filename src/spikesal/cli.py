@@ -26,10 +26,8 @@ from .train import (RunConfig, train_model, model_from_checkpoint,
 def _load_generator_config(path, seed=None) -> GeneratorConfig:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    known = {f.name for f in dataclasses.fields(GeneratorConfig)}
-    extra = set(doc) - known
-    if extra:
-        raise ValueError(f"unknown generator config keys: {sorted(extra)}")
+    kinds = {f.name: f.type for f in dataclasses.fields(GeneratorConfig)}
+    doc = sio.check_config(doc, kinds, "generator config")
     for key in ("background_range", "foreground_range"):
         if key in doc:
             doc[key] = tuple(doc[key])

@@ -6,8 +6,11 @@ alike, with the weights on the left so that its outputs are C-ordered.
 im2col is built as (B, C*k*k, H*W) planes, k*k shifted copies of the
 unpadded input into a zeroed buffer, so the GEMMs read a plain operand
 and no padded copy is made; a 1x1 kernel without padding uses the input
-itself. A conv of a 2x nearest-upsampled map runs at the map's own
-resolution (``upsample_conv2d``). Inputs are NCHW; the per-channel ops
+itself. A recorded conv keeps only its input, not the columns: the
+weight-gradient backward builds them again from the input, the same
+bytes as the forward's, so the training graph holds no im2col buffer. A
+conv of a 2x nearest-upsampled map runs at the map's own resolution
+(``upsample_conv2d``). Inputs are NCHW; the per-channel ops
 that follow run fastest on C-ordered planes. Every forward allocates in
 its input's dtype, so a float32 model computes in float32 from end to
 end; a graph-free LIF scan allocates nothing per step.
@@ -49,6 +52,12 @@ def conv2d(x, weight, bias=None, padding: int = 0) -> Tensor:
 
     x: (B, C_in, H, W), weight: (C_out, C_in, k, k), bias: (C_out,) or None.
     Output spatial size is H + 2*padding - k + 1 per side.
+
+    The node keeps no im2col columns: the weight gradient's backward
+    rebuilds them from x, the parent it holds anyway. So x's data must not
+    be written in place between this forward and its backward (as
+    ``batchnorm_lif`` needs a fresh conv output, this needs an untouched
+    conv input); nothing in the model writes a conv input in place.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     b_, cin, h, w = x.data.shape
@@ -71,7 +80,8 @@ def conv2d(x, weight, bias=None, padding: int = 0) -> Tensor:
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            gw = _conv_weight_grad(g.reshape(b_, cout, ho * wo), col)
+            gw = _conv_weight_grad(g.reshape(b_, cout, ho * wo),
+                                   _im2col(x.data, k, padding))
             _accumulate(weight, gw.reshape(weight.data.shape))
         if x.requires_grad:
             _give(x, _conv_input_grad(g, weight.data, padding))
@@ -128,6 +138,8 @@ def upsample_conv2d(x, weight) -> Tensor:
     planes gives all four phases, which are then interleaved: no upsampled
     map, and no im2col of one, is built. The summed taps round once more,
     so values agree with the composed form to rounding, not to the byte.
+    As in ``conv2d``, the backward rebuilds x's im2col planes, so x must
+    not be written in place before it runs.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     b_, cin, h, w = x.data.shape
@@ -154,7 +166,8 @@ def upsample_conv2d(x, weight) -> Tensor:
                 gy[:, a, b] = g[:, :, a::2, b::2]
         gy = gy.reshape(b_, 4 * cout, h * w)
         if weight.requires_grad:
-            gwp = _conv_weight_grad(gy, col).reshape(4, cout * cin, m * m)
+            gwp = _conv_weight_grad(gy, _im2col(x.data, m, m // 2)) \
+                .reshape(4, cout * cin, m * m)
             gw = np.matmul(gwp, taps).sum(axis=0)
             _give(weight, gw.reshape(weight.data.shape))
         if x.requires_grad:

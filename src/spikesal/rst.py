@@ -34,6 +34,7 @@ from . import grad as G
 from .grad import Tensor
 from .neuro import (LIFParams, LIFNeuron, CBSBlock, lif_fire,
                     fold_thresholds, repeat_steps, _emit_layer, _emit_tensor)
+from .spikeio import check_config
 # re-exported: rst.trace_activity for callers, rst.lif_step for the
 # benchmark tracer, which patches it here
 from .neuro import trace_activity, lif_step
@@ -41,9 +42,10 @@ from .neuro import trace_activity, lif_step
 RECURRENT_MODES = ("vanilla", "forward", "reverse")
 RESIDUAL_OPS = ("or", "add", "concat")
 
-# config JSON keys, fixed interface
-_JSON_KEYS = ("D", "heads", "T", "rfa_blocks", "recurrent_mode",
-              "residual_op", "tau", "v_th", "v_reset", "surrogate_alpha")
+# config JSON keys and the kind of value each holds, fixed interface
+_JSON_KINDS = {"D": "int", "heads": "int", "T": "int", "rfa_blocks": "int",
+               "recurrent_mode": "str", "residual_op": "str", "tau": "float",
+               "v_th": "float", "v_reset": "float", "surrogate_alpha": "float"}
 
 
 @dataclass
@@ -91,9 +93,7 @@ class RSTConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RSTConfig":
-        extra = set(doc) - set(_JSON_KEYS)
-        if extra:
-            raise ValueError(f"unknown model config keys: {sorted(extra)}")
+        doc = check_config(doc, _JSON_KINDS, "model config")
         rename = {"D": "dim", "T": "steps"}
         merged = dict(cls().__dict__)
         for k, v in doc.items():

@@ -18,6 +18,11 @@ old frames.
 
 File header (little-endian): magic ``SPKS``, u16 version, u32 width,
 u32 height, u64 frames, u32 rate_hz. 26 bytes total.
+
+The JSON documents beside the streams are checked on reading: the
+dataset manifest (``load_manifest``) and the generator, run and model
+configs (``check_config``) raise ValueError for a key that is unknown
+(or, in the manifest, missing) or holds a value of the wrong type.
 """
 
 from __future__ import annotations
@@ -446,6 +451,44 @@ def _field(doc, key: str, kind, where: str):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValueError(f"{where}: {key!r} must be of type {kind.__name__}")
     return value
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# the JSON values a config field of each kind accepts, and their description;
+# a bool is not a number, and a float field keeps an integer as it is
+_CONFIG_KINDS = {
+    "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+    "float": ("a number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "dict": ("an object", lambda v: isinstance(v, dict)),
+    "tuple": ("a [low, high] pair of numbers",
+              lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+              and all(map(_is_number, v))),
+}
+
+
+def check_config(doc, kinds: dict, where: str) -> dict:
+    """A copy of ``doc``, a config read from JSON, after checking that it is
+    an object whose keys all appear in ``kinds`` and whose values are of the
+    kind named there: "int", "float", "str", "bool", "dict" or "tuple" (a
+    [low, high] pair of numbers). Raises ValueError naming the first key
+    that is unknown or holds a value of another kind."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, "
+                         f"not {type(doc).__name__}")
+    extra = set(doc) - set(kinds)
+    if extra:
+        raise ValueError(f"unknown {where} keys: {sorted(extra)}")
+    for key, value in doc.items():
+        what, fits = _CONFIG_KINDS[kinds[key]]
+        if not fits(value):
+            raise ValueError(f"{where} key {key!r} must be {what}, "
+                             f"got {json.dumps(value)}")
+    return dict(doc)
 
 
 def load_manifest(path) -> DatasetManifest:

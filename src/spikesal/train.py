@@ -32,6 +32,15 @@ MODES = ("multi", "single")
 LOSS_MODES = ("multi", "vanilla")
 
 
+# run config JSON keys and the kind of value each holds
+_RUN_KINDS = {"manifest": "str", "model": "dict", "optimizer": "dict",
+              "window": "int", "seed": "int", "mode": "str",
+              "loss_mode": "str", "deterministic": "bool"}
+_OPTIMIZER_KINDS = {"kind": "str", "lr_start": "float", "lr_end": "float",
+                    "epochs": "int", "batch_size": "int",
+                    "weight_decay": "float"}
+
+
 @dataclass
 class RunConfig:
     manifest: str = ""
@@ -68,21 +77,14 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RunConfig":
-        doc = dict(doc)
-        opt = dict(doc.pop("optimizer", {}))
-        extra = set(opt) - {"kind", "lr_start", "lr_end", "epochs",
-                            "batch_size", "weight_decay"}
-        if extra:
-            raise ValueError(f"unknown optimizer config keys: {sorted(extra)}")
+        doc = sio.check_config(doc, _RUN_KINDS, "run config")
+        doc.pop("deterministic", None)  # a retired no-op key of older configs
+        opt = sio.check_config(doc.pop("optimizer", {}), _OPTIMIZER_KINDS,
+                               "optimizer config")
         kind = opt.pop("kind", "adamw")
         if kind != "adamw":
             raise ValueError(f"unsupported optimizer kind {kind!r}")
         model = RSTConfig.from_json_dict(doc.pop("model", {}))
-        doc.pop("deterministic", None)  # a retired no-op key of older configs
-        known = {"manifest", "window", "seed", "mode", "loss_mode"}
-        extra = set(doc) - known
-        if extra:
-            raise ValueError(f"unknown run config keys: {sorted(extra)}")
         return cls(model=model, **doc, **opt)
 
     def config_hash(self) -> str:

@@ -357,6 +357,72 @@ def test_train_unknown_optimizer_key_is_an_error(workspace, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"model": None}, "run config key 'model' must be an object, got null"),
+    ({"optimizer": None},
+     "run config key 'optimizer' must be an object, got null"),
+    ({"model": {"D": "48"}}, "model config key 'D' must be an integer"),
+    ({"window": 1.5}, "run config key 'window' must be an integer, got 1.5"),
+    ({"optimizer": {"lr_start": "a"}},
+     "optimizer config key 'lr_start' must be a number"),
+    ({"seed": True}, "run config key 'seed' must be an integer"),
+    ([], "run config must be a JSON object, not list"),
+])
+def test_train_wrong_typed_config_is_an_error(workspace, tmp_path, capsys,
+                                              doc, message):
+    """A wrong-typed field, or a config that is not an object, ends the
+    command with ``error:`` and exit 1 before any training starts."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+               "--manifest", str(workspace / "data" / "manifest.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**GEN, "height": "64"},
+     "generator config key 'height' must be an integer"),
+    ({**GEN, "height": 64.5},
+     "generator config key 'height' must be an integer"),
+    ({**GEN, "train_sequences": None},
+     "generator config key 'train_sequences' must be an integer, got null"),
+    ({**GEN, "background_range": 5},
+     "generator config key 'background_range' must be a [low, high] pair"),
+    ({**GEN, "foreground_range": [0.1, 0.2, 0.3]},
+     "generator config key 'foreground_range' must be a [low, high] pair"),
+    ({**GEN, "seed": 1.5}, "generator config key 'seed' must be an integer"),
+    ({**GEN, "noise_std": "0"},
+     "generator config key 'noise_std' must be a number"),
+    ([], "generator config must be a JSON object, not list"),
+])
+def test_gen_data_wrong_typed_config_is_an_error(tmp_path, capsys, doc,
+                                                 message):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["gen-data", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_valid_config_keeps_its_json_and_hash(tmp_path):
+    """Checking types converts nothing: integers in float fields stay
+    integers, so the config's JSON and hash are the bytes they were before
+    the check existed (hash pinned from that code)."""
+    doc = {"manifest": "m.json",
+           "model": {"D": 16, "heads": 2, "T": 2, "rfa_blocks": 1, "tau": 2},
+           "optimizer": {"lr_start": 1, "lr_end": 0.5, "epochs": 3},
+           "window": 80, "deterministic": True}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    cfg = RunConfig.load(path)
+    assert cfg.model.tau == 2 and type(cfg.model.tau) is int
+    assert cfg.config_hash() == ("c8b9811ce790ed0b4ae8ef7a6a6e1826"
+                                 "2b84b70326d0c6098c150943368b3a97")
+
+
 def test_missing_checkpoint_errors(workspace, tmp_path, capsys):
     rc = main(["eval", "--ckpt", str(tmp_path / "none.salt"),
                "--manifest", str(workspace / "data" / "manifest.json")])

@@ -3,6 +3,7 @@ bookkeeping (accumulation, graph reuse, single-use graphs, serialization)."""
 
 import json
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,7 +17,7 @@ from spikesal import metrics, neuro, rst
 from spikesal import spikeio as sio
 from spikesal.cli import main
 from spikesal.grad import nnops, store
-from spikesal.grad.tensor import _accumulate, make
+from spikesal.grad.tensor import _accumulate, _give, make
 from spikesal.objective import LossConfig, map_loss, multi_step_loss
 from spikesal.optim import AdamW
 from spikesal.rst import RSTConfig, RSTModel
@@ -1150,6 +1151,100 @@ def test_energy_report_is_that_of_the_composed_upsample(fixture_streams,
     new = metrics.estimate_energy(net, rep).to_json()
     monkeypatch.setattr(G, "upsample_conv2d", upsample_conv2d_composed)
     assert new == metrics.estimate_energy(net, rep).to_json()
+
+
+# -- recorded convs keep no im2col columns ----------------------------------------
+# The backward builds each conv's columns again from its input; the oracles
+# below keep the forward's columns in the closure, as the convs once did.
+
+
+def conv2d_keeping_columns(x, weight, padding=0):
+    b_, cin, h, w = x.data.shape
+    cout, _, k, _ = weight.data.shape
+    col = nnops._im2col(x.data, k, padding)
+    ho, wo = h + 2 * padding - k + 1, w + 2 * padding - k + 1
+    out = np.matmul(weight.data.reshape(cout, cin * k * k), col) \
+        .reshape(b_, cout, ho, wo)
+
+    def vjp(g):
+        gw = nnops._conv_weight_grad(g.reshape(b_, cout, ho * wo), col)
+        _accumulate(weight, gw.reshape(weight.data.shape))
+        _give(x, nnops._conv_input_grad(g, weight.data, padding))
+
+    return make(out, (x, weight), vjp)
+
+
+def upsample_conv2d_keeping_columns(x, weight):
+    b_, cin, h, w = x.data.shape
+    cout, _, k, _ = weight.data.shape
+    m, taps = nnops._phase_taps(k, weight.data.dtype)
+    wp = np.matmul(weight.data.reshape(cout * cin, k * k),
+                   taps.transpose(0, 2, 1))
+    col = nnops._im2col(x.data, m, m // 2)
+    y = np.matmul(wp.reshape(4 * cout, cin * m * m), col) \
+        .reshape(b_, 2, 2, cout, h, w)
+    out = np.empty((b_, cout, 2 * h, 2 * w), dtype=y.dtype)
+    for a in range(2):
+        for b in range(2):
+            out[:, :, a::2, b::2] = y[:, a, b]
+
+    def vjp(g):
+        gy = np.empty((b_, 2, 2, cout, h, w), dtype=g.dtype)
+        for a in range(2):
+            for b in range(2):
+                gy[:, a, b] = g[:, :, a::2, b::2]
+        gy = gy.reshape(b_, 4 * cout, h * w)
+        gwp = nnops._conv_weight_grad(gy, col).reshape(4, cout * cin, m * m)
+        gw = np.matmul(gwp, taps).sum(axis=0)
+        _give(weight, gw.reshape(weight.data.shape))
+        _give(x, nnops._conv_input_grad(
+            gy.reshape(b_, 4 * cout, h, w), wp.reshape(4 * cout, cin, m, m),
+            m // 2))
+
+    return make(out, (x, weight), vjp)
+
+
+CONV_CASES = {
+    "conv2d": (lambda x, w: G.conv2d(x, w, padding=1),
+               lambda x, w: conv2d_keeping_columns(x, w, padding=1)),
+    "upsample_conv2d": (G.upsample_conv2d, upsample_conv2d_keeping_columns),
+}
+
+
+@pytest.mark.parametrize("op", list(CONV_CASES))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_recorded_conv_keeps_no_columns(op, dtype):
+    """After the forward, a recorded 3x3 conv holds its output, a few
+    hundred bytes of node and, for the upsample conv, its four phase
+    kernels (4x the weight), but not its (B, C*9, H*W) columns, nine times
+    the input; its x and weight gradients are the bytes the column-keeping
+    form gives."""
+    new_op, old_op = CONV_CASES[op]
+    rng = np.random.default_rng(81)
+    x = (rng.random((4, 12, 16, 16)) < 0.3).astype(dtype)
+    w = (rng.standard_normal((8, 12, 3, 3)) * 0.3).astype(dtype)
+
+    def held(fn):
+        xt, wt = G.Tensor(x, requires_grad=True), G.Tensor(w, requires_grad=True)
+        fn(xt, wt)                              # warm every code path
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = fn(xt, wt)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return grown, out.data.nbytes
+
+    grown, out_bytes = held(new_op)
+    assert grown <= out_bytes + 4 * w.nbytes + 4096, (grown, out_bytes)
+    old_grown, _ = held(old_op)
+    assert old_grown > out_bytes + x.nbytes     # the oracle keeps its columns
+    new, new_grads = run_op(new_op, x, w)
+    old, old_grads = run_op(old_op, x, w)
+    assert_same_bytes(new.data, old.data)
+    for gn, go in zip(new_grads, old_grads):
+        assert_same_bytes(gn, go)
 
 
 def f32_param(shape, seed=0):

@@ -517,11 +517,11 @@ def test_training_step_frees_its_graph(dataset):
     finished; right after backward the graph is gone; and the step's peak
     stays below the graph plus every op node's gradient, which an engine
     that keeps the graph holds at the end of backward. Measured with this
-    model on two 32x32 windows (graph 1.7 MB, one node per conv-BN-spike
-    unit): 6 KB left after the step, 0.02 graphs alive after backward, and
-    a peak of 1.25 graphs against 1.30 for graph plus gradients; the SSIM
-    term's backward temporaries, allocated while the whole graph is still
-    alive, set that peak."""
+    model on two 32x32 windows (graph 1.00 MB, one node per conv-BN-spike
+    unit, no im2col columns kept): 6 KB left after the step, 0.04 graphs
+    alive after backward, and a peak of 1.42 graphs against 1.51 for graph
+    plus gradients; the SSIM term's backward temporaries, allocated while
+    the whole graph is still alive, set that peak."""
     model, opt, samples = toy_step_setup(dataset)
     loss_cfg = T.LossConfig(steps=toy_model_cfg().steps)
     marks = {}
@@ -560,6 +560,33 @@ def test_training_step_frees_its_graph(dataset):
     assert current - marks["base"] < 64 * 1024
     assert marks["after_backward"] < 0.25 * graph
     assert peak - marks["base"] < graph + marks["grads"]
+
+
+def test_default_model_training_step_peak():
+    """One multi-step training step of the default model (D=128, 6 RFA
+    blocks, T=5) at 64x64, batch 2, peaks at 93.9 MB by tracemalloc; a
+    graph that kept every conv's im2col columns peaked at 145.5 MB. No
+    benchmark workload trains at the defaults, so this guards their size."""
+    cfg = RSTConfig()
+    model = RSTModel(cfg, np.random.default_rng(0))
+    opt = optim.AdamW(model.named_parameters(), lr=1e-3)
+    rng = np.random.default_rng(1)
+    samples = [T.Sample(rng.random((1, 64, 64)),
+                        (rng.random((64, 64)) < 0.3).astype(float), "s", i)
+               for i in range(2)]
+    loss_cfg = T.LossConfig(steps=cfg.steps)
+
+    def loss_fn(maps, y):
+        return T.multi_step_loss(maps, y, loss_cfg)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        T._train_step(model, opt, samples, "multi", loss_fn, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 110e6, peak / 1e6
 
 
 def nan_from_epoch_1(monkeypatch):
