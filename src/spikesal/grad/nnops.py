@@ -308,6 +308,7 @@ def linear(x, weight, bias=None) -> Tensor:
 
 
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 def _channel_axes(x: np.ndarray):
@@ -318,12 +319,11 @@ def _channel_axes(x: np.ndarray):
 
 
 def _normalize(xd: np.ndarray, running_mean: np.ndarray,
-               running_var: np.ndarray, training: bool, momentum: float,
-               eps: float, out=None):
+               running_var: np.ndarray, training: bool, out=None):
     """batchnorm's (xhat, inv): ``xd`` centred by its batch mean (training,
     which also updates the running statistics in place) or by the running
-    mean, then scaled by inv = 1 / sqrt(var + eps). ``out`` takes xhat; it
-    may be ``xd`` itself."""
+    mean, then scaled by inv = 1 / sqrt(var + BN_EPS). ``out`` takes xhat;
+    it may be ``xd`` itself."""
     axes, bshape = _channel_axes(xd)
     m = xd.size // xd.shape[1]
     mu = xd.mean(axis=axes) if training else running_mean
@@ -331,20 +331,20 @@ def _normalize(xd: np.ndarray, running_mean: np.ndarray,
     if training:
         # the sum np.var takes, over the same centred values
         var = np.square(xhat).sum(axis=axes) / m
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * (var * m / max(m - 1, 1))
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * (var * m / max(m - 1, 1))
     else:
         var = running_var
 
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv.reshape(bshape)
     return xhat, inv
 
 
 def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
-              training: bool, momentum: float = 0.1, eps: float = BN_EPS) -> Tensor:
+              training: bool) -> Tensor:
     """Batch normalization over axis 1 (channels); statistics over every
     other axis. Callers fold any step/time dimension into the batch axis
     before calling, so statistics cover steps x batch x spatial.
@@ -354,46 +354,37 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     axes, bshape = _channel_axes(x.data)
-    m = x.data.size // x.data.shape[1]
-    xhat, inv = _normalize(x.data, running_mean, running_var, training,
-                           momentum, eps)
+    xhat, inv = _normalize(x.data, running_mean, running_var, training)
     out = xhat * gamma.data.reshape(bshape)
     out += beta.data.reshape(bshape)
 
     def vjp(g):
-        # g.mean(axes) is this sum over m, so one reduction serves both
-        gsum = g.sum(axis=axes)
+        if training:
+            return _normalized_vjp(g, x, xhat, inv, gamma, beta)
         if beta.requires_grad:
-            _accumulate(beta, gsum)
-        gx = (g * xhat).sum(axis=axes)
+            _accumulate(beta, g.sum(axis=axes))
         if gamma.requires_grad:
-            _accumulate(gamma, gx)
+            _accumulate(gamma, (g * xhat).sum(axis=axes))
         if x.requires_grad:
-            gi = gamma.data.reshape(bshape) * inv.reshape(bshape)
-            if training:
-                gmean = (gsum / m).reshape(bshape)
-                gxhat = gx.reshape(bshape) / m
-                _give(x, gi * (g - gmean - xhat * gxhat))
-            else:
-                _give(x, gi * g)
+            _give(x, gamma.data.reshape(bshape) * inv.reshape(bshape) * g)
 
     return make(out, (x, gamma, beta), vjp)
 
 
-def _normalized_vjp(g, x, xhat, inv, gamma, beta, scratch):
-    # training batchnorm's backward for the gradient g of its output, with
-    # the expressions and operand order of ``batchnorm``'s, in place: g
-    # takes g - gmean, and xhat, whose values are not needed again, takes
-    # xhat * gxhat and then the input gradient, which keeps the layout that
-    # (g - gmean) - xhat * gxhat gave for any g when xhat is C-ordered. The
-    # product g * xhat goes into ``scratch`` where that has its layout.
+def _normalized_vjp(g, x, xhat, inv, gamma, beta, scratch=None):
+    # training batchnorm's backward for the gradient g of its output, in
+    # place: g and xhat, whose values are not needed again, take g - gmean
+    # and xhat * gxhat, and xhat then, where it shares g's layout, the
+    # input gradient; otherwise that gets the layout the expression
+    # (g - gmean) - xhat * gxhat gives. The product g * xhat goes into
+    # ``scratch`` where that has its layout.
     axes, bshape = _channel_axes(xhat)
     m = xhat.size // xhat.shape[1]
     gsum = g.sum(axis=axes)
     if beta.requires_grad:
         _accumulate(beta, gsum)
-    fits = scratch.dtype == g.dtype and scratch.strides == g.strides \
-        == xhat.strides
+    fits = scratch is not None and scratch.dtype == g.dtype \
+        and scratch.strides == g.strides == xhat.strides
     gx = np.multiply(g, xhat, out=scratch if fits else None).sum(axis=axes)
     if gamma.requires_grad:
         _accumulate(gamma, gx)
@@ -403,8 +394,9 @@ def _normalized_vjp(g, x, xhat, inv, gamma, beta, scratch):
         gxhat = gx.reshape(bshape) / m
         g -= gmean
         xhat *= gxhat
-        np.subtract(g, xhat, out=xhat)
-        _give(x, np.multiply(gi, xhat, out=xhat))
+        gd = np.subtract(g, xhat,
+                         out=xhat if g.strides == xhat.strides else None)
+        _give(x, np.multiply(gi, gd, out=gd))
 
 
 def surrogate_slope(x: np.ndarray, v_th: float, alpha: float,
@@ -492,8 +484,8 @@ def lif_fire(x, tau: float, v_th: float, v_reset: float, alpha: float) -> Tensor
 def batchnorm_lif(y, gamma, beta, running_mean: np.ndarray,
                   running_var: np.ndarray, steps: int, tau: float, v_th: float,
                   v_reset: float, alpha: float, v=None, membrane: bool = True):
-    """Training-mode ``batchnorm(y, gamma, beta, ...)``, with its default
-    momentum and eps, followed by ``lif_scan`` (or, without ``membrane``, by ``lif_fire``, and the
+    """Training-mode ``batchnorm(y, gamma, beta, ...)`` followed by
+    ``lif_scan`` (or, without ``membrane``, by ``lif_fire``, and the
     returned membrane is None) as one graph node. Spikes, membrane,
     running statistics and the gradients of y, gamma, beta and v are the
     bytes the two separate calls give.
@@ -523,8 +515,7 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool,
     # one h; a recording one keeps each step's h for its backward, which
     # turns it into its surrogate slope in place.
     # ``norm``: (gamma, beta, running_mean, running_var) of a training-mode
-    # batchnorm, with its default momentum and eps, that x passes first
-    # (``batchnorm_lif``).
+    # batchnorm that x passes first (``batchnorm_lif``).
     x = as_tensor(x)
     v = None if v is None else as_tensor(v)
     xd = x.data
@@ -538,8 +529,7 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool,
         gamma, beta, running_mean, running_var = norm
         parents = (x, gamma, beta)      # the order batchnorm's node had
         _, bshape = _channel_axes(xd)
-        xd, inv = _normalize(xd, running_mean, running_var, True, 0.1, BN_EPS,
-                             out=xd)
+        xd, inv = _normalize(xd, running_mean, running_var, True, out=xd)
         gb = gamma.data.reshape(bshape)
         bb = beta.data.reshape(bshape)
     if v is not None:

@@ -13,20 +13,21 @@ import json
 import math
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
+
+from ..spikeio import replacing
 
 MAGIC = b"SALT"
 VERSION = 1
 
 
 def save_tensors(path, arrays: dict, meta: dict | None = None):
-    """Write the container atomically: the bytes go to a temporary file
-    beside ``path``, which then replaces it, so a crash or failed write
-    leaves any previous file at ``path`` intact. A NaN or an infinity,
-    which ``load_tensors`` would refuse, raises ValueError naming its
-    tensor before anything is written."""
+    """Write the container atomically (``spikeio.replacing``): the bytes go
+    to a temporary file beside ``path``, which then replaces it, so a crash
+    or failed write leaves any previous file at ``path`` intact. A NaN or
+    an infinity, which ``load_tensors`` would refuse, raises ValueError
+    naming its tensor before anything is written."""
     index = {"tensors": {}, "meta": meta or {}}
     payload = bytearray()
     for name, arr in arrays.items():
@@ -36,20 +37,13 @@ def save_tensors(path, arrays: dict, meta: dict | None = None):
         index["tensors"][name] = {"shape": list(arr.shape), "offset": len(payload)}
         payload += arr.astype("<f8").tobytes()
     blob = json.dumps(index, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<HQ", VERSION, len(blob)))
-            fh.write(blob)
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<HQ", VERSION, len(blob)))
+        fh.write(blob)
+        fh.write(payload)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def _is_count(v) -> bool:

@@ -18,15 +18,15 @@ a fresh membrane that returns only the spikes. Under ``G.relaxed()`` the
 same scan fires through the smooth surrogate gate and keeps the reset's
 gradient; that is the form the finite-difference checks differentiate.
 
-A training-mode :class:`CBSBlock` (outside ``G.relaxed()``) hands both its
-raw conv output and its batchnorm to them, and they run
+A training-mode :class:`CBSBlock`, relaxed or not, hands both its raw
+conv output and its batchnorm to them, and they run
 ``G.batchnorm_lif``: one graph node from the conv output to the spikes,
 which centres the conv output in place and charges each step's membrane
 straight from gamma * xhat + beta. It keeps the normalized map and each
 step's H, where the separate ``G.batchnorm`` and scan nodes keep the conv
 output, the normalized map, the batchnorm output and each step's H; its
 spikes, membranes, running statistics and gradients are the bytes of
-those two nodes. Eval mode and ``G.relaxed()`` run the separate nodes.
+those two nodes. Eval mode runs the separate nodes.
 
 Synaptic layers report their own input activity to an active
 :class:`trace_activity`, so energy accounting needs no hand-placed calls.
@@ -176,8 +176,8 @@ def _of_key(k: np.ndarray) -> np.ndarray:
 
 
 def fire_thresholds(gamma, beta, mean, var, p: LIFParams):
-    """Per channel, the threshold form of eval-mode ``G.batchnorm`` (default
-    eps) followed by ``lif_fire``, in float32. Returns float32 ``t`` and
+    """Per channel, the threshold form of eval-mode ``G.batchnorm``
+    followed by ``lif_fire``, in float32. Returns float32 ``t`` and
     boolean ``up`` and ``ok``: where ``ok``, channel c fires at a float32 y
     exactly when y >= t[c] (``up``) or y <= t[c] (not ``up``), for every y,
     +-inf and NaN included. A channel that fires at every finite y has the
@@ -348,9 +348,9 @@ class CBSBlock(G.Module):
     ``name``, with C_out * kernel^2 synapses per input element. A
     graph-free eval forward of a stateless block with a ``fold`` (see
     :func:`fold_thresholds`) fires through it instead of the batchnorm. A
-    training-mode forward outside ``G.relaxed()`` passes its batchnorm to
-    :func:`lif_step` / :func:`lif_fire`, which run it and the spikes as one
-    ``G.batchnorm_lif`` node.
+    training-mode forward, under ``G.relaxed()`` too, passes its batchnorm
+    to :func:`lif_step` / :func:`lif_fire`, which run it and the spikes as
+    one ``G.batchnorm_lif`` node.
     """
 
     def __init__(self, rng, in_ch: int, out_ch: int, lif: LIFParams,
@@ -399,8 +399,8 @@ class CBSBlock(G.Module):
                 x = Tensor(x.data[:x.shape[0] // tile])
             y = self._conv(x)
             bn = (self.gamma, self.beta, self.running_mean, self.running_var)
-            if not self.training or G.relaxed_enabled():
-                y = G.batchnorm(y, *bn, training=self.training)
+            if not self.training:
+                y = G.batchnorm(y, *bn, training=False)
                 bn = None
             if tile > 1:
                 y = Tensor(repeat_steps(y.data, tile))

@@ -69,6 +69,11 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict):
+        """Load the ``state_arrays`` entries of ``arrays``, which may hold
+        others too; raises ValueError listing any it lacks."""
+        missing = set(self.state_arrays()) - set(arrays)
+        if missing:
+            raise ValueError(f"optimizer state missing={sorted(missing)}")
         for name in self.m:
             self.m[name][...] = arrays["adam.m." + name]
             self.v[name][...] = arrays["adam.v." + name]

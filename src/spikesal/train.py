@@ -194,8 +194,14 @@ def _read_checkpoint(path):
     batchnorm under ``<proj>.norm.*`` and their weights as (d_out, d_in)
     matrices; their keys lose ``.norm.`` and a 2-D ``*.weight`` is read as
     the 1x1 kernel it is, for model and optimizer entries alike. A current
-    file passes unchanged."""
+    file passes unchanged. Raises ValueError for a container that is not a
+    training checkpoint or lacks one of its meta keys."""
     arrays, meta = load_tensors(path)
+    if meta.get("kind") != "checkpoint":
+        raise ValueError("not a training checkpoint")
+    for key in ("config", "config_hash", "epoch", "history"):
+        if key not in meta:
+            raise ValueError(f"{path}: checkpoint meta lacks '{key}'")
     out = {}
     for name, arr in arrays.items():
         if name.endswith(".weight") and arr.ndim == 2:
@@ -208,8 +214,6 @@ def model_from_checkpoint(path):
     """The eval net (``rst.eval_net``) of a checkpoint file, its RunConfig
     and its metadata. No float64 model is built."""
     arrays, meta = _read_checkpoint(path)
-    if meta.get("kind") != "checkpoint":
-        raise ValueError("not a training checkpoint")
     cfg = RunConfig.from_json_dict(meta["config"])
     return eval_net(cfg.model, _model_state(arrays)), cfg, meta
 

@@ -427,3 +427,34 @@ def test_missing_checkpoint_errors(workspace, tmp_path, capsys):
     rc = main(["eval", "--ckpt", str(tmp_path / "none.salt"),
                "--manifest", str(workspace / "data" / "manifest.json")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("command, drop, message", [
+    ("eval", "config", "checkpoint meta lacks 'config'"),
+    ("infer", "config", "checkpoint meta lacks 'config'"),
+    ("resume", "history", "checkpoint meta lacks 'history'"),
+    ("resume", "adam.m.", "optimizer state missing=['adam.m."),
+])
+def test_checkpoint_without_an_entry_is_an_error(workspace, tmp_path, capsys,
+                                                 command, drop, message):
+    """A valid container that lacks a meta key or an optimizer entry of a
+    checkpoint ends as an error naming it, not as a traceback."""
+    arrays, meta = G.load_tensors(workspace / "ckpt" / "last.salt")
+    if drop in meta:
+        del meta[drop]
+    else:
+        del arrays[min(k for k in arrays if k.startswith(drop))]
+    ckpt = tmp_path / "bad.salt"
+    G.save_tensors(ckpt, arrays, meta)
+    data = workspace / "data"
+    argv = {"eval": ["eval", "--ckpt", str(ckpt),
+                     "--manifest", str(data / "manifest.json")],
+            "infer": ["infer", "--ckpt", str(ckpt),
+                      "--stream", str(data / "val_000.spk"),
+                      "--out", str(tmp_path / "maps")],
+            "resume": ["train", "--config", str(workspace / "run.json"),
+                       "--resume", str(ckpt), "--out", str(tmp_path / "run")]}
+    rc = main(argv[command])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err

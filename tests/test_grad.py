@@ -268,7 +268,7 @@ def test_batchnorm_normalizes_and_tracks_running_stats():
     x = G.Tensor(rng.standard_normal((8, 2, 6, 6)) * 3.0 + 1.0)
     gm, bt = G.Tensor(np.ones(2)), G.Tensor(np.zeros(2))
     rm, rv = np.zeros(2), np.ones(2)
-    y = G.batchnorm(x, gm, bt, rm, rv, training=True, momentum=0.1)
+    y = G.batchnorm(x, gm, bt, rm, rv, training=True)
     assert np.allclose(y.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
     assert np.allclose(y.data.std(axis=(0, 2, 3)), 1.0, atol=1e-3)
     mu = x.data.mean(axis=(0, 2, 3))
@@ -1655,7 +1655,7 @@ def test_store_identical_bytes(tmp_path):
 
 
 def test_store_failed_write_keeps_previous_file(tmp_path, monkeypatch):
-    from spikesal.grad import store
+    from spikesal import spikeio
     p = tmp_path / "last.salt"
     G.save_tensors(p, {"a": np.arange(3.0)}, {"epoch": 0})
     before = p.read_bytes()
@@ -1677,7 +1677,7 @@ def test_store_failed_write_keeps_previous_file(tmp_path, monkeypatch):
             self.fh.write(data[:len(data) // 2])
             raise OSError("no space left on device")
 
-    monkeypatch.setattr(store, "open", HalfWrite, raising=False)
+    monkeypatch.setattr(spikeio, "open", HalfWrite, raising=False)
     with pytest.raises(OSError, match="no space"):
         G.save_tensors(p, {"a": np.arange(5.0)}, {"epoch": 1})
     monkeypatch.undo()

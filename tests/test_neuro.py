@@ -796,11 +796,11 @@ def test_fused_unit_equals_separate_chain(shape, steps, membrane, readout,
 
 
 @pytest.mark.parametrize("stateful", [False, True])
-def test_fused_unit_graph_free_and_relaxed_follow_the_separate_chain(
+def test_fused_unit_graph_free_and_relaxed_run_the_fused_node(
         stateful, monkeypatch):
     """Under ``no_grad`` a training-mode unit still runs the fused node and
     gives the separate chain's spikes and statistics; under ``G.relaxed()``
-    it runs the separate chain itself."""
+    it runs the fused node too, and only eval mode runs ``G.batchnorm``."""
     calls = []
     for name in ("batchnorm", "batchnorm_lif"):
         count_calls(monkeypatch, G, name, calls)
@@ -823,7 +823,38 @@ def test_fused_unit_graph_free_and_relaxed_follow_the_separate_chain(
         blk.forward(G.Tensor(x), steps=3)
     blk.eval()
     blk.forward(G.Tensor(x), steps=3)
-    assert calls == ["batchnorm", "batchnorm"]
+    assert calls == ["batchnorm_lif", "batchnorm"]
+
+
+@pytest.mark.parametrize("pool", [False, True])
+@pytest.mark.parametrize("stateful", [False, True])
+def test_relaxed_training_unit_matches_finite_differences(stateful, pool,
+                                                         monkeypatch):
+    """Under ``G.relaxed()`` a training-mode unit runs its one
+    ``G.batchnorm_lif`` node over 3 steps, and the gradients of its input,
+    weight, gamma and beta match finite differences: the batchnorm
+    backward training runs, checked through the smooth scan."""
+    calls = []
+    count_calls(monkeypatch, G, "batchnorm_lif", calls)
+    rng = np.random.default_rng(57)
+    blk = CBSBlock(np.random.default_rng(58), 2, 3, LIFParams(), pool=pool,
+                   stateful=stateful)
+    blk.gamma.data[:] = rng.uniform(0.5, 1.5, 3)
+    blk.beta.data[:] = rng.standard_normal(3) * 0.2
+    x = G.Tensor(rng.uniform(-1, 3, (6, 2, 4, 4)), requires_grad=True)
+    r = G.Tensor(rng.standard_normal((6, 3) + ((2, 2) if pool else (4, 4))))
+    rv = G.Tensor(rng.standard_normal((2, 3, 4, 4)))
+
+    def f():
+        blk.lif.reset_state()
+        loss = G.sum_(blk.forward(x, steps=3) * r)
+        return loss + G.sum_(blk.lif.state * rv) if stateful else loss
+
+    with G.relaxed():
+        err = G.check_gradients(f, [x, blk.weight, blk.gamma, blk.beta],
+                                h=1e-4)
+    assert err < 1e-6
+    assert len(calls) > 0
 
 
 def test_fused_units_shrink_the_training_graph(monkeypatch):
