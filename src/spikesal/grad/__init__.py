@@ -13,8 +13,8 @@ from .tensor import (
 )
 from .nnops import (
     conv2d, upsample_conv2d, maxpool2d, nearest_upsample2d, linear,
-    batchnorm, spike_gate, lif_scan, lif_fire, batchnorm_lif, elementwise_or,
-    surrogate_slope, soft_gate_value,
+    batchnorm, spike_gate, lif_scan, elementwise_or, surrogate_slope,
+    soft_gate_value,
 )
 from .module import Module, ModuleList, kaiming_uniform
 from .gradcheck import (
@@ -31,7 +31,7 @@ __all__ = [
     "sum_", "mean",
     "conv2d", "upsample_conv2d", "maxpool2d", "nearest_upsample2d",
     "linear", "batchnorm",
-    "spike_gate", "lif_scan", "lif_fire", "batchnorm_lif", "elementwise_or",
+    "spike_gate", "lif_scan", "elementwise_or",
     "surrogate_slope", "soft_gate_value", "Module", "ModuleList", "kaiming_uniform",
     "numeric_gradient", "check_gradients", "check_gradients_sampled",
     "directional_check", "relative_error",

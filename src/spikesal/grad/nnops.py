@@ -56,8 +56,9 @@ def conv2d(x, weight, bias=None, padding: int = 0) -> Tensor:
     The node keeps no im2col columns: the weight gradient's backward
     rebuilds them from x, the parent it holds anyway. So x's data must not
     be written in place between this forward and its backward (as
-    ``batchnorm_lif`` needs a fresh conv output, this needs an untouched
-    conv input); nothing in the model writes a conv input in place.
+    ``lif_scan`` with a ``bn`` needs a fresh conv output, this needs an
+    untouched conv input); nothing in the model writes a conv input in
+    place.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     b_, cin, h, w = x.data.shape
@@ -441,7 +442,7 @@ def spike_gate(x, v_th: float = 1.0, alpha: float = 2.0) -> Tensor:
 
 
 def lif_scan(x, steps: int, tau: float, v_th: float, v_reset: float,
-             alpha: float, v=None):
+             alpha: float, v=None, bn=None, membrane: bool = True):
     """Leaky integrate-and-fire over the ``steps`` slices of a folded
     (steps*B, ...) input, as one graph node. Returns (v_next, spikes).
 
@@ -464,58 +465,34 @@ def lif_scan(x, steps: int, tau: float, v_th: float, v_reset: float,
     carried membrane's layout. The separate ops give the same layouts when
     ``v`` is None or shares x's layout; for a ``v`` of another layout they
     mix the two (a C-ordered ``v`` with a channels-innermost x gives them
-    C-ordered outputs).
+    C-ordered outputs). Without ``membrane`` the returned membrane is None
+    and the last step's reset is skipped. The caller's membrane is read,
+    never written, and x may be a zero-stride view that repeats one image
+    over the steps.
 
     Under :class:`relaxed` the gate is the smooth ``soft_gate_value(H)`` and
     the reset keeps its gradient, so the spike gradient gains a reset term:
 
         gH = (gS_t + gV * (v_reset - H)) * slope(H) + gV * (1 - S_t)
-    """
-    return _scan(x, steps, tau, v_th, v_reset, alpha, v, membrane=True)
 
-
-def lif_fire(x, tau: float, v_th: float, v_reset: float, alpha: float) -> Tensor:
-    """The spikes of ``lif_scan(x, 1, tau, v_th, v_reset, alpha)``: one step
-    of every element from a fresh v_reset membrane. The membrane that call
-    would also return is never computed."""
-    return _scan(x, 1, tau, v_th, v_reset, alpha, None, membrane=False)[1]
-
-
-def batchnorm_lif(y, gamma, beta, running_mean: np.ndarray,
-                  running_var: np.ndarray, steps: int, tau: float, v_th: float,
-                  v_reset: float, alpha: float, v=None, membrane: bool = True):
-    """Training-mode ``batchnorm(y, gamma, beta, ...)`` followed by
-    ``lif_scan`` (or, without ``membrane``, by ``lif_fire``, and the
-    returned membrane is None) as one graph node. Spikes, membrane,
-    running statistics and the gradients of y, gamma, beta and v are the
-    bytes the two separate calls give.
-
-    The node keeps fewer arrays than the two. It centres y in place, so
-    y's data is overwritten (it holds the normalized values afterwards and
-    is the buffer of y's gradient): pass only a y that nothing else reads,
-    such as a fresh conv output. Each step's gamma * xhat + beta is written
+    ``bn``, a unit's (gamma, beta, running_mean, running_var), runs a
+    training-mode ``batchnorm(x, ...)`` first, in the same node. Spikes,
+    membrane, running statistics and the gradients of x, gamma, beta and v
+    are the bytes the separate batchnorm and scan nodes give, and the node
+    keeps fewer arrays than the two. It centres x in place, so x's data is
+    overwritten (it holds the normalized values afterwards and is the
+    buffer of x's gradient): pass only an x that nothing else reads, such
+    as a fresh conv output. Each step's gamma * xhat + beta is written
     straight into that step's charge H, so no batchnorm output exists. The
     backward turns each saved H into its surrogate slope in place, as
     every recording scan does, then runs batchnorm's backward in place
     over the scan's gradient and xhat, with the spikes' gradient as the
-    scratch of the gamma gradient's product."""
-    norm = (as_tensor(gamma), as_tensor(beta), running_mean, running_var)
-    return _scan(y, steps, tau, v_th, v_reset, alpha, v, membrane=membrane,
-                 norm=norm)
-
-
-def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool,
-          norm=None):
-    # ``membrane``: compute and return the final membrane, else return None
-    # in its place and skip the last step's reset. Every step's spikes go
-    # into one output, laid out as the concatenated steps; one keep and one
-    # membrane buffer serve all steps, each op writing in place. The
-    # caller's membrane is read, never written, and x may be a zero-stride
-    # view that repeats one image over the steps. A graph-free scan reuses
-    # one h; a recording one keeps each step's h for its backward, which
-    # turns it into its surrogate slope in place.
-    # ``norm``: (gamma, beta, running_mean, running_var) of a training-mode
-    # batchnorm that x passes first (``batchnorm_lif``).
+    scratch of the gamma gradient's product.
+    """
+    # every step's spikes go into one output, laid out as the concatenated
+    # steps; one keep and one membrane buffer serve all steps, each op
+    # writing in place. A graph-free scan reuses one h; a recording one
+    # keeps each step's h for its backward.
     x = as_tensor(x)
     v = None if v is None else as_tensor(v)
     xd = x.data
@@ -525,8 +502,9 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool,
     b = n // steps
     vd = None if v is None else v.data
     parents = (x,)
-    if norm is not None:
-        gamma, beta, running_mean, running_var = norm
+    if bn is not None:
+        gamma, beta, running_mean, running_var = bn
+        gamma, beta = as_tensor(gamma), as_tensor(beta)
         parents = (x, gamma, beta)      # the order batchnorm's node had
         _, bshape = _channel_axes(xd)
         xd, inv = _normalize(xd, running_mean, running_var, True, out=xd)
@@ -538,7 +516,7 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool,
     soft = relaxed_enabled()
     first = xd[:b]
     # h takes the dtype separate ops would give it, and x's layout
-    kind = first.dtype if norm is None else np.result_type(first, gb)
+    kind = first.dtype if bn is None else np.result_type(first, gb)
     dtype = np.result_type(kind, tau) if vd is None \
         else np.result_type(kind, vd)
     keep = np.empty_like(first, dtype=dtype)
@@ -551,7 +529,7 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool,
         h = hs[-1]
         xt = xd[t * b:(t + 1) * b]
         st = s[t * b:(t + 1) * b]
-        if norm is not None:            # the batchnorm output, into h
+        if bn is not None:              # the batchnorm output, into h
             xt = np.multiply(xt, gb, out=h)
             xt += bb
         if vd is None:
@@ -607,7 +585,7 @@ def _scan(x, steps, tau, v_th, v_reset, alpha, v, *, membrane: bool,
             gx += 0.0       # -0.0 -> +0.0, as adding the zero padding did
         if want_v:
             _accumulate(v, gv)
-        if norm is not None:
+        if bn is not None:
             # g, the spikes' gradient, is read no more
             _normalized_vjp(gx, x, xd, inv, gamma, beta, g)
         elif x.requires_grad:

@@ -13,20 +13,21 @@ v_reset < v_th: fired elements rest at v_reset, silent ones kept H < v_th.
 
 :func:`lif_step` runs the steps of a folded (steps*batch, ...) input as
 the fused ``G.lif_scan``: one graph node whose backward is the
-reverse-time scan. :func:`lif_fire` is its stateless form: one step from
-a fresh membrane that returns only the spikes. Under ``G.relaxed()`` the
-same scan fires through the smooth surrogate gate and keeps the reset's
+reverse-time scan. It is the model's only way into that scan:
+:func:`lif_fire`, the stateless form, calls it for one step from a fresh
+membrane that returns only the spikes. Under ``G.relaxed()`` the same
+scan fires through the smooth surrogate gate and keeps the reset's
 gradient; that is the form the finite-difference checks differentiate.
 
 A training-mode :class:`CBSBlock`, relaxed or not, hands both its raw
-conv output and its batchnorm to them, and they run
-``G.batchnorm_lif``: one graph node from the conv output to the spikes,
-which centres the conv output in place and charges each step's membrane
-straight from gamma * xhat + beta. It keeps the normalized map and each
-step's H, where the separate ``G.batchnorm`` and scan nodes keep the conv
-output, the normalized map, the batchnorm output and each step's H; its
-spikes, membranes, running statistics and gradients are the bytes of
-those two nodes. Eval mode runs the separate nodes.
+conv output and its batchnorm to them, and the scan runs the batchnorm
+in the same node, from the conv output to the spikes: it centres the
+conv output in place and charges each step's membrane straight from
+gamma * xhat + beta. It keeps the normalized map and each step's H, where
+separate ``G.batchnorm`` and scan nodes keep the conv output, the
+normalized map, the batchnorm output and each step's H; its spikes,
+membranes, running statistics and gradients are the bytes of those two
+nodes. Eval mode runs the separate nodes.
 
 Synaptic layers report their own input activity to an active
 :class:`trace_activity`, so energy accounting needs no hand-placed calls.
@@ -109,33 +110,30 @@ def _emit_tensor(name: str, x: np.ndarray):
 # -- neurons -------------------------------------------------------------------
 
 
-def lif_step(v, x, p: LIFParams, steps: int = 1, bn=None):
+def lif_step(v, x, p: LIFParams, steps: int = 1, bn=None,
+             membrane: bool = True):
     """LIF membrane updates over the ``steps`` slices of the folded
     (steps*batch, ...) input, as one ``G.lif_scan`` node. ``v`` is the
     (batch, ...) membrane carried in, or None for a fresh (v_reset) state.
 
     With ``bn``, a unit's (gamma, beta, running_mean, running_var), x is
     the unit's raw conv output, and a training-mode batchnorm runs first,
-    in the same node (``G.batchnorm_lif``), which overwrites x's data.
+    in the same node, which overwrites x's data. Without ``membrane`` the
+    returned membrane is None and is never computed.
 
     Returns (v_next, spikes). Under ``G.relaxed()`` the scan fires through
     the smooth surrogate gate and its reset keeps a gradient path, which
     makes the whole scan differentiable for finite-difference checks.
     """
-    if bn is None:
-        return G.lif_scan(x, steps, p.tau, p.v_th, p.v_reset, p.alpha, v)
-    return G.batchnorm_lif(x, *bn, steps, p.tau, p.v_th, p.v_reset, p.alpha,
-                           v)
+    return G.lif_scan(x, steps, p.tau, p.v_th, p.v_reset, p.alpha, v,
+                      bn=bn, membrane=membrane)
 
 
 def lif_fire(x, p: LIFParams, bn=None) -> Tensor:
     """Spikes of one LIF step of every element from a fresh (v_reset)
     membrane: the spikes of ``lif_step(None, x, p, bn=bn)``, without
     computing the membrane that call also returns."""
-    if bn is None:
-        return G.lif_fire(x, p.tau, p.v_th, p.v_reset, p.alpha)
-    return G.batchnorm_lif(x, *bn, 1, p.tau, p.v_th, p.v_reset, p.alpha,
-                           membrane=False)[1]
+    return lif_step(None, x, p, 1, bn, membrane=False)[1]
 
 
 # -- threshold form of eval-mode batchnorm + one fresh LIF step -------------------
@@ -350,7 +348,7 @@ class CBSBlock(G.Module):
     :func:`fold_thresholds`) fires through it instead of the batchnorm. A
     training-mode forward, under ``G.relaxed()`` too, passes its batchnorm
     to :func:`lif_step` / :func:`lif_fire`, which run it and the spikes as
-    one ``G.batchnorm_lif`` node.
+    one ``G.lif_scan`` node.
     """
 
     def __init__(self, rng, in_ch: int, out_ch: int, lif: LIFParams,

@@ -62,8 +62,11 @@ class RSTConfig:
     surrogate_alpha: float = 2.0
 
     def __post_init__(self):
-        if self.dim % 8:
-            raise ValueError("dim must be divisible by 8 (four halving stages)")
+        if self.dim < 8 or self.dim % 8:
+            raise ValueError("dim must be a positive multiple of 8 "
+                             "(four halving stages)")
+        if self.heads < 1:
+            raise ValueError("heads must be >= 1")
         if self.dim % self.heads:
             raise ValueError("dim must be divisible by heads")
         if self.steps < 1:

@@ -186,6 +186,9 @@ def write_stream(path, stream: SpikeStream):
     f, h, w = stream.frames, stream.height, stream.width
     if w >= 1 << 32 or h >= 1 << 32 or f >= 1 << 64 or f * h * w > MAX_TOTAL_BITS:
         raise DimensionOverflowError(f"stream dims {f}x{h}x{w} overflow the format")
+    if not 0 <= stream.rate_hz < 1 << 32:
+        raise DimensionOverflowError(
+            f"stream rate {stream.rate_hz} Hz overflows the format's u32")
     flat = stream.bits.reshape(f, h * w)
     packed = np.packbits(flat, axis=1, bitorder="little")
     with replacing(path, "wb") as fh:

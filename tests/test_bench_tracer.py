@@ -68,3 +68,19 @@ def test_tracer_times_each_fused_loss_term():
     for term in ("bce", "iou", "ssim"):
         assert tr.counts[f"objective.{term}.calls"] == 1, term
     assert all(m.grad is not None for m in maps)
+
+
+def test_tracer_times_every_scan_firing_unit_under_lif_step():
+    # stateless firing goes through neuro.lif_step too, so a multi-step
+    # forward records one span per unit that fires through the scan:
+    # 4 encoder units, 6 block projections, 1 attention, 3 refine units
+    tracing = load_tracer()
+    model = rst.RSTModel(rst.RSTConfig(dim=16, heads=2, steps=3, rfa_blocks=1),
+                         np.random.default_rng(3))
+    x = np.random.default_rng(4).random((2, 1, 32, 32)) * 3.0
+    tr = tracing.Tracer()
+    with tracing.instrument(tr):
+        grad.mean(model.forward_full(x, "multi")).backward()
+    names = [span[0] for span in tr.spans]
+    assert names.count("neuro.lif_step") == 14
+    assert tr.self_s["neuro.lif_step"] > 0.0

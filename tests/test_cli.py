@@ -108,6 +108,19 @@ def test_eval_malformed_manifest_is_an_error(workspace, capsys, edit, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("rate", [-1, 4294967296])
+def test_gen_data_rate_overflow_is_an_error(tmp_path, capsys, rate):
+    """A sampling rate the stream header's u32 field cannot hold ends the
+    command with an error, leaving no stream or temporary file behind."""
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({**GEN, "rate_hz": rate}))
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    left = [p.name for p in out.iterdir()] if out.exists() else []
+    assert not [n for n in left if n.endswith((".spk", ".tmp"))], left
+
+
 def test_gen_data_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({**GEN, "sensor_kind": "dvs"}))
@@ -367,11 +380,16 @@ def test_train_unknown_optimizer_key_is_an_error(workspace, tmp_path, capsys):
      "optimizer config key 'lr_start' must be a number"),
     ({"seed": True}, "run config key 'seed' must be an integer"),
     ([], "run config must be a JSON object, not list"),
+    ({"model": {"D": 0}}, "dim must be a positive multiple of 8"),
+    ({"model": {"D": -8}}, "dim must be a positive multiple of 8"),
+    ({"model": {"heads": 0}}, "heads must be >= 1"),
+    ({"model": {"heads": -2}}, "heads must be >= 1"),
 ])
 def test_train_wrong_typed_config_is_an_error(workspace, tmp_path, capsys,
                                               doc, message):
-    """A wrong-typed field, or a config that is not an object, ends the
-    command with ``error:`` and exit 1 before any training starts."""
+    """A wrong-typed field, a model size the network cannot be built with,
+    or a config that is not an object, ends the command with ``error:``
+    and exit 1 before any training starts."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(doc))
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),

@@ -1263,7 +1263,8 @@ F32_OPS = {
     "upsample_conv2d": lambda x: G.upsample_conv2d(x, f32_param((4, 3, 3, 3))),
     "lif_scan": lambda x: G.lif_scan(x, 2, 2.0, 0.5, 0.0, 2.0,
                                      v=f32_param((1, 3, 4, 4))),
-    "lif_fire": lambda x: G.lif_fire(x, 2.0, 0.5, 0.0, 2.0),
+    "lif_fire": lambda x: G.lif_scan(x, 1, 2.0, 0.5, 0.0, 2.0,
+                                     membrane=False)[1],
     "spike_gate": G.spike_gate,
     "matmul": lambda x: G.matmul(x, f32_param((2, 3, 4, 5))),
     "concat": lambda x: G.concat([x, f32_param(x.shape)], axis=1),

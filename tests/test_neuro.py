@@ -273,8 +273,8 @@ def test_fused_scan_graph_free_without_grad(monkeypatch):
 def recorded_scan(x, steps, p, v=None, membrane=True):
     """The LIF scan as a recording loop: fresh per-step h and spike arrays,
     the spikes joined by one concatenate, and the reverse scan over them:
-    the oracle that ``G.lif_scan`` and ``G.lif_fire`` must equal byte for
-    byte, values and layouts, recording or graph-free."""
+    the oracle that ``G.lif_scan``, with and without ``membrane``, must
+    equal byte for byte, values and layouts, recording or graph-free."""
     tau, v_th, v_reset, alpha = p.tau, p.v_th, p.v_reset, p.alpha
     x = G.as_tensor(x)
     v = None if v is None else G.as_tensor(v)
@@ -612,17 +612,29 @@ def train_small_model(mode):
 
 
 def count_calls(monkeypatch, owner, name, calls):
-    real = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name)
-                        or real(*a, **k))
+    """Append ``name`` to ``calls`` at each call of ``owner.name``; for
+    "batchnorm_lif", at each ``owner.lif_scan`` call handed a unit's
+    batchnorm: the one node of a training-mode conv-BN-spike unit."""
+    if name != "batchnorm_lif":
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name)
+                            or real(*a, **k))
+        return
+    scan = owner.lif_scan
+
+    def fused(*a, bn=None, **k):
+        if bn is not None:
+            calls.append(name)
+        return scan(*a, bn=bn, **k)
+    monkeypatch.setattr(owner, "lif_scan", fused)
 
 
 @pytest.mark.parametrize("mode", ["multi", "single"])
 def test_training_with_fused_scan_equals_composed_ops(mode, monkeypatch):
-    """Training through one ``G.batchnorm_lif`` node per conv-BN-spike unit
-    gives the bytes of training through ``G.batchnorm`` and the composed
-    LIF ops. Both runs count the nodes they record, so neither comparison
-    can pass by running the same path twice."""
+    """Training through one ``G.lif_scan`` node with a ``bn`` per
+    conv-BN-spike unit gives the bytes of training through ``G.batchnorm``
+    and the composed LIF ops. Both runs count the nodes they record, so
+    neither comparison can pass by running the same path twice."""
     calls = []
     with monkeypatch.context() as m:
         for name in ("batchnorm", "batchnorm_lif"):
@@ -717,16 +729,16 @@ def test_cbs_param_names_stable():
 # -- one graph node per training-mode unit ----------------------------------------
 
 
-def separate_lif_step(v, x, p, steps=1, bn=None):
+def separate_lif_step(v, x, p, steps=1, bn=None, membrane=True):
     """``neuro.lif_step`` as the separate chain: ``G.batchnorm`` and then
     ``G.lif_scan``, two graph nodes."""
     return G.lif_scan(separate_batchnorm(x, bn), steps, p.tau, p.v_th,
-                      p.v_reset, p.alpha, v)
+                      p.v_reset, p.alpha, v, membrane=membrane)
 
 
 def separate_lif_fire(x, p, bn=None):
-    return G.lif_fire(separate_batchnorm(x, bn), p.tau, p.v_th, p.v_reset,
-                      p.alpha)
+    return G.lif_scan(separate_batchnorm(x, bn), 1, p.tau, p.v_th,
+                      p.v_reset, p.alpha, membrane=False)[1]
 
 
 UNIT_SHAPES = {"pool": dict(pool=True), "no-pool": dict(pool=False),
@@ -783,10 +795,10 @@ def run_unit(shape, membrane, steps, readout, separate, monkeypatch):
 @pytest.mark.parametrize("shape", list(UNIT_SHAPES))
 def test_fused_unit_equals_separate_chain(shape, steps, membrane, readout,
                                           monkeypatch):
-    """A training-mode unit's one ``G.batchnorm_lif`` node gives the spikes,
-    membrane, running statistics and the input, weight, gamma and beta
-    gradients of ``G.batchnorm`` followed by the LIF scan, byte for byte
-    and layout included."""
+    """A training-mode unit's one ``G.lif_scan`` node with its ``bn`` gives
+    the spikes, membrane, running statistics and the input, weight, gamma
+    and beta gradients of ``G.batchnorm`` followed by the LIF scan, byte
+    for byte and layout included."""
     want = run_unit(shape, membrane, steps, readout, True, monkeypatch)
     got = run_unit(shape, membrane, steps, readout, False, monkeypatch)
     assert got.keys() == want.keys()
@@ -831,9 +843,9 @@ def test_fused_unit_graph_free_and_relaxed_run_the_fused_node(
 def test_relaxed_training_unit_matches_finite_differences(stateful, pool,
                                                          monkeypatch):
     """Under ``G.relaxed()`` a training-mode unit runs its one
-    ``G.batchnorm_lif`` node over 3 steps, and the gradients of its input,
-    weight, gamma and beta match finite differences: the batchnorm
-    backward training runs, checked through the smooth scan."""
+    ``G.lif_scan`` node with its ``bn`` over 3 steps, and the gradients of
+    its input, weight, gamma and beta match finite differences: the
+    batchnorm backward training runs, checked through the smooth scan."""
     calls = []
     count_calls(monkeypatch, G, "batchnorm_lif", calls)
     rng = np.random.default_rng(57)

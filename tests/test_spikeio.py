@@ -78,6 +78,14 @@ def test_dimension_overflow(tmp_path):
         sio.read_stream(p)
 
 
+@pytest.mark.parametrize("rate", [-1, 1 << 32])
+def test_rate_overflow_rejected_before_writing(tmp_path, rate):
+    s = random_stream(np.random.default_rng(2), 3, 4, 4, rate=rate)
+    with pytest.raises(sio.DimensionOverflowError, match="rate"):
+        sio.write_stream(tmp_path / "s.spk", s)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_zero_dim_header_rejected(tmp_path):
     p = tmp_path / "zero.spk"
     p.write_bytes(sio.HEADER.pack(sio.MAGIC, sio.VERSION, 0, 4, 4, 20000))
