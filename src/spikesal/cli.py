@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -24,8 +23,7 @@ from .train import (RunConfig, train_model, model_from_checkpoint,
 
 
 def _load_generator_config(path, seed=None) -> GeneratorConfig:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = sio.parse_json(Path(path).read_text(encoding="utf-8"), path)
     kinds = {f.name: f.type for f in dataclasses.fields(GeneratorConfig)}
     doc = sio.check_config(doc, kinds, "generator config")
     for key in ("background_range", "foreground_range"):

@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from ..spikeio import replacing
+from ..spikeio import parse_json, replacing
 
 MAGIC = b"SALT"
 VERSION = 1
@@ -92,7 +92,7 @@ def load_tensors(path):
         size = os.fstat(fh.fileno()).st_size - 14
         if blob_len > size:
             raise ValueError(f"{path}: truncated index")
-        index = json.loads(fh.read(blob_len).decode("utf-8"))
+        index = parse_json(fh.read(blob_len).decode("utf-8"), path)
         entries = _layout(path, index, size - blob_len)
         flat = np.empty((size - blob_len) // 8, dtype="<f8")
         if fh.readinto(flat) != flat.nbytes:

@@ -34,6 +34,7 @@ N_THRESHOLDS = 256
 E_AC_J = 0.9e-12
 E_MAC_J = 4.6e-12
 RATIO_SENTINEL = 1e12
+S_ALPHA = 0.5       # S-measure weight of the object half
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -150,7 +151,7 @@ def _s_region(pred: np.ndarray, gt: np.ndarray) -> float:
     return total
 
 
-def s_measure(pred: np.ndarray, target: np.ndarray, alpha: float = 0.5) -> float:
+def s_measure(pred: np.ndarray, target: np.ndarray) -> float:
     pred = np.asarray(pred, dtype=np.float64).reshape(np.asarray(target).shape)
     gt = np.asarray(target).astype(bool)
     if pred.ndim != 2:
@@ -160,7 +161,7 @@ def s_measure(pred: np.ndarray, target: np.ndarray, alpha: float = 0.5) -> float
         return 1.0 - float(pred.mean())
     if y == 1.0:
         return float(pred.mean())
-    q = alpha * _s_object(pred, gt) + (1 - alpha) * _s_region(pred, gt)
+    q = S_ALPHA * _s_object(pred, gt) + (1 - S_ALPHA) * _s_region(pred, gt)
     return max(q, 0.0)
 
 

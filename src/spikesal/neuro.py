@@ -299,9 +299,9 @@ class LIFNeuron(G.Module):
     up in state_dict.
     """
 
-    def __init__(self, params: LIFParams | None = None):
+    def __init__(self, params: LIFParams):
         super().__init__()
-        self.params = params or LIFParams()
+        self.params = params
         object.__setattr__(self, "state", None)
 
     def reset_state(self):

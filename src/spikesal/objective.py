@@ -112,8 +112,14 @@ def _gaussian_taps(window: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def ssim_loss(pred, target, window: int = 11, sigma: float = 1.5) -> Tensor:
-    """1 - mean SSIM over valid (fully inside) gaussian windows.
+# the SSIM window: SSIM_WINDOW gaussian taps of width SSIM_SIGMA per axis
+SSIM_WINDOW, SSIM_SIGMA = 11, 1.5
+_SSIM_TAPS = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
+
+
+def ssim_loss(pred, target) -> Tensor:
+    """1 - mean SSIM over valid (fully inside) SSIM_WINDOW-wide gaussian
+    windows.
 
     With K the gaussian blur, mu_p = K p, s_pp = K p², s_pt = K p·t and the
     target's K t, K t² computed once for all steps, the backward is
@@ -124,7 +130,7 @@ def ssim_loss(pred, target, window: int = 11, sigma: float = 1.5) -> Tensor:
     s_pp and s_pt: three adjoint blurs, done as one.
     """
     pred, target = G.as_tensor(pred), G.as_tensor(target)
-    if pred.shape[-1] < window or pred.shape[-2] < window:
+    if pred.shape[-1] < SSIM_WINDOW or pred.shape[-2] < SSIM_WINDOW:
         raise ValueError("input smaller than the ssim window")
     if pred.shape[-3] != 1:
         raise ValueError("ssim expects single-channel maps")
@@ -133,14 +139,13 @@ def ssim_loss(pred, target, window: int = 11, sigma: float = 1.5) -> Tensor:
     y = target.data.reshape(-1, h, w)
     p = pred.data.reshape(-1, len(y), h, w)
     steps = len(p)
-    taps = _gaussian_taps(window, sigma)
 
     moments = np.empty((3,) + p.shape)
     moments[0] = p
     np.multiply(p, p, out=moments[1])
     np.multiply(p, y, out=moments[2])
-    mu_p, s_pp, s_pt = blur_valid(moments, taps)
-    mu_t, s_tt = blur_valid(np.stack([y, y * y]), taps)
+    mu_p, s_pp, s_pt = blur_valid(moments, _SSIM_TAPS)
+    mu_t, s_tt = blur_valid(np.stack([y, y * y]), _SSIM_TAPS)
 
     # ssim = a1 a2 / (b1 b2), in the graph-composed form's order of ops
     mu_pt = mu_p * mu_t
@@ -170,7 +175,7 @@ def ssim_loss(pred, target, window: int = 11, sigma: float = 1.5) -> Tensor:
         np.negative(g_pp, out=g_pp)
         np.multiply(q, a1, out=g_pt)
         g_pt *= 2.0
-        adj = blur_adjoint(gs, taps)
+        adj = blur_adjoint(gs, _SSIM_TAPS)
         gp = adj[1] * p
         gp *= 2.0
         gp += adj[0]

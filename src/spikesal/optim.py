@@ -8,17 +8,18 @@ from __future__ import annotations
 
 import numpy as np
 
+# moment decay rates and the denominator's guard
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+
 
 class AdamW:
-    def __init__(self, named_params, lr: float, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 1e-2):
+    def __init__(self, named_params, lr: float, weight_decay: float = 1e-2):
         self.params = list(named_params)
         names = [n for n, _ in self.params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = float(weight_decay)
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.params}
@@ -26,7 +27,7 @@ class AdamW:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for name, p in self.params:
@@ -50,7 +51,7 @@ class AdamW:
             v += step
             den = np.divide(v, bias2)
             np.sqrt(den, out=den)
-            den += self.eps
+            den += EPS
             np.divide(m, bias1, out=step)
             np.multiply(self.lr, step, out=step)
             step /= den

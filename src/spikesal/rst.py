@@ -108,15 +108,13 @@ class RSTConfig:
 
 
 def spiking_attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-                      lif: LIFParams | None = None,
-                      trace_name: str = "") -> Tensor:
+                      lif: LIFParams, trace_name: str = "") -> Tensor:
     """SN(Q K^T V * scale) over head-split binary tokens (B, n, N, d).
 
     The two products of binary matrices produce non-negative integer
     counts; the scaled result passes one fresh-membrane firing step and
     comes out binary again.
     """
-    lif = lif or LIFParams()
     _emit_layer(trace_name + "qk", q.data, k.shape[-2])
     att = G.matmul(q, G.swapaxes(k, -1, -2))
     _emit_layer(trace_name + "av", att.data, v.shape[-1])

@@ -241,10 +241,8 @@ def generate_dataset(cfg: GeneratorConfig, out_dir) -> Path:
         params = CameraParams(cfg.threshold, cfg.noise_std, cfg.rate_hz)
         steps = cfg.labels_per_sequence * cfg.frames_per_label
         stream = simulate(scene, params, steps, rng)
-        masks = [(k * cfg.frames_per_label,
-                  sio.Mask(scene.object_mask(k * cfg.frames_per_label),
-                           k * cfg.frames_per_label))
-                 for k in range(cfg.labels_per_sequence)]
+        masks = [(t, scene.object_mask(t))
+                 for t in range(0, steps, cfg.frames_per_label)]
         return split, i, light, stream, masks
 
     def write(split, i, light, stream, masks) -> sio.StreamEntry:

@@ -22,7 +22,9 @@ u32 height, u64 frames, u32 rate_hz. 26 bytes total.
 The JSON documents beside the streams are checked on reading: the
 dataset manifest (``load_manifest``) and the generator, run and model
 configs (``check_config``) raise ValueError for a key that is unknown
-(or, in the manifest, missing) or holds a value of the wrong type.
+(or, in the manifest, missing) or holds a value of the wrong type. Every
+JSON document the package reads is parsed by ``parse_json``, which raises
+ValueError for one nested too deeply as for any other malformed one.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ HEADER = struct.Struct("<4sHIIQI")
 # refuse to materialize streams past this many bits (64 GiB dense)
 MAX_TOTAL_BITS = 1 << 39
 
-DEFAULT_FULL_SCALE = 255.0
+# ``isi_repr`` of a pixel that fires every frame
+FULL_SCALE = 255.0
 
 
 class SpikeIOError(Exception):
@@ -150,19 +153,6 @@ class PackedStream:
 def _check_range(start: int, stop: int, frames: int):
     if not (0 <= start < stop <= frames):
         raise ValueError(f"bad frame range [{start}, {stop})")
-
-
-@dataclass
-class Mask:
-    """Binary ground-truth occupancy at one stream frame."""
-
-    values: np.ndarray
-    timestamp_frame: int
-
-    def __post_init__(self):
-        self.values = _binary_uint8(np.asarray(self.values))
-        if self.values is None:
-            raise ValueError("mask values must be 0/1")
 
 
 def _binary_uint8(values: np.ndarray) -> np.ndarray | None:
@@ -271,22 +261,14 @@ def mean_lis(stream: SpikeStream) -> float:
 # -- representation ------------------------------------------------------------
 
 
-@dataclass
-class SpikeRepr:
-    """Real-valued image decoded from spike timing, values in [0, full_scale]."""
-
-    values: np.ndarray
-    full_scale: float = DEFAULT_FULL_SCALE
-
-
-def isi_repr(stream: SpikeStream | PackedStream, at_frame: int,
-             full_scale: float = DEFAULT_FULL_SCALE) -> SpikeRepr:
-    """Inter-spike-interval intensity at one frame.
+def isi_repr(stream: SpikeStream | PackedStream, at_frame: int) -> np.ndarray:
+    """Inter-spike-interval intensity at one frame: a float64 (H, W) array
+    with values in [0, FULL_SCALE].
 
     Per pixel the interval is (next spike strictly after ``at_frame``)
     minus (nearest spike at or before ``at_frame``); the value is
-    full_scale / interval. A pixel firing every frame therefore reads
-    full_scale exactly. Pixels without such a bracketing pair inside the
+    FULL_SCALE / interval. A pixel firing every frame therefore reads
+    FULL_SCALE exactly. Pixels without such a bracketing pair inside the
     stream read 0. A packed stream reads the same values, and only the
     frames the scan visits are unpacked.
     """
@@ -295,7 +277,7 @@ def isi_repr(stream: SpikeStream | PackedStream, at_frame: int,
         raise ValueError(f"at_frame {at_frame} outside [0, {f})")
     shape = (stream.height, stream.width)
     if at_frame + 1 == f:
-        return SpikeRepr(np.zeros(shape, dtype=np.float64), full_scale)
+        return np.zeros(shape, dtype=np.float64)
     # Frame t is weighted t+1 before the cut and f-t after it, so the max
     # over frames finds the nearest spike on that side; 0 means none. Each
     # side is scanned outward from the cut in chunks of frames, and stops
@@ -308,8 +290,7 @@ def isi_repr(stream: SpikeStream | PackedStream, at_frame: int,
     # gap (f - nxt) - (prev - 1), in int64: f + 1 may not fit the index type
     gap = f + 1 - nxt.astype(np.int64) - prev
     dt = np.where(both, gap, 1).astype(np.float64)
-    vals = np.where(both, full_scale / dt, 0.0)
-    return SpikeRepr(vals, full_scale)
+    return np.where(both, FULL_SCALE / dt, 0.0)
 
 
 _ISI_CHUNK = 16     # frames per step of the outward scan
@@ -399,13 +380,18 @@ def read_pgm(path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, offset=pos).reshape(h, w).copy()
 
 
-def write_mask(path, mask: Mask):
-    write_pgm(path, mask.values * np.uint8(255))
+def write_mask(path, values: np.ndarray):
+    """Write a binary mask as a PGM of 0 and 255; raises ValueError for a
+    value other than 0 or 1."""
+    values = _binary_uint8(np.asarray(values))
+    if values is None:
+        raise ValueError("mask values must be 0/1")
+    write_pgm(path, values * np.uint8(255))
 
 
-def read_mask(path, timestamp_frame: int) -> Mask:
-    img = read_pgm(path)
-    return Mask((img >= 128).astype(np.uint8), timestamp_frame)
+def read_mask(path) -> np.ndarray:
+    """The binary (H, W) uint8 mask of a PGM: 1 where a pixel is >= 128."""
+    return (read_pgm(path) >= 128).astype(np.uint8)
 
 
 # -- dataset manifest ----------------------------------------------------------
@@ -430,9 +416,6 @@ class DatasetManifest:
     streams: list
     root: Path = Path(".")
 
-    def entries(self, split: str | None = None):
-        return [s for s in self.streams if split is None or s.split == split]
-
 
 def save_manifest(path, manifest: DatasetManifest):
     """Write the manifest through a temporary file beside ``path``, which
@@ -444,6 +427,16 @@ def save_manifest(path, manifest: DatasetManifest):
     with replacing(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def parse_json(text: str, where):
+    """``json.loads(text)``; raises ValueError naming ``where`` for a
+    malformed document, including one nested too deeply for the parser,
+    which would otherwise raise RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{where}: JSON nested too deeply") from None
 
 
 def _field(doc, key: str, kind, where: str):
@@ -497,16 +490,13 @@ def check_config(doc, kinds: dict, where: str) -> dict:
 def load_manifest(path) -> DatasetManifest:
     """Read a dataset manifest, checking its structure and that every
     file it names exists. Raises ValueError for malformed JSON, a missing
-    key, a value of the wrong type, an unknown split or light tag, or mask
-    frames that do not increase; OSError when a named file is missing."""
+    key, a value of the wrong type, an unknown split or light tag, mask
+    frames that do not increase, or two streams of one file stem, which
+    would be one sequence; OSError when a named file is missing."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: manifest nested too deeply") from None
+    doc = parse_json(path.read_text(encoding="utf-8"), path)
     root = path.parent
-    streams = []
+    streams, stems = [], {}
     for s in _field(doc, "streams", list, str(path)):
         where = f"{path}: stream"
         spk = _field(s, "path", str, where)
@@ -518,6 +508,11 @@ def load_manifest(path) -> DatasetManifest:
             raise ValueError(f"unknown light tag {light!r}")
         if not (root / spk).exists():
             raise FileNotFoundError(f"manifest references missing {spk}")
+        stem = Path(spk).stem
+        if stem in stems:
+            raise ValueError(f"{path}: streams {stems[stem]} and {spk} share "
+                             f"the sequence name {stem!r}")
+        stems[stem] = spk
         masks = []
         last = -1
         for m in _field(s, "masks", list, where):

@@ -26,7 +26,7 @@ from .objective import LossConfig, map_loss, multi_step_loss, vanilla_loss
 from .optim import AdamW, linear_lr
 from .rst import RSTConfig, RSTModel, eval_net, require_eval
 
-REPR_SCALE = 1.0 / sio.DEFAULT_FULL_SCALE
+REPR_SCALE = 1.0 / sio.FULL_SCALE
 
 MODES = ("multi", "single")
 LOSS_MODES = ("multi", "vanilla")
@@ -99,8 +99,8 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(
+            sio.parse_json(Path(path).read_text(encoding="utf-8"), path))
 
 
 # -- data ------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def window_repr(stream: sio.SpikeStream | sio.PackedStream, start: int,
     stop = min(start + window, stream.frames)
     piece = stream.slice(start, stop)
     at = min(window // 2, piece.frames - 1)
-    return sio.isi_repr(piece, at).values[None] * REPR_SCALE
+    return sio.isi_repr(piece, at)[None] * REPR_SCALE
 
 
 def load_samples(manifest_path, window: int) -> dict:
@@ -135,10 +135,10 @@ def load_samples(manifest_path, window: int) -> dict:
         stream = sio.open_stream(manifest.root / entry.path)
         seq = Path(entry.path).stem
         for idx, ref in enumerate(entry.masks):
-            mask = sio.read_mask(manifest.root / ref.path, ref.frame)
+            mask = sio.read_mask(manifest.root / ref.path)
             rep = window_repr(stream, ref.frame, window)
             out[entry.split].append(Sample(
-                rep, mask.values.astype(np.float64), seq, idx))
+                rep, mask.astype(np.float64), seq, idx))
     return out
 
 
@@ -183,11 +183,6 @@ def _model_state(arrays: dict) -> dict:
             if k.startswith((_PARAM, _BUF))}
 
 
-def _load_model_arrays(model: RSTModel, arrays: dict):
-    """Load the model entries of checkpoint ``arrays`` into ``model``."""
-    model.load_state_dict(_model_state(arrays))
-
-
 def _read_checkpoint(path):
     """``load_tensors`` of a checkpoint, in the current layout. Files
     written while the token projections were separate modules keep their
@@ -195,13 +190,20 @@ def _read_checkpoint(path):
     matrices; their keys lose ``.norm.`` and a 2-D ``*.weight`` is read as
     the 1x1 kernel it is, for model and optimizer entries alike. A current
     file passes unchanged. Raises ValueError for a container that is not a
-    training checkpoint or lacks one of its meta keys."""
+    training checkpoint, lacks one of its meta keys, or holds an ``epoch``
+    that is not a non-negative integer or a ``history`` that is not a
+    list."""
     arrays, meta = load_tensors(path)
     if meta.get("kind") != "checkpoint":
         raise ValueError("not a training checkpoint")
     for key in ("config", "config_hash", "epoch", "history"):
         if key not in meta:
             raise ValueError(f"{path}: checkpoint meta lacks '{key}'")
+    if type(meta["epoch"]) is not int or meta["epoch"] < 0:
+        raise ValueError(f"{path}: checkpoint epoch must be a non-negative "
+                         "integer")
+    if not isinstance(meta["history"], list):
+        raise ValueError(f"{path}: checkpoint history must be a list")
     out = {}
     for name, arr in arrays.items():
         if name.endswith(".weight") and arr.ndim == 2:
@@ -375,7 +377,7 @@ def train_model(cfg: RunConfig, out_dir, resume=None, log=None) -> list:
         arrays, meta = _read_checkpoint(resume)
         if meta.get("config_hash") != cfg.config_hash():
             raise ValueError("checkpoint was produced by a different config")
-        _load_model_arrays(model, arrays)
+        model.load_state_dict(_model_state(arrays))
         opt.load_state_arrays(arrays)
         history = list(meta["history"])
         start_epoch = meta["epoch"] + 1

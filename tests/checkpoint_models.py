@@ -13,5 +13,5 @@ def float64_model(path) -> RSTModel:
     """The eval-mode float64 RSTModel of the checkpoint at ``path``."""
     arrays, meta = train._read_checkpoint(path)
     model = RSTModel(train.RunConfig.from_json_dict(meta["config"]).model, None)
-    train._load_model_arrays(model, arrays)
+    model.load_state_dict(train._model_state(arrays))
     return model.eval()

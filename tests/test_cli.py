@@ -476,3 +476,47 @@ def test_checkpoint_without_an_entry_is_an_error(workspace, tmp_path, capsys,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({"epoch": "0"}, "checkpoint epoch must be a non-negative integer"),
+    ({"epoch": True}, "checkpoint epoch must be a non-negative integer"),
+    ({"epoch": 0.0}, "checkpoint epoch must be a non-negative integer"),
+    ({"epoch": -1}, "checkpoint epoch must be a non-negative integer"),
+    ({"history": {}}, "checkpoint history must be a list"),
+])
+def test_resume_from_malformed_meta_is_an_error(workspace, tmp_path, capsys,
+                                                meta, message):
+    """A checkpoint of the run's own config whose ``epoch`` is not a JSON
+    integer of at least 0, or whose ``history`` is not a list, ends
+    ``train --resume`` with an error before any training starts."""
+    arrays, old = G.load_tensors(workspace / "ckpt" / "last.salt")
+    ckpt = tmp_path / "bad.salt"
+    G.save_tensors(ckpt, arrays, {**old, **meta})
+    rc = main(["train", "--config", str(workspace / "run.json"),
+               "--resume", str(ckpt), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "run" / "last.salt").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+def test_deeply_nested_json_is_an_error(workspace, tmp_path, capsys, command):
+    """A JSON document nested deeper than the parser recurses (a generator
+    config, a run config, a checkpoint's index) ends the command with
+    ``error:`` and exit 1, not a RecursionError traceback."""
+    deep = "[" * 100000 + "]" * 100000
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(deep)
+    ckpt = tmp_path / "deep.salt"
+    ckpt.write_bytes(b"SALT" + struct.pack("<HQ", 1, len(deep)) + deep.encode())
+    argv = {"gen-data": ["gen-data", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")],
+            "train": ["train", "--config", str(cfg),
+                      "--out", str(tmp_path / "run")],
+            "eval": ["eval", "--ckpt", str(ckpt), "--manifest",
+                     str(workspace / "data" / "manifest.json")]}
+    assert main(argv[command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested too deeply" in err

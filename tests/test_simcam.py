@@ -189,8 +189,8 @@ def tiny_cfg(**kw):
 def test_generate_dataset_layout(tmp_path):
     man_path = sc.generate_dataset(tiny_cfg(), tmp_path / "d")
     man = sio.load_manifest(man_path)
-    assert len(man.entries("train")) == 2
-    assert len(man.entries("val")) == 1
+    assert len([e for e in man.streams if e.split == "train"]) == 2
+    assert len([e for e in man.streams if e.split == "val"]) == 1
     for entry in man.streams:
         stream = sio.read_stream(man.root / entry.path)
         assert stream.frames == 2 * 400
@@ -199,15 +199,15 @@ def test_generate_dataset_layout(tmp_path):
         for ref in entry.masks:
             assert ref.frame % 400 == 0
             assert ref.frame < stream.frames
-            mask = sio.read_mask(man.root / ref.path, ref.frame)
-            assert mask.values.shape == (32, 32)
-            assert mask.values.sum() > 0
+            mask = sio.read_mask(man.root / ref.path)
+            assert mask.shape == (32, 32)
+            assert mask.sum() > 0
 
 
 def test_generate_dataset_light_mix(tmp_path):
     man = sio.load_manifest(sc.generate_dataset(
         tiny_cfg(train_sequences=4, high_light_fraction=0.5), tmp_path / "d"))
-    lights = [e.light for e in man.entries("train")]
+    lights = [e.light for e in man.streams if e.split == "train"]
     assert lights.count("high") == 2 and lights.count("low") == 2
 
 

@@ -259,16 +259,16 @@ def isi_oracle(bits, at_frame, c=255.0):
 def test_isi_every_frame_reads_full_scale():
     s = sio.SpikeStream(np.ones((10, 3, 3), dtype=np.uint8))
     r = sio.isi_repr(s, at_frame=4)
-    assert np.all(r.values == 255.0)
+    assert np.all(r == 255.0)
 
 
 def test_isi_period_five_reads_51():
     bits = np.zeros((20, 2, 2), dtype=np.uint8)
     bits[::5] = 1  # spikes at 0, 5, 10, 15
     s = sio.SpikeStream(bits)
-    assert np.all(sio.isi_repr(s, at_frame=7).values == pytest.approx(51.0))
+    assert np.all(sio.isi_repr(s, at_frame=7) == pytest.approx(51.0))
     # a spike exactly at the query frame counts as the 'previous' spike
-    assert np.all(sio.isi_repr(s, at_frame=5).values == pytest.approx(51.0))
+    assert np.all(sio.isi_repr(s, at_frame=5) == pytest.approx(51.0))
 
 
 def test_isi_missing_bracket_reads_zero():
@@ -276,7 +276,7 @@ def test_isi_missing_bracket_reads_zero():
     bits[7, 0, 0] = 1            # only a future spike
     bits[2, 0, 1] = 1            # only a past spike
     s = sio.SpikeStream(bits)
-    assert np.all(sio.isi_repr(s, at_frame=4).values == 0.0)
+    assert np.all(sio.isi_repr(s, at_frame=4) == 0.0)
 
 
 def test_isi_matches_loop_oracle():
@@ -285,7 +285,7 @@ def test_isi_matches_loop_oracle():
         f = int(rng.integers(2, 30))
         bits = (rng.random((f, 5, 7)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
         at = int(rng.integers(0, f))
-        got = sio.isi_repr(sio.SpikeStream(bits), at).values
+        got = sio.isi_repr(sio.SpikeStream(bits), at)
         want = isi_oracle(bits, at)
         assert np.allclose(got, want, atol=0), (f, at)
 
@@ -293,7 +293,7 @@ def test_isi_matches_loop_oracle():
 def test_isi_bounded_by_full_scale():
     rng = np.random.default_rng(5)
     s = random_stream(rng, 40, 8, 8, p=0.5)
-    vals = sio.isi_repr(s, 20).values
+    vals = sio.isi_repr(s, 20)
     assert vals.max() <= 255.0 and vals.min() >= 0.0
 
 
@@ -303,10 +303,10 @@ def test_isi_monotone_under_added_spikes(seed, at):
     # densifying a pixel's train never decreases its decoded intensity
     rng = np.random.default_rng(seed)
     bits = (rng.random((20, 3, 3)) < 0.2).astype(np.uint8)
-    before = sio.isi_repr(sio.SpikeStream(bits), at).values
+    before = sio.isi_repr(sio.SpikeStream(bits), at)
     extra = (rng.random((20, 3, 3)) < 0.3).astype(np.uint8)
     denser = np.maximum(bits, extra)
-    after = sio.isi_repr(sio.SpikeStream(denser), at).values
+    after = sio.isi_repr(sio.SpikeStream(denser), at)
     assert np.all(after >= before - 1e-12)
 
 
@@ -326,9 +326,9 @@ def isi_argmax_oracle(stream, at_frame, full_scale=255.0):
     return np.where(both, full_scale / dt, 0.0)
 
 
-def assert_isi_matches_argmax(stream, at, full_scale=255.0):
-    got = sio.isi_repr(stream, at, full_scale).values
-    want = isi_argmax_oracle(stream, at, full_scale)
+def assert_isi_matches_argmax(stream, at):
+    got = sio.isi_repr(stream, at)
+    want = isi_argmax_oracle(stream, at)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want), at
 
@@ -345,7 +345,6 @@ def test_isi_bit_identical_to_argmax_scans(density):
     stream = sio.SpikeStream(bits)
     for at in (0, 1, 199, 398, 399):
         assert_isi_matches_argmax(stream, at)
-    assert_isi_matches_argmax(stream, 199, full_scale=1.0)
 
 
 @pytest.mark.parametrize("frames", [32767, 32768, 40000])
@@ -357,7 +356,7 @@ def test_isi_long_stream_across_index_dtype_switch(frames):
     stream = sio.SpikeStream(bits)
     for at in (0, 1, frames // 2, frames - 2, frames - 1):
         assert_isi_matches_argmax(stream, at)
-    assert sio.isi_repr(stream, 1).values[0, 0] == 255.0 / (frames - 1)
+    assert sio.isi_repr(stream, 1)[0, 0] == 255.0 / (frames - 1)
 
 
 def isi_max_oracle(stream, at_frame, full_scale=255.0):
@@ -399,7 +398,7 @@ def test_isi_early_exit_matches_full_scan(frames, seed, density, at, data):
     cut = {"first": 0, "f-2": max(frames - 2, 0), "f-1": frames - 1,
            "random": data.draw(st.integers(0, frames - 1))}[at]
     stream = sio.SpikeStream(bits)
-    got = sio.isi_repr(stream, cut).values
+    got = sio.isi_repr(stream, cut)
     want = isi_max_oracle(stream, cut)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -514,24 +513,27 @@ def test_pgm_roundtrip(tmp_path):
 
 def test_mask_roundtrip_and_binarization(tmp_path):
     rng = np.random.default_rng(9)
-    m = sio.Mask((rng.random((9, 9)) < 0.5).astype(np.uint8), timestamp_frame=400)
+    m = (rng.random((9, 9)) < 0.5).astype(np.uint8)
     p = tmp_path / "m.pgm"
     sio.write_mask(p, m)
-    back = sio.read_mask(p, 400)
-    assert np.array_equal(back.values, m.values)
+    back = sio.read_mask(p)
+    assert np.array_equal(back, m)
     assert set(np.unique(sio.read_pgm(p))) <= {0, 255}
 
 
-def test_mask_refuses_values_a_cast_would_hide():
+def test_mask_refuses_values_a_cast_would_hide(tmp_path):
     # a uint8 cast reads 0.5 as 0, and 257 and 1.9 as 1
+    p = tmp_path / "m.pgm"
     for bad in ([[0.5]], [[257]], [[1.9]]):
         with pytest.raises(ValueError, match="mask values must be 0/1"):
-            sio.Mask(np.array(bad), 0)
+            sio.write_mask(p, np.array(bad))
     with pytest.raises(ValueError, match="mask values must be 0/1"):
-        sio.Mask(np.array([[0, 2]], dtype=np.uint8), 0)
+        sio.write_mask(p, np.array([[0, 2]], dtype=np.uint8))
+    assert not p.exists()
     for ok in ([[True, False]], [[1.0, 0.0]], [[1, 0]]):
-        m = sio.Mask(np.array(ok), 0)
-        assert m.values.dtype == np.uint8 and m.values.tolist() == [[1, 0]]
+        sio.write_mask(p, np.array(ok))
+        m = sio.read_mask(p)
+        assert m.dtype == np.uint8 and m.tolist() == [[1, 0]]
 
 
 def test_pgm_with_comment(tmp_path):
@@ -608,7 +610,7 @@ def make_dataset(tmp_path, rng, n_streams=2):
         sio.write_stream(tmp_path / sp, s)
         masks = []
         for k in (0, 4, 8):
-            m = sio.Mask((rng.random((6, 6)) < 0.5).astype(np.uint8), k)
+            m = (rng.random((6, 6)) < 0.5).astype(np.uint8)
             mp = f"seq{i}_m{k}.pgm"
             sio.write_mask(tmp_path / mp, m)
             masks.append(sio.MaskRef(mp, k))
@@ -626,7 +628,7 @@ def test_manifest_roundtrip(tmp_path):
     assert len(back.streams) == 2
     assert back.streams[0].split == "train"
     assert [m.frame for m in back.streams[0].masks] == [0, 4, 8]
-    assert len(back.entries("val")) == 1
+    assert len([s for s in back.streams if s.split == "val"]) == 1
 
 
 def test_failed_manifest_write_keeps_the_old_manifest(tmp_path):
@@ -662,6 +664,24 @@ def test_manifest_mask_order_enforced(tmp_path):
     mp = tmp_path / "manifest.json"
     sio.save_manifest(mp, man)
     with pytest.raises(ValueError):
+        sio.load_manifest(mp)
+
+
+def test_manifest_rejects_streams_of_one_sequence_name(tmp_path):
+    """Streams of one file stem in two directories would be one sequence,
+    their windows interleaved by index; the manifest names both."""
+    rng = np.random.default_rng(16)
+    streams = []
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        sio.write_stream(tmp_path / d / "val_000.spk", random_stream(rng, 12, 6, 6))
+        sio.write_mask(tmp_path / d / "val_000_m0.pgm", np.zeros((6, 6)))
+        streams.append(sio.StreamEntry(f"{d}/val_000.spk", "val", "low",
+                                       [sio.MaskRef(f"{d}/val_000_m0.pgm", 0)]))
+    mp = tmp_path / "manifest.json"
+    sio.save_manifest(mp, sio.DatasetManifest(streams, tmp_path))
+    with pytest.raises(ValueError, match="streams a/val_000.spk and "
+                                         "b/val_000.spk share"):
         sio.load_manifest(mp)
 
 

@@ -46,7 +46,7 @@ def adamw_step_expression(opt):
     result: the oracle the in-place ``AdamW.step`` must equal byte for
     byte."""
     opt.t += 1
-    b1, b2 = opt.beta1, opt.beta2
+    b1, b2 = optim.BETA1, optim.BETA2
     bias1 = 1.0 - b1 ** opt.t
     bias2 = 1.0 - b2 ** opt.t
     for name, p in opt.params:
@@ -61,7 +61,7 @@ def adamw_step_expression(opt):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= opt.lr * (m / bias1) / (np.sqrt(v / bias2) + opt.eps)
+        p.data -= opt.lr * (m / bias1) / (np.sqrt(v / bias2) + optim.EPS)
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
