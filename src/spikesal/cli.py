@@ -74,7 +74,7 @@ def _window(args, cfg: RunConfig) -> int:
     return window
 
 
-def _stream_windows(stream: sio.PackedStream, window: int):
+def _stream_windows(stream: sio.SpikeStream, window: int):
     n = stream.frames // window
     if n == 0:
         raise ValueError("stream shorter than one window")

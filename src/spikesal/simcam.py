@@ -109,15 +109,18 @@ def simulate(scene: Scene, params: CameraParams, steps: int,
 
     The accumulator starts at zero. Optional zero-mean Gaussian noise is
     added to the accumulated charge each step; the charge is floored at
-    zero to stay physical.
+    zero to stay physical. Each frame is packed as it fires, so the
+    stream holds one bit per pixel per step.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
     phi = params.threshold
     if not np.isfinite(phi) or phi <= 0:
         raise ValueError("threshold must be finite and positive")
-    bits = np.empty((steps, scene.height, scene.width), dtype=np.uint8)
-    acc = np.zeros((scene.height, scene.width), dtype=np.float64)
+    shape = (scene.height, scene.width)
+    packed = np.empty((steps, (shape[0] * shape[1] + 7) // 8), dtype=np.uint8)
+    fired = np.empty(shape, dtype=np.bool_)
+    acc = np.zeros(shape, dtype=np.float64)
     window = -1
     cur = None
     for t in range(steps):
@@ -135,10 +138,10 @@ def simulate(scene: Scene, params: CameraParams, steps: int,
                 raise ValueError("noise_std > 0 requires an rng")
             acc += rng.normal(0.0, params.noise_std * phi, acc.shape)
             np.maximum(acc, 0.0, out=acc)
-        fired = bits[t].view(np.bool_)
         np.greater_equal(acc, phi, out=fired)
         np.subtract(acc, phi, out=acc, where=fired)
-    return sio.SpikeStream._of_binary(bits, params.rate_hz)
+        packed[t] = np.packbits(fired, bitorder="little")
+    return sio.SpikeStream._of_packed(packed, *shape, params.rate_hz)
 
 
 def firing_rate_oracle(intensity: float, threshold: float, steps: int) -> int:
@@ -171,6 +174,31 @@ class GeneratorConfig:
     min_objects: int = 1
     max_objects: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        # each message names the field, which is also the config file key
+        for name, low in (("train_sequences", 0), ("val_sequences", 0),
+                          ("labels_per_sequence", 1), ("frames_per_label", 1),
+                          ("width", 2), ("height", 2), ("min_objects", 0),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        if self.max_objects < self.min_objects:
+            raise ValueError("max_objects must be >= min_objects")
+        if not 1 <= self.rate_hz < 1 << 32:
+            raise ValueError("rate_hz must be in [1, 2**32)")
+        if not 0 < self.threshold < np.inf:
+            raise ValueError("threshold must be finite and positive")
+        for name in ("noise_std", "low_light_scale"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0 <= self.high_light_fraction <= 1:
+            raise ValueError("high_light_fraction must be in [0, 1]")
+        for name in ("background_range", "foreground_range"):
+            low, high = getattr(self, name)
+            if not 0 <= low <= high < np.inf:
+                raise ValueError(f"{name} must be a finite [low, high] pair "
+                                 f"with 0 <= low <= high")
 
 
 def _random_scene(cfg: GeneratorConfig, rng: np.random.Generator,
@@ -256,7 +284,7 @@ def generate_dataset(cfg: GeneratorConfig, out_dir) -> Path:
         return sio.StreamEntry(f"{name}.spk", split, light, refs)
 
     # each sequence is written as soon as it is built and then dropped, so
-    # memory holds one dense stream per worker, not the whole dataset;
+    # memory holds one packed stream per worker, not the whole dataset;
     # with threads, at most ``workers`` builds are out, taken in job order
     workers = worker_threads()
     jobs = zip(specs, seeds)

@@ -1,20 +1,20 @@
 """Spike stream container, binary codec, and the ISI intensity representation.
 
-A spike stream is a dense (frames, height, width) array of {0,1} produced
-by an integrate-and-fire sensor sampling at ``rate_hz``. On disk the
-stream is bit-packed frame-major then row-major, LSB-first within each
-byte, each frame padded up to a whole byte count.
+A spike stream is a sequence of binary frames, one bit per pixel per
+sampling step of an integrate-and-fire sensor running at ``rate_hz``.
+``SpikeStream`` holds it as it lies on disk: bit-packed frame-major then
+row-major, LSB-first within each byte, each frame padded up to a whole
+byte count. The camera model packs each frame as it fires, and
+``write_stream`` writes that payload as it is.
 
-``open_stream`` checks a file's header against its size and maps the
-file read-only, keeping the payload packed, one row of bytes per frame;
-``read_stream`` is that reader plus one unpack of every frame. Both
-stream types hand out frames through ``frame_bits``, so the ISI decoder
-reads a packed stream by unpacking only the 16-frame chunks its outward
-scan visits, and only the file pages around those frames are read. A
-mapped file that another program truncates in place can kill the
-reading process with SIGBUS; ``write_stream`` therefore never rewrites
-a file in place but replaces it, so a stream mapped earlier keeps its
-old frames.
+``open_stream`` (also ``read_stream``) checks a file's header against
+its size and maps the file read-only, so the stream's payload is a view
+of the mapping. Readers take frames through ``frame_bits``: the ISI
+decoder unpacks only the 16-frame chunks its outward scan visits, and
+only the file pages around those frames are read. A mapped file that
+another program truncates in place can kill the reading process with
+SIGBUS; ``write_stream`` therefore never rewrites a file in place but
+replaces it, so a stream mapped earlier keeps its old frames.
 
 File header (little-endian): magic ``SPKS``, u16 version, u32 width,
 u32 height, u64 frames, u32 rate_hz. 26 bytes total.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import mmap
 import os
 import struct
@@ -70,76 +71,55 @@ class NonBinaryStreamError(SpikeIOError, ValueError):
     """Spike stream bits other than 0 and 1."""
 
 
-@dataclass
 class SpikeStream:
-    """Binary spike frames, shape (frames, height, width), values {0,1}.
+    """A binary spike stream of ``frames`` frames of ``height`` x ``width``
+    pixels, held as its file payload: ``packed`` is a (frames, frame_bytes)
+    uint8 array, each row one frame's bits packed LSB-first and padded to
+    whole bytes. ``frame_bits`` unpacks only the frames it is asked for.
 
-    The values are checked once, on construction. Slices share checked
-    bits, and ``read_stream`` unpacks bits that can only be 0 or 1, so
-    neither checks again. Write only 0 or 1 into ``bits``.
+    ``SpikeStream(bits, rate_hz)`` checks that every value of the
+    (frames, height, width) array ``bits`` is 0 or 1, then packs it.
+    ``open_stream`` and ``simcam.simulate`` build a stream from a payload
+    they packed themselves, which is not checked again.
     """
 
-    bits: np.ndarray
-    rate_hz: int = 20000
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits)
+    def __init__(self, bits, rate_hz: int = 20000):
+        bits = np.asarray(bits)
         if bits.ndim != 3:
             raise ValueError("spike stream must be (frames, height, width)")
-        self.bits = _binary_uint8(bits)
-        if self.bits is None:
+        binary = _binary_uint8(bits)
+        if binary is None:
             raise NonBinaryStreamError("spike stream values must be 0/1")
+        f, h, w = bits.shape
+        self.packed = np.packbits(binary.reshape(f, h * w), axis=1,
+                                  bitorder="little")
+        self.height, self.width, self.rate_hz = h, w, rate_hz
 
     @classmethod
-    def _of_binary(cls, bits: np.ndarray, rate_hz: int) -> "SpikeStream":
-        # ``bits``: a (frames, height, width) uint8 array known to hold
-        # only 0 and 1, so __post_init__ is skipped
+    def _of_packed(cls, packed: np.ndarray, height: int, width: int,
+                   rate_hz: int) -> "SpikeStream":
+        # ``packed``: a (frames, ceil(height * width / 8)) uint8 payload
         stream = cls.__new__(cls)
-        stream.bits, stream.rate_hz = bits, rate_hz
+        stream.packed, stream.height, stream.width = packed, height, width
+        stream.rate_hz = rate_hz
         return stream
-
-    @property
-    def frames(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[2]
-
-    def slice(self, start: int, stop: int) -> "SpikeStream":
-        _check_range(start, stop, self.frames)
-        return SpikeStream._of_binary(self.bits[start:stop], self.rate_hz)
-
-    def frame_bits(self, start: int, stop: int) -> np.ndarray:
-        """The bits of frames [start, stop): a view of ``bits``."""
-        return self.bits[start:stop]
-
-
-@dataclass(frozen=True)
-class PackedStream:
-    """A spike stream held as its file payload: ``packed`` is a read-only
-    (frames, frame_bytes) uint8 array, each row one frame's bits packed
-    LSB-first and padded to whole bytes. ``frame_bits`` unpacks only the
-    frames it is asked for. Made by ``open_stream``, whose ``packed`` is a
-    view of the read-only mapped file."""
-
-    packed: np.ndarray
-    height: int
-    width: int
-    rate_hz: int
 
     @property
     def frames(self) -> int:
         return self.packed.shape[0]
 
-    def slice(self, start: int, stop: int) -> "PackedStream":
-        _check_range(start, stop, self.frames)
-        return PackedStream(self.packed[start:stop], self.height, self.width,
-                            self.rate_hz)
+    @property
+    def bits(self) -> np.ndarray:
+        """Every frame unpacked into a fresh (frames, height, width) uint8
+        array of 0 and 1."""
+        return self.frame_bits(0, self.frames)
+
+    def slice(self, start: int, stop: int) -> "SpikeStream":
+        """Frames [start, stop), sharing this stream's ``packed``."""
+        if not (0 <= start < stop <= self.frames):
+            raise ValueError(f"bad frame range [{start}, {stop})")
+        return SpikeStream._of_packed(self.packed[start:stop], self.height,
+                                      self.width, self.rate_hz)
 
     def frame_bits(self, start: int, stop: int) -> np.ndarray:
         """The bits of frames [start, stop), unpacked to a (stop - start,
@@ -148,11 +128,6 @@ class PackedStream:
         bits = np.unpackbits(rows, axis=1, count=self.height * self.width,
                              bitorder="little")
         return bits.reshape(rows.shape[0], self.height, self.width)
-
-
-def _check_range(start: int, stop: int, frames: int):
-    if not (0 <= start < stop <= frames):
-        raise ValueError(f"bad frame range [{start}, {stop})")
 
 
 def _binary_uint8(values: np.ndarray) -> np.ndarray | None:
@@ -179,11 +154,9 @@ def write_stream(path, stream: SpikeStream):
     if not 0 <= stream.rate_hz < 1 << 32:
         raise DimensionOverflowError(
             f"stream rate {stream.rate_hz} Hz overflows the format's u32")
-    flat = stream.bits.reshape(f, h * w)
-    packed = np.packbits(flat, axis=1, bitorder="little")
     with replacing(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, VERSION, w, h, f, stream.rate_hz))
-        fh.write(packed)
+        fh.write(stream.packed)
 
 
 @contextlib.contextmanager
@@ -202,7 +175,7 @@ def replacing(path, mode: str, **kw):
         raise
 
 
-def open_stream(path) -> PackedStream:
+def open_stream(path) -> SpikeStream:
     """Check a .spk file's header against the file size, then map the
     file read-only; the stream's ``packed`` rows are a view of that
     mapping, so only the file pages around the frames that are unpacked
@@ -234,15 +207,11 @@ def open_stream(path) -> PackedStream:
             raise MalformedHeaderError(f"{path}: trailing bytes after payload")
         mapped = mmap.mmap(fh.fileno(), expected, access=mmap.ACCESS_READ)
     packed = np.frombuffer(mapped, dtype=np.uint8, offset=HEADER.size)
-    return PackedStream(packed.reshape(f, frame_bytes), h, w, rate)
+    return SpikeStream._of_packed(packed.reshape(f, frame_bytes), h, w, rate)
 
 
-def read_stream(path) -> SpikeStream:
-    """Read a .spk file into a dense stream: ``open_stream`` and one unpack
-    of every frame; raises what ``open_stream`` raises."""
-    stream = open_stream(path)
-    return SpikeStream._of_binary(stream.frame_bits(0, stream.frames),
-                                  stream.rate_hz)
+# the older name, which bench/run.py reads through and bench/tracer.py times
+read_stream = open_stream
 
 
 # -- light intensity statistics ------------------------------------------------
@@ -261,7 +230,7 @@ def mean_lis(stream: SpikeStream) -> float:
 # -- representation ------------------------------------------------------------
 
 
-def isi_repr(stream: SpikeStream | PackedStream, at_frame: int) -> np.ndarray:
+def isi_repr(stream: SpikeStream, at_frame: int) -> np.ndarray:
     """Inter-spike-interval intensity at one frame: a float64 (H, W) array
     with values in [0, FULL_SCALE].
 
@@ -269,8 +238,7 @@ def isi_repr(stream: SpikeStream | PackedStream, at_frame: int) -> np.ndarray:
     minus (nearest spike at or before ``at_frame``); the value is
     FULL_SCALE / interval. A pixel firing every frame therefore reads
     FULL_SCALE exactly. Pixels without such a bracketing pair inside the
-    stream read 0. A packed stream reads the same values, and only the
-    frames the scan visits are unpacked.
+    stream read 0. Only the frames the scan visits are unpacked.
     """
     f = stream.frames
     if not 0 <= at_frame < f:
@@ -449,30 +417,33 @@ def _field(doc, key: str, kind, where: str):
     return value
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_finite(v) -> bool:
+    # JSON's NaN and Infinity parse to floats; an integer is always finite
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and (isinstance(v, int) or math.isfinite(v)))
 
 
 # the JSON values a config field of each kind accepts, and their description;
 # a bool is not a number, and a float field keeps an integer as it is
 _CONFIG_KINDS = {
-    "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
-    "float": ("a number", _is_number),
+    "int": ("an integer", lambda v: isinstance(v, int) and _is_finite(v)),
+    "float": ("a number (not NaN or Infinity)", _is_finite),
     "str": ("a string", lambda v: isinstance(v, str)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "dict": ("an object", lambda v: isinstance(v, dict)),
-    "tuple": ("a [low, high] pair of numbers",
+    "tuple": ("a [low, high] pair of numbers (not NaN or Infinity)",
               lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-              and all(map(_is_number, v))),
+              and all(map(_is_finite, v))),
 }
 
 
 def check_config(doc, kinds: dict, where: str) -> dict:
     """A copy of ``doc``, a config read from JSON, after checking that it is
     an object whose keys all appear in ``kinds`` and whose values are of the
-    kind named there: "int", "float", "str", "bool", "dict" or "tuple" (a
-    [low, high] pair of numbers). Raises ValueError naming the first key
-    that is unknown or holds a value of another kind."""
+    kind named there: "int", "float" (finite: not JSON's NaN or Infinity),
+    "str", "bool", "dict" or "tuple" (a [low, high] pair of finite
+    numbers). Raises ValueError naming the first key that is unknown or
+    holds a value of another kind."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object, "
                          f"not {type(doc).__name__}")

@@ -92,11 +92,6 @@ class RunConfig:
                           separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
     @classmethod
     def load(cls, path) -> "RunConfig":
         return cls.from_json_dict(
@@ -114,11 +109,9 @@ class Sample:
     index: int           # chronological window index within the sequence
 
 
-def window_repr(stream: sio.SpikeStream | sio.PackedStream, start: int,
-                window: int) -> np.ndarray:
+def window_repr(stream: sio.SpikeStream, start: int, window: int) -> np.ndarray:
     """Timing representation for the window [start, start+window), decoded
-    at the window centre and scaled to [0, 1]. A packed stream gives the
-    same bytes as its dense form."""
+    at the window centre and scaled to [0, 1]."""
     stop = min(start + window, stream.frames)
     piece = stream.slice(start, stop)
     at = min(window // 2, piece.frames - 1)

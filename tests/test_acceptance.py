@@ -558,10 +558,11 @@ def test_criterion_10_reproducibility(tmp_path, announce):
     manifest = tmp_path / "data" / "manifest.json"
 
     run_cfg = tmp_path / "run.json"
-    RunConfig(manifest=str(manifest),
-              model=RSTConfig(dim=16, heads=2, steps=2, rfa_blocks=1),
-              lr_start=1e-3, lr_end=1e-4, epochs=2, batch_size=2,
-              window=80, seed=0).save(run_cfg)
+    run_cfg.write_text(json.dumps(RunConfig(
+        manifest=str(manifest),
+        model=RSTConfig(dim=16, heads=2, steps=2, rfa_blocks=1),
+        lr_start=1e-3, lr_end=1e-4, epochs=2, batch_size=2,
+        window=80, seed=0).to_json_dict()))
 
     blobs, reports = [], []
     for tag in ("r1", "r2"):

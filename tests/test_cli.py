@@ -32,7 +32,7 @@ def workspace(tmp_path_factory):
                     model=RSTConfig(dim=16, heads=2, steps=2, rfa_blocks=1),
                     lr_start=1e-3, lr_end=1e-4, epochs=1, batch_size=2,
                     window=80, seed=2)
-    run.save(root / "run.json")
+    (root / "run.json").write_text(json.dumps(run.to_json_dict()))
     assert main(["train", "--config", str(root / "run.json"),
                  "--out", str(root / "ckpt")]) == 0
     return root
@@ -288,16 +288,16 @@ def test_stream_commands_never_unpack_a_whole_stream(workspace, tmp_path,
                                                      monkeypatch):
     """infer (both modes), eval, energy and load_samples read streams packed
     and unpack at most one ISI chunk of frames at a time."""
-    def refuse(path):
-        raise AssertionError(f"dense read of {path}")
-    monkeypatch.setattr(sio, "read_stream", refuse)
+    def refuse(stream):
+        raise AssertionError(f"whole unpack of {stream.frames} frames")
+    monkeypatch.setattr(sio.SpikeStream, "bits", property(refuse))
     spans = []
-    frame_bits = sio.PackedStream.frame_bits
+    frame_bits = sio.SpikeStream.frame_bits
 
     def recording(self, start, stop):
         spans.append(stop - start)
         return frame_bits(self, start, stop)
-    monkeypatch.setattr(sio.PackedStream, "frame_bits", recording)
+    monkeypatch.setattr(sio.SpikeStream, "frame_bits", recording)
 
     ckpt = str(workspace / "ckpt" / "last.salt")
     stream = str(workspace / "data" / "val_000.spk")
@@ -422,6 +422,75 @@ def test_gen_data_wrong_typed_config_is_an_error(tmp_path, capsys, doc,
     assert main(["gen-data", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, key", [
+    ({"frames_per_label": 0}, "frames_per_label"),
+    ({"labels_per_sequence": 0}, "labels_per_sequence"),
+    ({"width": 0}, "width"),
+    ({"height": -16}, "height"),
+    ({"background_range": [0.045, 0.03]}, "background_range"),
+    ({"min_objects": 3, "max_objects": 1}, "max_objects"),
+    ({"low_light_scale": -1}, "low_light_scale"),
+    ({"train_sequences": -2}, "train_sequences"),
+    ({"high_light_fraction": 2.5}, "high_light_fraction"),
+    ({"noise_std": -1}, "noise_std"),
+    ({"threshold": 0}, "threshold"),
+    ({"seed": -1}, "seed"),
+])
+def test_gen_data_out_of_range_config_names_the_key(tmp_path, capsys, edit,
+                                                    key):
+    """A value the generator cannot use, or would silently read as another
+    (a negative count as 0, a fraction above 1 as 1, negative noise as
+    none), ends the command with an error naming the key before any file
+    is written."""
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({**GEN, **edit}))
+    assert main(["gen-data", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"optimizer": {"lr_start": NAN}}, "lr_start"),
+    ({"optimizer": {"weight_decay": NAN}}, "weight_decay"),
+    ({"model": {"tau": NAN}}, "tau"),
+    ({"model": {"v_th": INF}}, "v_th"),
+    ({"model": {"v_reset": -INF}}, "v_reset"),
+])
+def test_train_non_finite_config_is_an_error(workspace, tmp_path, capsys, doc,
+                                             key):
+    """JSON's NaN and Infinity parse as floats, but no run or model field
+    takes one: a NaN learning rate would train a whole epoch before the
+    weights turn non-finite, and an infinite threshold a silent model."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+               "--manifest", str(workspace / "data" / "manifest.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{key}' must be a number" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("noise_std", NAN), ("threshold", INF),
+    ("background_range", [0.03, NAN]), ("foreground_range", [0.1, INF]),
+])
+def test_gen_data_non_finite_config_is_an_error(tmp_path, capsys, key, value):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({**GEN, key: value}))
+    assert main(["gen-data", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: generator config key '{key}' must be")
+    assert "(not NaN or Infinity)" in err
     assert not (tmp_path / "out").exists()
 
 

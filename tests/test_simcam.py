@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,26 @@ def test_simulate_matches_reference_loop_at_exact_threshold():
     got = sc.simulate(scene, sc.CameraParams(), steps=64)
     assert np.array_equal(got.bits,
                           simulate_reference(scene, sc.CameraParams(), 64))
+
+
+def test_simulate_holds_one_bit_per_pixel_and_step():
+    """800 frames at 128x128 are 13.1 MB of dense bits; simulate packs
+    each frame as it fires, so the memory it allocates peaks below a
+    quarter of that."""
+    cfg = sc.GeneratorConfig(width=128, height=128)
+    rng = np.random.default_rng(5)
+    scene = sc._random_scene(cfg, rng, "high")
+    params = sc.CameraParams(cfg.threshold, cfg.noise_std, cfg.rate_hz)
+    dense = 800 * 128 * 128
+    tracemalloc.start()
+    try:
+        stream = sc.simulate(scene, params, 800, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense / 4, f"peak {peak / 1e6:.1f} MB"
+    assert stream.packed.shape == (800, 128 * 128 // 8)
+    assert stream.bits.any()
 
 
 # -- dataset generation ----------------------------------------------------------

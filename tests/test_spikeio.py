@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikesal import spikeio as sio
-from spikesal.train import window_repr
+from spikesal.train import REPR_SCALE, window_repr
 
 
 def random_stream(rng, frames, h, w, p=0.3, rate=20000):
@@ -123,21 +123,16 @@ def test_read_stream_fuzz_raises_only_spike_io_errors(tmp_path_factory, frames,
         raw = sio.HEADER.pack(*fields) + raw[sio.HEADER.size:]
     p.write_bytes(raw)
     try:
-        packed = sio.open_stream(p)
-    except sio.SpikeIOError as exc:
-        # the packed reader refuses exactly what read_stream refuses
-        with pytest.raises(sio.SpikeIOError) as dense_exc:
-            sio.read_stream(p)
-        assert type(dense_exc.value) is type(exc)
+        got = sio.open_stream(p)
+    except sio.SpikeIOError:
         return
-    got = sio.read_stream(p)
-    assert got.bits.dtype == np.uint8 and got.bits.ndim == 3
-    assert np.isin(got.bits, (0, 1)).all()
-    f, gh, gw = got.bits.shape
+    bits = got.bits
+    assert bits.dtype == np.uint8 and bits.ndim == 3
+    assert np.isin(bits, (0, 1)).all()
+    f, gh, gw = bits.shape
     assert len(raw) == sio.HEADER.size + f * ((gh * gw + 7) // 8)
-    assert (packed.frames, packed.height, packed.width) == (f, gh, gw)
-    assert packed.rate_hz == got.rate_hz
-    assert np.array_equal(packed.frame_bits(0, f), got.bits)
+    assert (got.frames, got.height, got.width) == (f, gh, gw)
+    assert np.array_equal(got.frame_bits(0, f), bits)
 
 
 def test_error_types_are_distinct():
@@ -430,25 +425,27 @@ def test_stream_refuses_non_binary_values():
 
 
 def test_slices_and_decoded_streams_skip_the_check(tmp_path, monkeypatch):
-    s = random_stream(np.random.default_rng(9), 12, 3, 4, rate=40000)
+    bits = (np.random.default_rng(9).random((12, 3, 4)) < 0.3).astype(np.uint8)
+    s = sio.SpikeStream(bits, rate_hz=40000)
     sio.write_stream(tmp_path / "s.spk", s)
 
-    def refuse(self):
+    def refuse(values):
         raise AssertionError("binary bits checked again")
-    monkeypatch.setattr(sio.SpikeStream, "__post_init__", refuse)
+    monkeypatch.setattr(sio, "_binary_uint8", refuse)
     part = s.slice(2, 7)
-    assert part.rate_hz == s.rate_hz and np.shares_memory(part.bits, s.bits)
-    assert np.array_equal(part.bits, s.bits[2:7])
-    back = sio.read_stream(tmp_path / "s.spk")
-    assert back.rate_hz == 40000 and back.bits.dtype == np.uint8
-    assert np.array_equal(back.bits, s.bits)
+    assert part.rate_hz == s.rate_hz and part.frames == 5
+    assert np.shares_memory(part.packed, s.packed)
+    assert np.array_equal(part.bits, bits[2:7])
     packed = sio.open_stream(tmp_path / "s.spk")
+    assert packed.rate_hz == 40000 and packed.bits.dtype == np.uint8
+    assert np.array_equal(packed.bits, bits)
     assert not packed.packed.flags.writeable
+    assert packed.packed.tobytes() == s.packed.tobytes()
     piece = packed.slice(2, 7)
     assert piece.rate_hz == 40000 and piece.frames == 5
     assert np.shares_memory(piece.packed, packed.packed)
-    assert np.array_equal(piece.frame_bits(0, 5), s.bits[2:7])
-    assert np.array_equal(piece.frame_bits(1, 3), s.bits[3:5])
+    assert np.array_equal(piece.frame_bits(0, 5), bits[2:7])
+    assert np.array_equal(piece.frame_bits(1, 3), bits[3:5])
     assert np.array_equal(window_repr(packed, 2, 6), window_repr(s, 2, 6))
 
 
@@ -478,8 +475,8 @@ def test_packed_slice_rejects_bad_ranges(tmp_path):
        data=st.data())
 def test_packed_window_repr_matches_dense(tmp_path_factory, frames, h, w, seed,
                                           density, kind, data):
-    """window_repr over the packed reader equals window_repr over
-    read_stream byte for byte: padded frames (h*w not a multiple of 8), a
+    """window_repr over a mapped file equals the loop oracle over the
+    dense bits byte for byte: padded frames (h*w not a multiple of 8), a
     last window clipped at the stream end, and a cut on a window's last
     frame, where the decode reads 0."""
     rng = np.random.default_rng(seed)
@@ -495,7 +492,9 @@ def test_packed_window_repr_matches_dense(tmp_path_factory, frames, h, w, seed,
     else:
         window = data.draw(st.integers(1, frames))
     got = window_repr(sio.open_stream(p), start, window)
-    want = window_repr(sio.read_stream(p), start, window)
+    piece = bits[start:start + window]
+    at = min(window // 2, len(piece) - 1)
+    want = isi_oracle(piece, at)[None] * REPR_SCALE
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 

@@ -153,7 +153,7 @@ def test_run_config_roundtrip(tmp_path):
                       lr_start=1e-3, lr_end=1e-4, epochs=3, batch_size=2,
                       window=80, seed=7, mode="single", loss_mode="vanilla")
     p = tmp_path / "run.json"
-    cfg.save(p)
+    p.write_text(json.dumps(cfg.to_json_dict()))
     doc = json.loads(p.read_text())
     assert doc["optimizer"]["kind"] == "adamw"
     assert doc["model"]["D"] == 16
@@ -629,7 +629,8 @@ def test_non_finite_loss_stops_the_run_before_any_update(tmp_path, dataset,
 def test_train_command_exits_1_on_a_non_finite_loss(tmp_path, dataset,
                                                     monkeypatch, capsys):
     nan_from_epoch_1(monkeypatch)
-    run_cfg(dataset).save(tmp_path / "run.json")
+    (tmp_path / "run.json").write_text(
+        json.dumps(run_cfg(dataset).to_json_dict()))
     out = tmp_path / "run"
     assert main(["train", "--config", str(tmp_path / "run.json"),
                  "--out", str(out)]) == 1
