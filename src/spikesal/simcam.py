@@ -30,11 +30,18 @@ from . import spikeio as sio
 
 
 def worker_threads() -> int:
-    """Worker cap from SPIKESAL_THREADS; 1 (fully serial) by default."""
+    """Worker cap from SPIKESAL_THREADS; 1 (fully serial) when it is unset.
+    Raises ValueError naming the variable for a value that is not a
+    positive integer."""
+    value = os.environ.get("SPIKESAL_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("SPIKESAL_THREADS", "1")))
+        workers = int(value)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SPIKESAL_THREADS must be a positive integer, "
+                         f"got {value!r}")
+    return workers
 
 
 @dataclass
@@ -247,6 +254,7 @@ def _light_plan(n: int, fraction: float):
 def generate_dataset(cfg: GeneratorConfig, out_dir) -> Path:
     """Write spike streams, per-label masks, and a manifest; returns the
     manifest path. Fully determined by ``cfg.seed``."""
+    workers = worker_threads()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # streams are written before the whole dataset exists: a run that fails
@@ -286,7 +294,6 @@ def generate_dataset(cfg: GeneratorConfig, out_dir) -> Path:
     # each sequence is written as soon as it is built and then dropped, so
     # memory holds one packed stream per worker, not the whole dataset;
     # with threads, at most ``workers`` builds are out, taken in job order
-    workers = worker_threads()
     jobs = zip(specs, seeds)
     if workers == 1:
         entries = [write(*build(j)) for j in jobs]

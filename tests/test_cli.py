@@ -121,6 +121,22 @@ def test_gen_data_rate_overflow_is_an_error(tmp_path, capsys, rate):
     assert not [n for n in left if n.endswith((".spk", ".tmp"))], left
 
 
+@pytest.mark.parametrize("threads", ["0", "-2", "two", "1.5", ""])
+def test_gen_data_bad_thread_setting_is_an_error(tmp_path, capsys,
+                                                 monkeypatch, threads):
+    """A SPIKESAL_THREADS value that is not a positive integer ends gen-data
+    with an error naming the variable and its value, before any file is
+    written, instead of running on one thread."""
+    monkeypatch.setenv("SPIKESAL_THREADS", threads)
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps(GEN))
+    assert main(["gen-data", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SPIKESAL_THREADS") and repr(threads) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_data_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({**GEN, "sensor_kind": "dvs"}))

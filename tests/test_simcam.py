@@ -1,6 +1,5 @@
 """Camera model: rate law, determinism, and dataset generation."""
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -243,6 +242,23 @@ def test_generated_high_light_scale(tmp_path):
     assert np.mean(vals_l) < np.mean(vals_h)
 
 
+@pytest.mark.parametrize("scale", [0.4, 0.25])
+def test_low_light_scene_dims_background_and_every_object(scale):
+    """From one seed, a low-light scene is the high-light scene with the
+    background and each object's intensity times ``low_light_scale``, and
+    the same objects in the same places."""
+    cfg = tiny_cfg(low_light_scale=scale, min_objects=2, max_objects=3)
+    for seed in range(5):
+        high = sc._random_scene(cfg, np.random.default_rng(seed), "high")
+        low = sc._random_scene(cfg, np.random.default_rng(seed), "low")
+        assert low.background == high.background * scale
+        assert len(low.objects) == len(high.objects) >= 2
+        for lo, hi in zip(low.objects, high.objects):
+            assert lo.intensity == hi.intensity * scale
+            assert (lo.kind, lo.x, lo.y, lo.vx, lo.vy, lo.half_w, lo.half_h) \
+                == (hi.kind, hi.x, hi.y, hi.vx, hi.vy, hi.half_w, hi.half_h)
+
+
 def test_generate_dataset_deterministic(tmp_path):
     p1 = sc.generate_dataset(tiny_cfg(), tmp_path / "a")
     p2 = sc.generate_dataset(tiny_cfg(), tmp_path / "b")
@@ -330,34 +346,41 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
+# The probe reads its own resident high-water mark, VmHWM, which starts
+# afresh at exec; ru_maxrss would start at the spawning process's peak, so
+# under a large pytest process it would hide any growth below that.
 MEMORY_PROBE = """
-import resource, sys, tempfile
+import re, tempfile
 from spikesal import simcam as sc
-scale = 1 if sys.platform == "darwin" else 1024   # ru_maxrss: bytes or KiB
 def peak():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale
-cfg = sc.GeneratorConfig(train_sequences=6, val_sequences=2,
-                         labels_per_sequence=2, width=128, height=128)
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1)) * 1024
+def generate(**kw):
+    cfg = sc.GeneratorConfig(val_sequences=0, width=64, height=64, **kw)
+    with tempfile.TemporaryDirectory() as d:
+        sc.generate_dataset(cfg, d)
+# a first run of 8 frames takes the one-time costs at this frame size
+generate(train_sequences=1, labels_per_sequence=1, frames_per_label=8)
 base = peak()
-with tempfile.TemporaryDirectory() as d:
-    sc.generate_dataset(cfg, d)
+generate(train_sequences=16, labels_per_sequence=4)
 print(peak() - base)
 """
 
 
-@pytest.mark.skipif(importlib.util.find_spec("resource") is None,
-                    reason="needs the resource module")
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from /proc/self/status")
 def test_generate_dataset_memory_does_not_grow_with_the_dataset():
-    """8 sequences of 800 frames at 128x128, 12.5 MiB of dense bits each:
-    the peak resident set of a fresh process may grow by less than three
-    sequences, where holding every sequence until the end grows by eight."""
+    """16 sequences of 1600 frames at 64x64, 800 KiB packed each: after a
+    warm-up run, the peak resident set of a fresh process may grow by less
+    than three packed sequences, where holding every sequence until the
+    end grows by sixteen."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, SPIKESAL_THREADS="1", PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     run = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    one_sequence = 800 * 128 * 128
+    one_sequence = 1600 * 64 * 64 // 8
     grown = int(run.stdout)
     assert grown < 3 * one_sequence, (
-        f"peak grew {grown / one_sequence:.1f} sequences")
+        f"peak grew {grown / one_sequence:.1f} packed sequences")

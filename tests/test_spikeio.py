@@ -331,15 +331,20 @@ def assert_isi_matches_argmax(stream, at):
 @pytest.mark.parametrize("density", [0.002, 0.05, 0.3])
 def test_isi_bit_identical_to_argmax_scans(density):
     rng = np.random.default_rng(int(density * 1000))
-    bits = (rng.random((400, 32, 32)) < density).astype(np.uint8)
-    # pixels firing only at the first and the last frame
-    bits[:, 0, :4] = 0
-    bits[0, 0, 0] = bits[-1, 0, 0] = 1
-    bits[0, 0, 1] = 1
-    bits[-1, 0, 2] = 1
-    stream = sio.SpikeStream(bits)
-    for at in (0, 1, 199, 398, 399):
-        assert_isi_matches_argmax(stream, at)
+    for frames in (400, 512):
+        bits = (rng.random((frames, 32, 32)) < density).astype(np.uint8)
+        # pixels firing only at the first and the last frame
+        bits[:, 0, :4] = 0
+        bits[0, 0, 0] = bits[-1, 0, 0] = 1
+        bits[0, 0, 1] = 1
+        bits[-1, 0, 2] = 1
+        stream = sio.SpikeStream(bits)
+        # sides of 254-257 frames before the cut, then after it: the last
+        # byte weights and the first int16 ones, the other side of either
+        edges = [side - 1 for side in range(254, 258)]
+        edges += [frames - 1 - side for side in range(254, 258)]
+        for at in (0, 1, frames // 2 - 1, frames - 2, frames - 1, *edges):
+            assert_isi_matches_argmax(stream, at)
 
 
 @pytest.mark.parametrize("frames", [32767, 32768, 40000])
@@ -374,14 +379,17 @@ def isi_max_oracle(stream, at_frame, full_scale=255.0):
 
 
 @settings(max_examples=80, deadline=None)
-@given(frames=st.one_of(st.integers(1, 80), st.integers(32766, 32768)),
+@given(frames=st.one_of(st.integers(1, 80), st.integers(254, 514),
+                        st.integers(32766, 32768)),
        seed=st.integers(0, 2**31), density=st.sampled_from([0.0, 0.01, 0.2, 1.0]),
-       at=st.sampled_from(["first", "f-2", "f-1", "random"]), data=st.data())
+       at=st.sampled_from(["first", "f-2", "f-1", "random", "byte edge"]),
+       data=st.data())
 def test_isi_early_exit_matches_full_scan(frames, seed, density, at, data):
     """The outward, early-exit scan reads exactly what one multiply-max over
     all frames reads, with silent pixels, pixels firing every frame, cuts
-    at the first and last frames, and frame counts on both sides of the
-    int16 index limit."""
+    at the first and last frames, frame counts on both sides of the
+    int16 index limit, and sides of 254-257 frames, on both sides of the
+    byte weight limit."""
     rng = np.random.default_rng(seed)
     h, w = (1, 3) if frames > 1000 else (3, 4)
     bits = (rng.random((frames, h, w)) < density).astype(np.uint8)
@@ -390,8 +398,13 @@ def test_isi_early_exit_matches_full_scan(frames, seed, density, at, data):
     if frames > 1:                          # first and last frame only
         bits[:, 0, 1] = 0
         bits[[0, -1], 0, 1] = 1
-    cut = {"first": 0, "f-2": max(frames - 2, 0), "f-1": frames - 1,
-           "random": data.draw(st.integers(0, frames - 1))}[at]
+    if at == "byte edge":                   # one side of 254-257 frames
+        side = data.draw(st.integers(254, 257))
+        cut = data.draw(st.sampled_from([side - 1, frames - 1 - side]))
+        cut = min(max(cut, 0), frames - 1)
+    else:
+        cut = {"first": 0, "f-2": max(frames - 2, 0), "f-1": frames - 1,
+               "random": data.draw(st.integers(0, frames - 1))}[at]
     stream = sio.SpikeStream(bits)
     got = sio.isi_repr(stream, cut)
     want = isi_max_oracle(stream, cut)

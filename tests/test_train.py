@@ -684,6 +684,27 @@ def test_multi_step_evaluation_batches_64x64_windows_byte_identically(
         T.evaluate_model(net, [], mode="multi")
 
 
+def test_single_step_evaluation_runs_each_sequence_oldest_first(val64):
+    """Over a shuffled sample list, single-step evaluation scores each
+    sequence's windows as one oldest-first ``single_step_readouts`` pass,
+    sequences in name order; newest first would score differently, since
+    the membranes carry from window to window."""
+    net = T.model_from_checkpoint(FIXTURE)[0]
+    shuffled = [val64[i] for i in np.random.default_rng(3).permutation(10)]
+    report = T.evaluate_model(net, shuffled, mode="single")
+
+    def by_hand(newest_first: bool):
+        pairs = []
+        for seq in sorted({s.seq for s in val64}):
+            chron = sorted((s for s in val64 if s.seq == seq),
+                           key=lambda s: s.index, reverse=newest_first)
+            preds = T.single_step_readouts(net, [s.repr for s in chron])
+            pairs.extend((p, s.mask, seq) for p, s in zip(preds, chron))
+        return metrics.evaluate(pairs).to_json()
+    assert report.to_json() == by_hand(newest_first=False)
+    assert report.to_json() != by_hand(newest_first=True)
+
+
 def test_multi_step_readouts_batch_by_frame_size(monkeypatch):
     """Windows share a forward up to 128x128 pixels: 128x128 windows run
     one per forward, and a change of size starts a new forward."""
