@@ -25,11 +25,7 @@ from .train import (RunConfig, train_model, model_from_checkpoint,
 def _load_generator_config(path, seed=None) -> GeneratorConfig:
     doc = sio.parse_json(Path(path).read_text(encoding="utf-8"), path)
     kinds = {f.name: f.type for f in dataclasses.fields(GeneratorConfig)}
-    doc = sio.check_config(doc, kinds, "generator config")
-    for key in ("background_range", "foreground_range"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
-    cfg = GeneratorConfig(**doc)
+    cfg = GeneratorConfig(**sio.check_config(doc, kinds, "generator config"))
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     return cfg

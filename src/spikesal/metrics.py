@@ -22,7 +22,7 @@ layer is dense in the ANN equivalent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -179,11 +179,7 @@ class EvalReport:
     count: int = 0
 
     def to_json(self) -> str:
-        doc = {"mae": self.mae, "f_beta_max": self.f_beta_max,
-               "mean_f_beta": self.mean_f_beta, "s_measure": self.s_measure,
-               "count": self.count, "per_sequence": self.per_sequence,
-               "threshold_curve": list(self.threshold_curve)}
-        return json.dumps(doc, indent=1, sort_keys=True)
+        return json.dumps(asdict(self), indent=1, sort_keys=True)
 
     def to_table(self) -> str:
         rows = [("all", self.mae, self.f_beta_max, self.mean_f_beta,
@@ -246,11 +242,8 @@ def evaluate(samples) -> EvalReport:
         flat.append(score)
     summary, curve = _aggregate(flat)
     per_seq = {name: _aggregate(scores)[0] for name, scores in groups.items()}
-    return EvalReport(mae=summary["mae"], f_beta_max=summary["f_beta_max"],
-                      mean_f_beta=summary["mean_f_beta"],
-                      s_measure=summary["s_measure"],
-                      threshold_curve=curve.tolist(),
-                      per_sequence=per_seq, count=summary["count"])
+    return EvalReport(**summary, threshold_curve=curve.tolist(),
+                      per_sequence=per_seq)
 
 
 # -- energy ------------------------------------------------------------------------
@@ -266,11 +259,7 @@ class EnergyReport:
     per_layer: list = field(default_factory=list, repr=False)
 
     def to_json(self) -> str:
-        doc = {"ac_ops": self.ac_ops, "mac_ops": self.mac_ops,
-               "snn_energy_j": self.snn_energy_j,
-               "ann_energy_j": self.ann_energy_j, "ratio": self.ratio,
-               "per_layer": self.per_layer}
-        return json.dumps(doc, indent=1, sort_keys=True)
+        return json.dumps(asdict(self), indent=1, sort_keys=True)
 
     def to_table(self) -> str:
         lines = [f"{'layer':<20} {'AC ops':>14} {'MAC ops':>14}"]

@@ -26,7 +26,7 @@ concatenates then projects back through a 1x1 conv-BN-spike block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -42,10 +42,9 @@ from .neuro import trace_activity, lif_step
 RECURRENT_MODES = ("vanilla", "forward", "reverse")
 RESIDUAL_OPS = ("or", "add", "concat")
 
-# config JSON keys and the kind of value each holds, fixed interface
-_JSON_KINDS = {"D": "int", "heads": "int", "T": "int", "rfa_blocks": "int",
-               "recurrent_mode": "str", "residual_op": "str", "tau": "float",
-               "v_th": "float", "v_reset": "float", "surrogate_alpha": "float"}
+# the config JSON keys of the fields whose names differ from them, fixed
+# interface; every other field is its own key
+_JSON_NAMES = {"dim": "D", "steps": "T"}
 
 
 @dataclass
@@ -87,21 +86,14 @@ class RSTConfig:
         return LIFParams(self.tau, self.v_th, self.v_reset, self.surrogate_alpha)
 
     def to_json_dict(self) -> dict:
-        return {"D": self.dim, "heads": self.heads, "T": self.steps,
-                "rfa_blocks": self.rfa_blocks,
-                "recurrent_mode": self.recurrent_mode,
-                "residual_op": self.residual_op,
-                "tau": self.tau, "v_th": self.v_th, "v_reset": self.v_reset,
-                "surrogate_alpha": self.surrogate_alpha}
+        return {_JSON_NAMES.get(k, k): v for k, v in asdict(self).items()}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RSTConfig":
-        doc = check_config(doc, _JSON_KINDS, "model config")
-        rename = {"D": "dim", "T": "steps"}
-        merged = dict(cls().__dict__)
-        for k, v in doc.items():
-            merged[rename.get(k, k)] = v
-        return cls(**merged)
+        kinds = {_JSON_NAMES.get(f.name, f.name): f.type for f in fields(cls)}
+        doc = check_config(doc, kinds, "model config")
+        names = {key: name for name, key in _JSON_NAMES.items()}
+        return cls(**{names.get(k, k): v for k, v in doc.items()})
 
 
 # -- attention core --------------------------------------------------------------

@@ -35,7 +35,7 @@ import math
 import mmap
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -395,10 +395,7 @@ class DatasetManifest:
 def save_manifest(path, manifest: DatasetManifest):
     """Write the manifest through a temporary file beside ``path``, which
     then replaces it, so a failed write never leaves a partial manifest."""
-    doc = {"streams": [
-        {"path": s.path, "split": s.split, "light": s.light,
-         "masks": [{"path": m.path, "frame": m.frame} for m in s.masks]}
-        for s in manifest.streams]}
+    doc = {"streams": [asdict(s) for s in manifest.streams]}
     with replacing(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -449,8 +446,10 @@ def check_config(doc, kinds: dict, where: str) -> dict:
     an object whose keys all appear in ``kinds`` and whose values are of the
     kind named there: "int", "float" (finite: not JSON's NaN or Infinity),
     "str", "bool", "dict" or "tuple" (a [low, high] pair of finite
-    numbers). Raises ValueError naming the first key that is unknown or
-    holds a value of another kind."""
+    numbers, returned as a tuple). A config dataclass's field annotations
+    are these names, so its ``dataclasses.fields`` give the kinds. Raises
+    ValueError naming the first key that is unknown or holds a value of
+    another kind."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object, "
                          f"not {type(doc).__name__}")
@@ -462,7 +461,7 @@ def check_config(doc, kinds: dict, where: str) -> dict:
         if not fits(value):
             raise ValueError(f"{where} key {key!r} must be {what}, "
                              f"got {json.dumps(value)}")
-    return dict(doc)
+    return {k: tuple(v) if kinds[k] == "tuple" else v for k, v in doc.items()}
 
 
 def load_manifest(path) -> DatasetManifest:

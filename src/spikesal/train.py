@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -32,13 +32,9 @@ MODES = ("multi", "single")
 LOSS_MODES = ("multi", "vanilla")
 
 
-# run config JSON keys and the kind of value each holds
-_RUN_KINDS = {"manifest": "str", "model": "dict", "optimizer": "dict",
-              "window": "int", "seed": "int", "mode": "str",
-              "loss_mode": "str", "deterministic": "bool"}
-_OPTIMIZER_KINDS = {"kind": "str", "lr_start": "float", "lr_end": "float",
-                    "epochs": "int", "batch_size": "int",
-                    "weight_decay": "float"}
+# the RunConfig fields that sit in the run config JSON's "optimizer" object;
+# every other field is a top-level key of its own name
+_OPTIMIZER = ("lr_start", "lr_end", "epochs", "batch_size", "weight_decay")
 
 
 @dataclass
@@ -58,6 +54,9 @@ class RunConfig:
     def __post_init__(self):
         if self.lr_end > self.lr_start:
             raise ValueError("lr_end must not exceed lr_start")
+        for name in ("lr_end", "weight_decay", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.epochs < 1 or self.batch_size < 1 or self.window < 1:
             raise ValueError("epochs, batch_size, window must be >= 1")
         if self.mode not in MODES:
@@ -66,20 +65,20 @@ class RunConfig:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
 
     def to_json_dict(self) -> dict:
-        return {"manifest": self.manifest,
-                "model": self.model.to_json_dict(),
-                "optimizer": {"kind": "adamw", "lr_start": self.lr_start,
-                              "lr_end": self.lr_end, "epochs": self.epochs,
-                              "batch_size": self.batch_size,
-                              "weight_decay": self.weight_decay},
-                "window": self.window, "seed": self.seed, "mode": self.mode,
-                "loss_mode": self.loss_mode}
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["model"] = self.model.to_json_dict()
+        doc["optimizer"] = {"kind": "adamw",
+                            **{name: doc.pop(name) for name in _OPTIMIZER}}
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RunConfig":
-        doc = sio.check_config(doc, _RUN_KINDS, "run config")
+        kinds = {f.name: f.type for f in fields(cls)}
+        opt_kinds = {"kind": "str", **{n: kinds.pop(n) for n in _OPTIMIZER}}
+        kinds.update(model="dict", optimizer="dict", deterministic="bool")
+        doc = sio.check_config(doc, kinds, "run config")
         doc.pop("deterministic", None)  # a retired no-op key of older configs
-        opt = sio.check_config(doc.pop("optimizer", {}), _OPTIMIZER_KINDS,
+        opt = sio.check_config(doc.pop("optimizer", {}), opt_kinds,
                                "optimizer config")
         kind = opt.pop("kind", "adamw")
         if kind != "adamw":

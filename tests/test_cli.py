@@ -275,6 +275,39 @@ def test_infer_resolution_mismatch(workspace, tmp_path, capsys):
     assert not (tmp_path / "maps").exists()
 
 
+@pytest.fixture(scope="module")
+def data40(tmp_path_factory):
+    """A labelled 40x40 dataset: 40 is not a multiple of 16, the model's
+    four halving stages."""
+    root = tmp_path_factory.mktemp("data40")
+    (root / "gen.json").write_text(json.dumps({**GEN, "width": 40,
+                                               "height": 40}))
+    assert main(["gen-data", "--config", str(root / "gen.json"),
+                 "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+@pytest.mark.parametrize("command", ["infer", "eval", "energy", "train"])
+def test_resolution_not_divisible_by_16_is_an_error(workspace, data40,
+                                                    tmp_path, capsys, command):
+    """Every command that runs the model refuses a 40x40 dataset with
+    ``error:`` and exit 1, not a traceback; infer makes no output
+    directory."""
+    ckpt = ["--ckpt", str(workspace / "ckpt" / "last.salt")]
+    stream = ["--stream", str(data40 / "val_000.spk")]
+    manifest = ["--manifest", str(data40 / "manifest.json")]
+    argv = {"infer": ["infer", *ckpt, *stream, "--out", str(tmp_path / "maps")],
+            "eval": ["eval", *ckpt, *manifest],
+            "energy": ["energy", *ckpt, *stream],
+            "train": ["train", "--config", str(workspace / "run.json"),
+                      *manifest, "--out", str(tmp_path / "run")]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert ("resolution" if command == "infer" else "divisible by 16") in err
+    assert not (tmp_path / "maps").exists()
+
+
 def test_infer_short_stream_rejected(workspace, tmp_path, capsys):
     tiny = sio.SpikeStream(np.zeros((10, 32, 32), dtype=np.uint8))
     sio.write_stream(tmp_path / "tiny.spk", tiny)
@@ -468,6 +501,31 @@ def test_gen_data_out_of_range_config_names_the_key(tmp_path, capsys, edit,
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, flags, key", [
+    ({"seed": -1}, [], "seed"),
+    ({}, ["--seed", "-3"], "seed"),
+    ({"optimizer": {"lr_start": -0.1, "lr_end": -0.2, "epochs": 1}}, [],
+     "lr_end"),
+    ({"optimizer": {"weight_decay": -5}}, [], "weight_decay"),
+])
+def test_train_out_of_range_config_names_the_key(workspace, tmp_path, capsys,
+                                                 doc, flags, key):
+    """A negative seed, learning rate or weight decay, from the config or
+    the --seed flag, ends the command with an error naming the field
+    before any data is read or the output directory is made: numpy refuses
+    a negative seed only after both, and a negative rate or decay trains
+    silently."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+               "--manifest", str(workspace / "data" / "manifest.json")]
+              + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "run").exists()
 
 
 NAN, INF = float("nan"), float("inf")

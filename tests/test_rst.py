@@ -52,6 +52,14 @@ def test_config_json_roundtrip():
     assert RSTConfig.from_json_dict(doc) == cfg
 
 
+def test_config_json_keys_are_pinned():
+    # derived from the fields: a renamed field would change every
+    # checkpoint's meta and config_hash
+    assert set(RSTConfig().to_json_dict()) == {
+        "D", "heads", "T", "rfa_blocks", "recurrent_mode", "residual_op",
+        "tau", "v_th", "v_reset", "surrogate_alpha"}
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown"):
         RSTConfig.from_json_dict({"D": 16, "depth": 9})

@@ -170,6 +170,19 @@ def test_run_config_ignores_retired_deterministic_key():
     assert loaded.config_hash() == cfg.config_hash()
 
 
+def test_run_config_json_keys_and_fixture_hash_are_pinned():
+    """The run config's JSON is derived from its fields: a renamed field
+    would change every checkpoint's meta and config_hash."""
+    doc = T.RunConfig().to_json_dict()
+    assert set(doc) == {"manifest", "model", "optimizer", "window", "seed",
+                        "mode", "loss_mode"}
+    assert set(doc["optimizer"]) == {"kind", "lr_start", "lr_end", "epochs",
+                                     "batch_size", "weight_decay"}
+    _, meta = load_tensors(FIXTURE)
+    assert T.RunConfig.from_json_dict(meta["config"]).config_hash() == (
+        "541366e7e6cefa9d715857321f79ea4fa843f389101adef6fb98415cde9e499b")
+
+
 def test_run_config_hash_changes_with_fields():
     a = T.RunConfig(manifest="m", model=toy_model_cfg())
     b = T.RunConfig(manifest="m", model=toy_model_cfg(), seed=1)
